@@ -134,6 +134,52 @@ pub fn run(quick: bool) -> BenchReport {
         k_reps,
     );
 
+    // --- Decode shapes: one token's matvec through a 512x2048 weight and
+    // the 32000-token tied LM head (`x · table^T`), each next to the
+    // scalar backend on the same shape. Both are weight-bandwidth bound:
+    // the SIMD kernels stream `b` row by row (GEMV) or in 8-row blocks
+    // transposed in registers (LM head), with no `k x n` scratch.
+    let x1 = reference::synthetic_input(1, 512, 6);
+    let w_up = reference::synthetic_input(512, 2048, 7);
+    let mut gemv_out = Tensor::default();
+    push(
+        "kernel/gemv_1x512x2048",
+        best_of(k_reps, || {
+            x1.matmul_into(&w_up, &mut gemv_out).expect("gemv");
+            std::hint::black_box(&gemv_out);
+        }),
+        k_reps,
+    );
+    let mut gemv_scalar_out = vec![0.0f32; 2048];
+    push(
+        "kernel/gemv_scalar_1x512x2048",
+        best_of(k_reps, || {
+            scalar.matmul_f32(x1.as_slice(), w_up.as_slice(), &mut gemv_scalar_out, 1, 512, 2048);
+            std::hint::black_box(&gemv_scalar_out);
+        }),
+        k_reps,
+    );
+    let table = reference::synthetic_input(32000, 512, 8);
+    let mut logits = Tensor::default();
+    push(
+        "kernel/lm_head_1x512x32000",
+        best_of(k_reps, || {
+            x1.matmul_t_into(&table, &mut logits).expect("lm head");
+            std::hint::black_box(&logits);
+        }),
+        k_reps,
+    );
+    let mut logits_scalar = vec![0.0f32; 32000];
+    push(
+        "kernel/lm_head_scalar_1x512x32000",
+        best_of(k_reps, || {
+            scalar.matmul_t_f32(x1.as_slice(), table.as_slice(), &mut logits_scalar, 1, 512, 32000);
+            std::hint::black_box(&logits_scalar);
+        }),
+        k_reps,
+    );
+    drop(table);
+
     // --- Fused attention hot path: 8 heads of dim 64 over 64 causal
     // positions — scores GEMM + softmax + value GEMM exactly as the
     // model layer runs them (backend-routed since PR 8).
@@ -587,7 +633,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 20);
+        assert_eq!(report.results.len(), 24);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }

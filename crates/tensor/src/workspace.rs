@@ -26,6 +26,9 @@ pub struct WorkspaceStats {
     pub acquisitions: u64,
     /// Buffers currently sitting in the pool.
     pub pooled: usize,
+    /// Capacity, in `f32` elements, of the largest pooled buffer (0 when
+    /// the pool is empty) — the scratch footprint a kernel left behind.
+    pub largest: usize,
 }
 
 /// A pool of reusable `f32` scratch buffers.
@@ -115,6 +118,7 @@ impl Workspace {
             allocations: self.allocations,
             acquisitions: self.acquisitions,
             pooled: self.pool.len(),
+            largest: self.pool.iter().map(Vec::capacity).max().unwrap_or(0),
         }
     }
 
@@ -180,6 +184,9 @@ mod tests {
         assert_eq!(s.allocations, 1);
         assert_eq!(s.acquisitions, 10);
         assert_eq!(s.pooled, 1);
+        assert!(s.largest >= 256);
+        w.reset();
+        assert_eq!(w.stats().largest, 0);
     }
 
     #[test]

@@ -34,6 +34,12 @@
 # run at a higher best-of-N since PR 8 to tame shared-runner noise.
 # BENCH_8.json is the first baseline carrying the new entries; against
 # older baselines they are reported as "not in baseline" and skipped.
+#
+# The suite also includes the decode shapes (kernel/gemv_* and
+# kernel/lm_head_*, each with its scalar-backend twin), guarding the
+# row-streaming GEMV and the scratch-free transposed LM head against
+# falling back onto a strided or k x n-staging path. BENCH_12.json is
+# the first baseline carrying them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -18,11 +18,17 @@
 //!    interleavings no two live scratch buffers overlap, and in steady
 //!    state (a warmed pool seeing a repeating size mix) the allocation
 //!    count is pinned while acquisitions keep climbing — including when
-//!    driven through the real backend-dispatched kernels.
+//!    driven through the real backend-dispatched kernels — and the
+//!    transposed kernels never leave more than one `k x 32` panel of
+//!    scratch behind, even for a 32000-row LM head.
+//! 5. **Decode shapes** — the small-`m` kernels (every row count 1..=7,
+//!    column counts straddling the 16/32-lane tails, `n >> k`, `k = 0`)
+//!    on strided slabs, in both `accumulate` modes, bit-match the naive
+//!    chains on every backend.
 
 use mtp::tensor::{
-    dequantize, naive, quantize_symmetric, reset_thread_workspace, thread_workspace_stats, Backend,
-    ScalarBackend, Shape, Tensor, Workspace,
+    dequantize, madd, naive, quantize_symmetric, reset_thread_workspace, thread_workspace_stats,
+    Backend, ScalarBackend, Shape, Tensor, Workspace,
 };
 use proptest::prelude::*;
 
@@ -53,8 +59,59 @@ fn all_backends() -> Vec<(&'static str, Box<dyn Backend>)> {
     backends
 }
 
+/// Deterministic sign-mixed slab of `len` values (for raw-slice shapes
+/// `Tensor` cannot hold, such as `k = 0`).
+fn slab(len: usize, seed: u64) -> Vec<f32> {
+    tensor_with_zeros(1, len.max(1), seed).as_slice()[..len].to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Decode shapes on strided slabs: `gemm_strided` (both `accumulate`
+    /// modes) and `scaled_dot_t` equal the naive ascending-`p` `madd`
+    /// chains, bit for bit, on every backend.
+    #[test]
+    fn prop_decode_shapes_every_backend_bit_matches_naive(
+        m in 1usize..8,
+        k in 0usize..48,
+        n in prop::sample::select(vec![1usize, 7, 15, 16, 17, 31, 32, 33, 48, 63, 65, 97, 1000]),
+        pad in 0usize..4,
+        accumulate in prop::sample::select(vec![false, true]),
+        seed in 0u64..10_000,
+    ) {
+        let (a_stride, b_stride, o_stride, bt_stride) = (k + pad, n + pad, n + 2 * pad, k + 1);
+        let a = slab(m * a_stride, seed);
+        let b = slab(k * b_stride, seed.wrapping_add(1));
+        let bt = slab(n * bt_stride, seed.wrapping_add(2));
+        let base = slab(m * o_stride, seed.wrapping_add(3));
+        let mut want = base.clone();
+        let mut want_t = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = if accumulate { want[i * o_stride + j] } else { 0.0 };
+                let mut dot = 0.0f32;
+                for p in 0..k {
+                    acc = madd(acc, a[i * a_stride + p], b[p * b_stride + j]);
+                    dot = madd(dot, a[i * a_stride + p], bt[j * bt_stride + p]);
+                }
+                want[i * o_stride + j] = acc;
+                want_t[i * n + j] = dot * 0.125;
+            }
+        }
+        for (name, be) in all_backends() {
+            let mut got = base.clone();
+            be.gemm_strided(&a, a_stride, &b, b_stride, &mut got, o_stride, m, k, n, accumulate);
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} gemm_strided elem {}", name, i);
+            }
+            let mut got_t = vec![f32::NAN; m * n];
+            be.scaled_dot_t(&a, a_stride, &bt, bt_stride, 0.125, &mut got_t, m, k, n);
+            for (i, (x, y)) in got_t.iter().zip(&want_t).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} scaled_dot_t elem {}", name, i);
+            }
+        }
+    }
 
     /// f32 GEMM bit-identity: every backend == naive, for matmul and
     /// matmul_t, across shapes covering zmm/ymm panels and scalar tails.
@@ -286,5 +343,31 @@ fn kernel_scratch_is_allocation_free_in_steady_state() {
         "steady-state kernels allocated fresh scratch"
     );
     assert!(steady.acquisitions >= warm.acquisitions, "acquisition counter must be monotone");
+    reset_thread_workspace();
+}
+
+/// The transposed kernels keep at most one `k x 32` panel of scratch: an
+/// LM-head-shaped `matmul_t` (1x512 · (32000x512)^T) and a prefill-shaped
+/// one leave no larger buffer in the thread's pool, so the tied LM head
+/// never stages a `k x n` transpose (65 MB at this shape).
+#[test]
+fn matmul_t_scratch_stays_panel_sized() {
+    let k = 512;
+    let table = tensor_with_zeros(32_000, k, 5);
+    let hidden = tensor_with_zeros(1, k, 6);
+    let prompt = tensor_with_zeros(24, k, 7);
+    let mut out = Tensor::default();
+    reset_thread_workspace();
+    hidden.matmul_t_into(&table, &mut out).unwrap();
+    let lm_head = thread_workspace_stats().largest;
+    assert!(lm_head <= k * 32, "LM head left a {lm_head}-float scratch buffer");
+    let golden = naive::matmul_t(&hidden, &table).unwrap();
+    assert!(
+        out.as_slice().iter().zip(golden.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "LM head logits differ from naive"
+    );
+    prompt.matmul_t_into(&table, &mut out).unwrap();
+    let prefill = thread_workspace_stats().largest;
+    assert!(prefill <= k * 32, "prefill matmul_t left a {prefill}-float scratch buffer");
     reset_thread_workspace();
 }

@@ -137,6 +137,26 @@ proptest! {
         assert_bits_eq(&out, &golden, "matmul_t_into")?;
     }
 
+    /// Decode-shaped (m = 1..7) matmul and matmul_t == naive, bit for
+    /// bit, with column counts straddling the 16/32-lane tails and
+    /// n >> k — the row-streaming GEMV and transposing LM-head paths.
+    #[test]
+    fn prop_decode_matmul_lockstep(
+        m in 1usize..8,
+        k in 1usize..48,
+        n in prop::sample::select(vec![1usize, 15, 16, 17, 31, 32, 33, 64, 65, 100, 1000]),
+        seed in 0u64..10_000,
+    ) {
+        let a = tensor_with_zeros(m, k, seed);
+        let b = tensor_with_zeros(k, n, seed.wrapping_add(1));
+        let bt = tensor_with_zeros(n, k, seed.wrapping_add(2));
+        let mut out = Tensor::default();
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_bits_eq(&out, &naive::matmul(&a, &b).unwrap(), "decode matmul_into")?;
+        a.matmul_t_into(&bt, &mut out).unwrap();
+        assert_bits_eq(&out, &naive::matmul_t(&a, &bt).unwrap(), "decode matmul_t_into")?;
+    }
+
     /// The strided zero-alloc attention equals the split/concat
     /// formulation it replaced, bit for bit (including grouped-query
     /// configurations and causal masks).
