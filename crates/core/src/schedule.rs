@@ -33,8 +33,8 @@ use mtp_sim::{ChipId, ChipSpec, DmaTag, Instr, Machine, MemPath, MsgId, Program}
 /// simulation cost size-independent (see
 /// [`mtp_sim::Machine::run_batched`] and `DESIGN.md` §10). Heterogeneous
 /// batches carry their per-request shape vector: each distinct vector
-/// lowers to its own interleaved template and simulates through the full
-/// event-driven fallback.
+/// lowers to its own interleaved one-block template, which repeats
+/// `n_layers` times through the same periodic engine.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BatchRegime {
     /// Every request shares one per-block shape (always the case in
@@ -415,16 +415,8 @@ impl Scheduler {
             p.reserve(p.len() * (n_blocks - 1));
         }
         for block in 1..n_blocks as u64 {
-            let (dm, ds) = (block * msg_stride, block as u32 * sync_stride);
             for (prog, tmpl) in progs.iter_mut().zip(&template) {
-                prog.extend(tmpl.instrs().iter().map(|&instr| match instr {
-                    Instr::Send { to, msg, bytes } => {
-                        Instr::Send { to, msg: MsgId(msg.0 + dm), bytes }
-                    }
-                    Instr::Recv { from, msg } => Instr::Recv { from, msg: MsgId(msg.0 + dm) },
-                    Instr::Sync(id) => Instr::Sync(id + ds),
-                    other => other,
-                }));
+                prog.extend_shifted(tmpl, block * msg_stride, block as u32 * sync_stride);
             }
         }
         // Advance the counters past the instantiated blocks so chained

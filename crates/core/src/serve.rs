@@ -21,10 +21,13 @@
 //!   saturated-arrival limit reproduces the PR 5 batch path bit for bit,
 //!   by construction;
 //! - a **mixed** pass (slots in different phases, or per-request billing
-//!   diverging) lowers each slot from its own scheduler and interleaves
-//!   the streams block-major with disjoint identifier spaces, exactly as
-//!   [`crate::DistributedSystem::simulate_batch`]'s heterogeneous
-//!   fallback does.
+//!   diverging) takes each slot's one-block template from the same
+//!   template cache, concatenates them into one interleaved block with
+//!   disjoint identifier ranges, and runs `n_layers` repetitions of that
+//!   block through [`mtp_sim::Machine::run_periodic`] — the same path
+//!   as [`crate::DistributedSystem::simulate_batch`]'s heterogeneous
+//!   prompt batches. The periodic engine proves the fixed point or falls
+//!   back to the exact full run by itself.
 //!
 //! Billing is the context length a decode slot pays attention over:
 //! [`Billing::FullContext`] charges the model's full `seq_len` every step
@@ -37,10 +40,9 @@
 
 use std::collections::HashMap;
 
-use crate::schedule::{CompiledSchedule, Scheduler};
+use crate::schedule::CompiledSchedule;
 use crate::{CoreError, DistributedSystem, Result};
 use mtp_model::{InferenceMode, ServeWorkload};
-use mtp_sim::{Instr, Machine, MsgId, Program};
 
 /// How arriving requests are admitted into the fleet's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -685,8 +687,8 @@ impl DistributedSystem {
     }
 
     /// Pass makespan for a slot-shape vector, memoized: uniform shapes
-    /// run through the periodic batched path, mixed shapes through the
-    /// block-major interleave.
+    /// run through the periodic batched path, mixed shapes through one
+    /// interleaved block ([`DistributedSystem::run_interleaved`]).
     fn pass_makespan(
         &self,
         shapes: &[(InferenceMode, usize)],
@@ -704,79 +706,21 @@ impl DistributedSystem {
                 .stats
                 .makespan
         } else {
-            self.mixed_pass_makespan(shapes)?
+            for &(mode, seq) in shapes {
+                caches.template(self, mode, seq)?;
+            }
+            self.run_interleaved(shapes.iter().map(|shape| &caches.templates[shape]))?.makespan
         };
         caches.passes.insert(shapes.to_vec(), cycles);
         Ok(cycles)
     }
-
-    /// A heterogeneous pass: every slot lowers its own block body from a
-    /// scheduler at its billed context, and the streams interleave
-    /// block-major with disjoint identifier spaces — the serving
-    /// counterpart of [`DistributedSystem::simulate_batch`]'s mixed
-    /// fallback, generalized to slots in different inference modes.
-    fn mixed_pass_makespan(&self, shapes: &[(InferenceMode, usize)]) -> Result<u64> {
-        let n_layers = self.config().n_layers;
-        let mut bodies: Vec<Vec<Vec<Program>>> = Vec::with_capacity(shapes.len());
-        let mut strides: Vec<(u64, u32)> = Vec::with_capacity(shapes.len());
-        for &(mode, seq) in shapes {
-            let cfg = self.config().clone().with_seq_len(seq);
-            let mut scheduler = Scheduler::new(&cfg, self.n_chips(), self.chip())?;
-            if let Some(t) = self.topology() {
-                scheduler = scheduler.with_topology(t.clone());
-            }
-            let mut per_block = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
-                per_block.push(scheduler.block_programs(mode));
-            }
-            let (mut max_msg, mut max_sync) = (0u64, 0u32);
-            for progs in &per_block {
-                for p in progs {
-                    for i in p.instrs() {
-                        match *i {
-                            Instr::Send { msg, .. } | Instr::Recv { msg, .. } => {
-                                max_msg = max_msg.max(msg.0 + 1);
-                            }
-                            Instr::Sync(id) => max_sync = max_sync.max(id + 1),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            bodies.push(per_block);
-            strides.push((max_msg, max_sync));
-        }
-        let mut bases = Vec::with_capacity(strides.len());
-        let (mut msg_base, mut sync_base) = (0u64, 0u32);
-        for &(dm, ds) in &strides {
-            bases.push((msg_base, sync_base));
-            msg_base += dm;
-            sync_base += ds;
-        }
-        let mut progs = vec![Program::new(); self.n_chips()];
-        for block in 0..n_layers {
-            for (per_block, &(dm, ds)) in bodies.iter().zip(&bases) {
-                for (out, body) in progs.iter_mut().zip(&per_block[block]) {
-                    out.extend(body.instrs().iter().map(|&instr| match instr {
-                        Instr::Send { to, msg, bytes } => {
-                            Instr::Send { to, msg: MsgId(msg.0 + dm), bytes }
-                        }
-                        Instr::Recv { from, msg } => Instr::Recv { from, msg: MsgId(msg.0 + dm) },
-                        Instr::Sync(id) => Instr::Sync(id + ds),
-                        other => other,
-                    }));
-                }
-            }
-        }
-        let machine = Machine::homogeneous(*self.chip(), self.n_chips());
-        Ok(machine.run(&progs)?.makespan)
-    }
 }
 
 /// Within-run memoization: compiled templates per `(mode, billed
-/// context)` and pass makespans per slot-shape vector. A serving run
-/// re-executes the same pass shapes thousands of times; both caches make
-/// its cost scale with the number of *distinct* shapes.
+/// context)`, shared by uniform and mixed passes, and pass makespans per
+/// ordered slot-shape vector. A serving run re-executes the same pass
+/// shapes thousands of times; both caches make its cost scale with the
+/// number of *distinct* shapes.
 #[derive(Default)]
 struct PassCaches {
     templates: HashMap<(InferenceMode, usize), CompiledSchedule>,

@@ -1,12 +1,12 @@
 //! The distributed multi-MCU inference system: partitioning + scheduling +
 //! timing simulation + energy in one façade.
 
-use crate::schedule::{BatchRegime, Scheduler};
+use crate::schedule::{BatchRegime, CompiledSchedule};
 use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport};
 use mtp_energy::EnergyParams;
 use mtp_link::Topology;
 use mtp_model::{BatchWorkload, InferenceMode, TransformerConfig};
-use mtp_sim::{ChipSpec, Instr, Machine, MsgId, Program};
+use mtp_sim::{id_span, ChipSpec, Machine, Program, RunStats};
 
 /// A system of `N` Siracusa-class chips running one partitioned
 /// Transformer model.
@@ -131,7 +131,7 @@ impl DistributedSystem {
     /// Propagates partitioning and simulation errors; `n_blocks` must be
     /// at least 1.
     pub fn simulate_blocks(&self, mode: InferenceMode, n_blocks: usize) -> Result<SystemReport> {
-        let compiled = crate::schedule::CompiledSchedule::compile(
+        let compiled = CompiledSchedule::compile(
             &self.cfg,
             self.n_chips,
             &self.chip,
@@ -158,15 +158,15 @@ impl DistributedSystem {
     ///
     /// Uniform batches ([`BatchRegime::Uniform`]) route through the
     /// periodic engine's request-level fixed point, so their cost is
-    /// independent of batch size; heterogeneous prompt-mode batches fall
-    /// back to full event-driven simulation of the interleaved schedule
-    /// (see `DESIGN.md` §10 for the regime split and its fallback
-    /// conditions). In prompt mode each request's slot processes its own
-    /// prompt length; in autoregressive mode every slot is one decode
-    /// step against the model's full cached context, exactly as the
-    /// single-request path simulates it. Arrival offsets shape the
-    /// functional KV-cache trajectories, not the saturated steady-state
-    /// schedule, so they do not enter the timing model.
+    /// independent of batch size; heterogeneous prompt-mode batches run
+    /// one interleaved block of every request's slot through the same
+    /// engine, `n_layers` times (see `DESIGN.md` §10 for the regime split
+    /// and its fallback conditions). In prompt mode each request's slot
+    /// processes its own prompt length; in autoregressive mode every slot
+    /// is one decode step against the model's full cached context,
+    /// exactly as the single-request path simulates it. Arrival offsets
+    /// shape the functional KV-cache trajectories, not the saturated
+    /// steady-state schedule, so they do not enter the timing model.
     ///
     /// A batch of one request is the single-request path: for a workload
     /// whose prompt length matches `cfg.seq_len`, the report's stats are
@@ -196,7 +196,7 @@ impl DistributedSystem {
                         self.cfg.clone().with_seq_len(workload.requests()[0].prompt_len)
                     }
                 };
-                let compiled = crate::schedule::CompiledSchedule::compile(
+                let compiled = CompiledSchedule::compile(
                     &cfg,
                     self.n_chips,
                     &self.chip,
@@ -209,87 +209,68 @@ impl DistributedSystem {
         }
     }
 
-    /// The heterogeneous-batch fallback: per-request schedules (each
-    /// prompt length lowers its own block body) interleaved block-major
-    /// with disjoint identifier spaces, simulated in full by the
-    /// event-driven executor. Exact by construction — no periodicity
-    /// proof is attempted across unequal slots.
+    /// The heterogeneous-batch path: every request lowers its own
+    /// one-block template at its prompt length, and the templates form one
+    /// interleaved block that repeats `n_layers` times
+    /// ([`DistributedSystem::run_interleaved`]). This is the prompt-batch
+    /// twin of a mixed serving pass.
     fn simulate_mixed_batch(
         &self,
         mode: InferenceMode,
         workload: &BatchWorkload,
     ) -> Result<SystemReport> {
-        // Emit every request's per-block bodies from its own scheduler
-        // (ids are unique within a request's stream).
-        let mut residency = None;
-        let mut bodies: Vec<Vec<Vec<Program>>> = Vec::with_capacity(workload.n_requests());
-        let mut strides: Vec<(u64, u32)> = Vec::with_capacity(workload.n_requests());
-        for spec in workload.requests() {
-            let cfg = self.cfg.clone().with_seq_len(spec.tokens_per_pass(mode));
-            let mut scheduler = Scheduler::new(&cfg, self.n_chips, &self.chip)?;
-            if let Some(t) = &self.topology {
-                scheduler = scheduler.with_topology(t.clone());
-            }
-            // The report's residency regime is the first request's plan;
-            // per-request plans can differ across a mixed batch (longer
-            // prompts enlarge the KV working set), and each slot stages
-            // weights according to its own plan.
-            residency.get_or_insert(scheduler.plan().residency);
-            let mut per_block = Vec::with_capacity(self.cfg.n_layers);
-            for _ in 0..self.cfg.n_layers {
-                per_block.push(scheduler.block_programs(mode));
-            }
-            let (mut max_msg, mut max_sync) = (0u64, 0u32);
-            for progs in &per_block {
-                for p in progs {
-                    for i in p.instrs() {
-                        match *i {
-                            Instr::Send { msg, .. } | Instr::Recv { msg, .. } => {
-                                max_msg = max_msg.max(msg.0 + 1);
-                            }
-                            Instr::Sync(id) => max_sync = max_sync.max(id + 1),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            bodies.push(per_block);
-            strides.push((max_msg, max_sync));
-        }
-        // Disjoint per-request id bases, then block-major interleaving:
-        // block 0's request slots 0..B, then block 1's, and so on.
-        let mut bases = Vec::with_capacity(strides.len());
-        let (mut msg_base, mut sync_base) = (0u64, 0u32);
-        for &(dm, ds) in &strides {
-            bases.push((msg_base, sync_base));
-            msg_base += dm;
-            sync_base += ds;
-        }
-        let mut progs = vec![Program::new(); self.n_chips];
-        for block in 0..self.cfg.n_layers {
-            for (per_block, &(dm, ds)) in bodies.iter().zip(&bases) {
-                for (out, body) in progs.iter_mut().zip(&per_block[block]) {
-                    out.extend(body.instrs().iter().map(|&instr| match instr {
-                        Instr::Send { to, msg, bytes } => {
-                            Instr::Send { to, msg: MsgId(msg.0 + dm), bytes }
-                        }
-                        Instr::Recv { from, msg } => Instr::Recv { from, msg: MsgId(msg.0 + dm) },
-                        Instr::Sync(id) => Instr::Sync(id + ds),
-                        other => other,
-                    }));
-                }
-            }
-        }
-        let machine = Machine::homogeneous(self.chip, self.n_chips);
-        let stats = machine.run(&progs)?;
+        let slots = workload
+            .requests()
+            .iter()
+            .map(|spec| {
+                let cfg = self.cfg.clone().with_seq_len(spec.tokens_per_pass(mode));
+                CompiledSchedule::compile(
+                    &cfg,
+                    self.n_chips,
+                    &self.chip,
+                    self.topology.clone(),
+                    mode,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let stats = self.run_interleaved(&slots)?;
+        // The report's residency regime is the first request's plan;
+        // per-request plans can differ across a mixed batch (longer
+        // prompts enlarge the KV working set), and each slot stages
+        // weights according to its own plan.
         Ok(crate::report::from_stats(
             &self.chip,
             self.n_chips,
             mode,
             self.cfg.n_layers * workload.n_requests(),
-            residency.expect("a validated workload has at least one request"),
+            slots[0].residency(),
             stats,
         ))
+    }
+
+    /// One model pass over heterogeneous request slots. The slots'
+    /// one-block templates are concatenated on every chip into one
+    /// interleaved block, each slot's message and sync ids shifted past
+    /// the spans of the slots before it. The pass is `n_layers`
+    /// repetitions of that block, so it runs through
+    /// [`Machine::run_periodic`], which proves the fixed point or falls
+    /// back to the exact full run by itself (`DESIGN.md` §10).
+    pub(crate) fn run_interleaved<'a>(
+        &self,
+        slots: impl IntoIterator<Item = &'a CompiledSchedule>,
+    ) -> Result<RunStats> {
+        let mut block = vec![Program::new(); self.n_chips];
+        let (mut msg, mut sync) = (0u64, 0u32);
+        for slot in slots {
+            for (out, body) in block.iter_mut().zip(slot.template()) {
+                out.extend_shifted(body, msg, sync);
+            }
+            let (dm, ds) = id_span(slot.template());
+            msg += dm;
+            sync += ds;
+        }
+        let machine = Machine::homogeneous(self.chip, self.n_chips);
+        Ok(machine.run_periodic(&block, self.cfg.n_layers)?)
     }
 }
 

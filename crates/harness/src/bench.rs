@@ -393,6 +393,24 @@ pub fn run(quick: bool) -> BenchReport {
         g_reps,
     );
 
+    // --- Per-request-billed continuous serving: each decode slot bills
+    // its own filled context, so a pass holding several requests is
+    // mixed unless every slot bills the same context, and each distinct
+    // mixed shape runs one interleaved block through the periodic engine.
+    let per_request_grid = crate::serve::ServeGrid::paper_default()
+        .with_chip_counts(vec![8])
+        .with_policies(vec![mtp_core::BatchPolicy::Continuous { max_slots: 8 }])
+        .with_billings(vec![mtp_core::Billing::PerRequest])
+        .with_requests(64, 16, 32);
+    push(
+        "serve/per_request_continuous",
+        best_of(g_reps, || {
+            let mut engine = crate::serve::ServeEngine::new();
+            std::hint::black_box(engine.run(&per_request_grid).rows.len());
+        }),
+        g_reps,
+    );
+
     BenchReport { profile, results }
 }
 
@@ -633,7 +651,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 24);
+        assert_eq!(report.results.len(), 25);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }

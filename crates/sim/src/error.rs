@@ -57,6 +57,14 @@ pub enum SimError {
         /// Chip that actually sent the message.
         actual: ChipId,
     },
+    /// A batched run's block count, `n_blocks * n_requests`, does not
+    /// fit in `usize`.
+    BlockCountOverflow {
+        /// Blocks per request.
+        n_blocks: usize,
+        /// Requests per block.
+        n_requests: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -82,6 +90,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::SenderMismatch { msg, expected, actual } => {
                 write!(f, "message {} expected from {expected} but sent by {actual}", msg.0)
+            }
+            SimError::BlockCountOverflow { n_blocks, n_requests } => {
+                write!(f, "{n_blocks} blocks x {n_requests} requests overflows the block count")
             }
         }
     }

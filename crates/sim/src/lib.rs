@@ -57,7 +57,7 @@ pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON};
 pub use gantt::{Trace, TraceEvent, TraceKind};
 pub use memory::{MemPath, MemorySpec};
 pub use periodic::WarmupCheckpoint;
-pub use program::{ChipId, DmaTag, Instr, MsgId, Program};
+pub use program::{id_span, ChipId, DmaTag, Instr, MsgId, Program};
 pub use sink::{MakespanOnly, TraceCollector, TraceSink};
 pub use symbolic::{SymbolicMakespan, SymbolicPlane};
 pub use trace::{Breakdown, ChipStats, RunStats};

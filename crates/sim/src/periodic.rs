@@ -37,8 +37,7 @@
 //!    segment-start minimum clock (an *inactive* component: it is never
 //!    selected by any `max` again, so it behaves as minus infinity).
 
-use crate::{trace::ChipStats, Program, Result, RunStats};
-use crate::{Instr, Machine, MsgId};
+use crate::{trace::ChipStats, Machine, Program, Result, RunStats};
 
 /// Snapshot of the machine's time-like state at a segment boundary, also
 /// used as the carried starting state of the next segment.
@@ -224,43 +223,17 @@ impl WarmupCheckpoint {
 
 /// Builds the concatenated programs the periodic contract is defined
 /// against: `n_blocks` copies of the template with per-block message and
-/// sync identifier shifts (stride = largest template id + 1), exactly the
-/// id-disjoint instantiation a schedule builder would emit.
+/// sync identifier shifts (stride = the template's [`crate::id_span`]),
+/// exactly the id-disjoint instantiation a schedule builder would emit.
 fn concat_shifted(template: &[Program], n_blocks: usize) -> Vec<Program> {
-    let mut max_msg = 0u64;
-    let mut max_sync = 0u32;
-    let mut any_msg = false;
-    let mut any_sync = false;
-    for p in template {
-        for i in p.instrs() {
-            match *i {
-                Instr::Send { msg, .. } | Instr::Recv { msg, .. } => {
-                    max_msg = max_msg.max(msg.0);
-                    any_msg = true;
-                }
-                Instr::Sync(id) => {
-                    max_sync = max_sync.max(id);
-                    any_sync = true;
-                }
-                _ => {}
-            }
-        }
-    }
-    let msg_stride = if any_msg { max_msg + 1 } else { 0 };
-    let sync_stride = if any_sync { max_sync + 1 } else { 0 };
+    let (msg_stride, sync_stride) = crate::id_span(template);
     let mut out: Vec<Program> = (0..template.len()).map(|_| Program::new()).collect();
     for (o, t) in out.iter_mut().zip(template) {
         o.reserve(t.len() * n_blocks);
     }
     for block in 0..n_blocks as u64 {
-        let (dm, ds) = (block * msg_stride, block as u32 * sync_stride);
         for (o, t) in out.iter_mut().zip(template) {
-            o.extend(t.instrs().iter().map(|&instr| match instr {
-                Instr::Send { to, msg, bytes } => Instr::Send { to, msg: MsgId(msg.0 + dm), bytes },
-                Instr::Recv { from, msg } => Instr::Recv { from, msg: MsgId(msg.0 + dm) },
-                Instr::Sync(id) => Instr::Sync(id + ds),
-                other => other,
-            }));
+            o.extend_shifted(t, block * msg_stride, block as u32 * sync_stride);
         }
     }
     out
@@ -602,21 +575,20 @@ impl Machine {
     /// # Ok::<(), mtp_sim::SimError>(())
     /// ```
     ///
-    /// # Panics
-    ///
-    /// Panics when `n_blocks * n_requests` overflows `usize`.
-    ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::run_periodic`] on the concatenated
-    /// programs.
+    /// [`crate::SimError::BlockCountOverflow`] when `n_blocks * n_requests`
+    /// overflows `usize`; otherwise the same conditions as
+    /// [`Machine::run_periodic`] on the concatenated programs.
     pub fn run_batched(
         &self,
         template: &[Program],
         n_blocks: usize,
         n_requests: usize,
     ) -> Result<RunStats> {
-        let total = n_blocks.checked_mul(n_requests).expect("batched block count overflows usize");
+        let total = n_blocks
+            .checked_mul(n_requests)
+            .ok_or(crate::SimError::BlockCountOverflow { n_blocks, n_requests })?;
         self.run_periodic(template, total)
     }
 }
@@ -624,7 +596,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChipSpec, DmaTag, MemPath};
+    use crate::{ChipSpec, DmaTag, Instr, MemPath};
     use mtp_kernels::Kernel;
 
     fn machine(n: usize) -> Machine {
@@ -755,6 +727,18 @@ mod tests {
         let template = [Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))])];
         let stats = m.run_batched(&template, 10, 0).unwrap();
         assert_eq!(stats.makespan, 0);
+    }
+
+    #[test]
+    fn overflowing_batch_is_a_typed_error() {
+        let m = machine(1);
+        let template = [Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))])];
+        assert_eq!(
+            m.run_batched(&template, usize::MAX, 2),
+            Err(crate::SimError::BlockCountOverflow { n_blocks: usize::MAX, n_requests: 2 })
+        );
+        // The product, not either factor alone, decides.
+        assert!(m.run_batched(&template, usize::MAX, 0).is_ok());
     }
 
     fn machine_with_regime(n: usize, regime: crate::LinkRegime) -> Machine {

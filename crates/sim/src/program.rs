@@ -100,6 +100,23 @@ impl Instr {
     }
 }
 
+/// The id span of a per-chip template: one past the largest message id
+/// and one past the largest sync id any of its programs uses (`0` for a
+/// kind it never uses). Shifting each further copy of the template by
+/// the span keeps every copy's ids disjoint from the earlier ones.
+#[must_use]
+pub fn id_span(template: &[Program]) -> (u64, u32) {
+    let (mut msg, mut sync) = (0u64, 0u32);
+    for i in template.iter().flat_map(Program::instrs) {
+        match *i {
+            Instr::Send { msg: id, .. } | Instr::Recv { msg: id, .. } => msg = msg.max(id.0 + 1),
+            Instr::Sync(id) => sync = sync.max(id + 1),
+            _ => {}
+        }
+    }
+    (msg, sync)
+}
+
 /// A straight-line instruction sequence for one chip.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Program {
@@ -128,6 +145,18 @@ impl Program {
     /// builders know the total up front when instantiating templates).
     pub fn reserve(&mut self, additional: usize) {
         self.instrs.reserve(additional);
+    }
+
+    /// Appends `body` with every message id moved up by `msg` and every
+    /// sync id by `sync`; other instructions are copied unchanged. One
+    /// id-disjoint instantiation of a template.
+    pub fn extend_shifted(&mut self, body: &Program, msg: u64, sync: u32) {
+        self.instrs.extend(body.instrs.iter().map(|&instr| match instr {
+            Instr::Send { to, msg: id, bytes } => Instr::Send { to, msg: MsgId(id.0 + msg), bytes },
+            Instr::Recv { from, msg: id } => Instr::Recv { from, msg: MsgId(id.0 + msg) },
+            Instr::Sync(id) => Instr::Sync(id + sync),
+            other => other,
+        }));
     }
 
     /// The instructions in program order.
@@ -205,6 +234,30 @@ mod tests {
         let p: Program = [Instr::Sync(0)].into_iter().collect();
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn id_span_and_shifted_copies_are_disjoint() {
+        let body = Program::from_instrs([
+            Instr::Sync(2),
+            Instr::send(1, 4, 64),
+            Instr::recv(1, 7),
+            Instr::Dma { path: MemPath::L3ToL2, bytes: 8 },
+        ]);
+        let template = [body.clone(), Program::from_instrs([Instr::Sync(0)])];
+        assert_eq!(id_span(&template), (8, 3));
+        assert_eq!(id_span(&[Program::new()]), (0, 0));
+        let mut out = body.clone();
+        out.extend_shifted(&body, 8, 3);
+        assert_eq!(
+            &out.instrs()[4..],
+            &[
+                Instr::Sync(5),
+                Instr::send(1, 12, 64),
+                Instr::recv(1, 15),
+                Instr::Dma { path: MemPath::L3ToL2, bytes: 8 },
+            ]
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! **Batch exactness and isolation** — uniform batches must equal full
 //! event-driven simulation of the interleaved block-major program
 //! stream (no periodicity shortcut may change a counter); heterogeneous
-//! prompt batches must equal an independently mirrored interleaving;
+//! prompt batches, which run one interleaved block through the periodic
+//! engine, must equal a full run of an independently mirrored
+//! per-block interleaving;
 //! and at the functional level, randomized batches must leave every
 //! request's outputs bit-identical to running it alone (per-request
 //! KV-cache isolation), whatever the batch composition, arrival
@@ -27,7 +29,7 @@ use mtp::model::{
     generate_greedy_batch, BatchDecoder, BatchWorkload, Decoder, Embedding, InferenceMode,
     ModelWeights, RequestSpec, TransformerConfig,
 };
-use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program};
+use mtp::sim::{ChipSpec, Instr, LinkRegime, Machine, MsgId, Program, QueueDiscipline};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -235,13 +237,25 @@ fn mirror_mixed_batch(
 #[test]
 fn mixed_prompt_batches_equal_mirrored_interleaving() {
     let chip = ChipSpec::siracusa();
-    let cases: [(TransformerConfig, usize, Vec<usize>); 3] = [
-        (TransformerConfig::tiny_llama_42m(), 1, vec![8, 16]),
-        (TransformerConfig::tiny_llama_42m(), 4, vec![16, 8, 32]),
-        (TransformerConfig::mobile_bert(), 4, vec![64, 268]),
+    // A finite ingress buffer is not contention-free: the periodic
+    // engine must fall back to the full run on the interleaved block.
+    // It holds a whole reduce fan-in, so no sender parks (DESIGN.md §11).
+    let queued = ChipSpec {
+        link_regime: LinkRegime::Queued {
+            buffer_bytes: 262_144,
+            discipline: QueueDiscipline::Backpressure,
+        },
+        ..chip
+    };
+    let cases: [(TransformerConfig, usize, ChipSpec, Vec<usize>); 5] = [
+        (TransformerConfig::tiny_llama_42m(), 1, chip, vec![8, 16]),
+        (TransformerConfig::tiny_llama_42m(), 4, chip, vec![16, 8, 32]),
+        (TransformerConfig::mobile_bert(), 4, chip, vec![64, 268]),
+        (TransformerConfig::mobile_bert(), 2, chip, vec![128, 16, 200]),
+        (TransformerConfig::tiny_llama_42m(), 8, queued, vec![16, 100, 40]),
     ];
-    for (cfg, n_chips, prompt_lens) in cases {
-        let sys = DistributedSystem::paper_default(cfg.clone(), n_chips).unwrap();
+    for (cfg, n_chips, chip, prompt_lens) in cases {
+        let sys = DistributedSystem::with_chip(cfg.clone(), n_chips, chip).unwrap();
         let workload = BatchWorkload::new(
             prompt_lens
                 .iter()
@@ -252,7 +266,13 @@ fn mixed_prompt_batches_equal_mirrored_interleaving() {
         let report = sys.simulate_batch(InferenceMode::Prompt, &workload).unwrap();
         let mirrored = mirror_mixed_batch(&cfg, n_chips, &chip, &prompt_lens);
         let full = Machine::homogeneous(chip, n_chips).run(&mirrored).unwrap();
-        assert_eq!(report.stats, full, "{} x{n_chips} {prompt_lens:?}", cfg.name);
+        assert_eq!(
+            report.stats,
+            full,
+            "{} x{n_chips} {} {prompt_lens:?}",
+            cfg.name,
+            chip.link_regime.label()
+        );
         assert_eq!(report.n_blocks, cfg.n_layers * prompt_lens.len());
     }
 }

@@ -18,16 +18,24 @@
 //! 4. **Load monotonicity** — raising the offered load under the same
 //!    arrival seed never lowers p99 TTFT at fixed capacity (the SLO
 //!    cliff only ever moves toward the caller).
+//! 5. **Full-simulation oracle** — a proptest over random per-request-
+//!    billed request sets checks every pass the serving loop charged
+//!    (uniform or mixed, each through the periodic engine) against a
+//!    full event-driven run of the per-block-derived interleaving.
 
-use mtp::core::{BatchPolicy, Billing, DistributedSystem, SlotPhase};
+use mtp::core::schedule::Scheduler;
+use mtp::core::{BatchPolicy, Billing, DistributedSystem, ServeReport, SlotPhase};
 use mtp::harness::serve::{percentile, ServeEngine, ServeGrid, ServeScenario};
 use mtp::harness::sweep::ModelPreset;
+use mtp::link::Topology;
 use mtp::model::generate::generate_greedy;
 use mtp::model::{
     ArrivalProcess, BatchDecoder, BatchWorkload, Decoder, Embedding, InferenceMode, ModelWeights,
     ServeRequest, ServeWorkload, TransformerConfig,
 };
+use mtp::sim::{ChipSpec, Instr, LinkRegime, Machine, MsgId, Program, QueueDiscipline};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // 1. Saturated-arrival lockstep with the batch path.
@@ -307,6 +315,175 @@ fn offered_load_up_means_p99_ttft_non_decreasing() {
                 policy.label(),
             );
             prev = p99;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. Every charged pass equals a full simulation of the per-block
+//    interleaving.
+// ---------------------------------------------------------------------
+
+type Shape = Vec<(InferenceMode, usize)>;
+
+/// The slot shapes of every pass, rebuilt from the pass trace the way
+/// per-request billing charges them: prefill slots at their prompt
+/// length, decode slots at prompt plus tokens emitted so far.
+fn per_request_pass_shapes(report: &ServeReport, seq_len: usize) -> Vec<Shape> {
+    let mut emitted = vec![0usize; report.requests.len()];
+    report
+        .passes
+        .iter()
+        .map(|p| {
+            p.slots
+                .iter()
+                .map(|&(req, phase)| {
+                    let r = &report.requests[req];
+                    match phase {
+                        SlotPhase::Prefill => {
+                            emitted[req] = usize::from(r.decode_len >= 1);
+                            (InferenceMode::Prompt, r.prompt_len)
+                        }
+                        SlotPhase::Decode => {
+                            let billed = (r.prompt_len + emitted[req]).min(seq_len);
+                            emitted[req] += 1;
+                            (InferenceMode::Autoregressive, billed)
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Reference pass makespan: every slot derives each of its `n_layers`
+/// block bodies from its own scheduler at its billed context, the
+/// streams interleave block-major (block 0's slots, then block 1's, ...)
+/// with per-slot disjoint id ranges, and the whole pass runs through
+/// the full event-driven simulator — no template, no periodicity.
+fn reference_pass_makespan(
+    cfg: &TransformerConfig,
+    n_chips: usize,
+    chip: &ChipSpec,
+    topology: &Topology,
+    shapes: &[(InferenceMode, usize)],
+) -> u64 {
+    let mut bodies: Vec<Vec<Vec<Program>>> = Vec::with_capacity(shapes.len());
+    let mut strides: Vec<(u64, u32)> = Vec::with_capacity(shapes.len());
+    for &(mode, seq) in shapes {
+        let slot_cfg = cfg.clone().with_seq_len(seq);
+        let mut scheduler =
+            Scheduler::new(&slot_cfg, n_chips, chip).unwrap().with_topology(topology.clone());
+        let per_block: Vec<Vec<Program>> =
+            (0..cfg.n_layers).map(|_| scheduler.block_programs(mode)).collect();
+        let (mut max_msg, mut max_sync) = (0u64, 0u32);
+        for i in per_block.iter().flatten().flat_map(Program::instrs) {
+            match *i {
+                Instr::Send { msg, .. } | Instr::Recv { msg, .. } => {
+                    max_msg = max_msg.max(msg.0 + 1);
+                }
+                Instr::Sync(id) => max_sync = max_sync.max(id + 1),
+                _ => {}
+            }
+        }
+        bodies.push(per_block);
+        strides.push((max_msg, max_sync));
+    }
+    let mut bases = Vec::with_capacity(strides.len());
+    let (mut msg_base, mut sync_base) = (0u64, 0u32);
+    for &(dm, ds) in &strides {
+        bases.push((msg_base, sync_base));
+        msg_base += dm;
+        sync_base += ds;
+    }
+    let mut progs = vec![Program::new(); n_chips];
+    for block in 0..cfg.n_layers {
+        for (per_block, &(dm, ds)) in bodies.iter().zip(&bases) {
+            for (out, body) in progs.iter_mut().zip(&per_block[block]) {
+                out.extend(body.instrs().iter().map(|&instr| match instr {
+                    Instr::Send { to, msg, bytes } => {
+                        Instr::Send { to, msg: MsgId(msg.0 + dm), bytes }
+                    }
+                    Instr::Recv { from, msg } => Instr::Recv { from, msg: MsgId(msg.0 + dm) },
+                    Instr::Sync(id) => Instr::Sync(id + ds),
+                    other => other,
+                }));
+            }
+        }
+    }
+    Machine::homogeneous(*chip, n_chips).run(&progs).unwrap().makespan
+}
+
+/// A chip whose finite ingress buffer is not contention-free, so the
+/// periodic engine must refuse the fixed point and run in full. The
+/// buffer holds a whole reduce fan-in of the largest prompt message, so
+/// no sender parks (a smaller one can deadlock, DESIGN.md §11).
+fn queued_chip() -> ChipSpec {
+    ChipSpec {
+        link_regime: LinkRegime::Queued {
+            buffer_bytes: 262_144,
+            discipline: QueueDiscipline::Backpressure,
+        },
+        ..ChipSpec::siracusa()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random per-request-billed request sets on TinyLlama (4 or 8
+    /// chips, hierarchical group-of-4 or flat reduction, affine or
+    /// finite-buffer links) under both policies: every pass record's
+    /// cycles equal the full simulation of that pass's per-block
+    /// interleaving, whatever mix of prefill and decode slots it held.
+    #[test]
+    fn prop_serve_passes_equal_full_per_block_simulation(
+        n_requests in 1usize..10,
+        seed in 0u64..1000,
+        slots in 2usize..9,
+        system in 0usize..6,
+        continuous in 0usize..2,
+    ) {
+        let cfg = TransformerConfig::tiny_llama_42m();
+        let n_chips = if system % 2 == 0 { 4 } else { 8 };
+        let topology = if system / 2 == 1 {
+            Topology::flat(n_chips).unwrap()
+        } else {
+            Topology::paper_default(n_chips).unwrap()
+        };
+        let chip = if system / 2 == 2 { queued_chip() } else { ChipSpec::siracusa() };
+        let sys = DistributedSystem::with_chip(cfg.clone(), n_chips, chip)
+            .unwrap()
+            .with_topology(topology.clone());
+
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let requests = (0..n_requests)
+            .map(|_| {
+                let prompt_len = next(cfg.seq_len as u64 - 1) as usize + 1;
+                let decode_len = (next(64) as usize).min(cfg.seq_len - prompt_len);
+                ServeRequest { prompt_len, decode_len, arrival_cycles: next(8) * 150_000 }
+            })
+            .collect();
+        let workload = ServeWorkload::new(requests).unwrap();
+        let policy = if continuous == 1 {
+            BatchPolicy::Continuous { max_slots: slots }
+        } else {
+            BatchPolicy::Static { batch: slots }
+        };
+        let report = sys.simulate_serve(&workload, policy, Billing::PerRequest).unwrap();
+
+        let mut reference: HashMap<Shape, u64> = HashMap::new();
+        for (shape, pass) in per_request_pass_shapes(&report, cfg.seq_len).into_iter().zip(&report.passes) {
+            let full = *reference.entry(shape.clone()).or_insert_with(|| {
+                reference_pass_makespan(&cfg, n_chips, &chip, &topology, &shape)
+            });
+            prop_assert_eq!(pass.cycles, full, "pass of {:?}", shape);
         }
     }
 }
