@@ -109,12 +109,7 @@ fn emit_full_block(
     let decoder = cfg.attention == AttentionKind::CausalRope;
     let stream = |prog: &mut Program, bytes: u64| {
         if residency == WeightResidency::Streamed {
-            let mut left = bytes;
-            while left > 0 {
-                let chunk = left.min(stream_tile);
-                prog.push(Instr::Dma { path: MemPath::L3ToL2, bytes: chunk });
-                left -= chunk;
-            }
+            prog.push_stream(MemPath::L3ToL2, bytes, stream_tile);
         }
     };
     let linear = |prog: &mut Program, kernel: Kernel| {

@@ -142,18 +142,6 @@ impl Scheduler {
         &self.topology
     }
 
-    /// Emits synchronous L3→L2 streaming of `bytes` in plan-sized tiles
-    /// (the latency-exposed path of the streamed regime).
-    fn emit_stream(&self, prog: &mut Program, bytes: u64) {
-        let tile = self.plan.stream_tile_bytes.max(1);
-        let mut left = bytes;
-        while left > 0 {
-            let chunk = left.min(tile);
-            prog.push(Instr::Dma { path: MemPath::L3ToL2, bytes: chunk });
-            left -= chunk;
-        }
-    }
-
     /// Emits a linear kernel with its L2→L1 operand staging: a small
     /// synchronous head start plus an asynchronous remainder that overlaps
     /// the kernel (cluster-DMA double buffering). `tags` is the block's
@@ -192,7 +180,9 @@ impl Scheduler {
         weight_bytes: u64,
     ) {
         if self.plan.residency == WeightResidency::Streamed {
-            self.emit_stream(prog, weight_bytes);
+            // Synchronous L3→L2 streaming in plan-sized tiles, the
+            // latency-exposed path of the streamed regime.
+            prog.push_stream(MemPath::L3ToL2, weight_bytes, self.plan.stream_tile_bytes);
         }
         self.emit_linear(prog, tags, kernel);
     }
@@ -257,12 +247,9 @@ impl Scheduler {
     /// program buffers up front (a small overestimate is fine; it only
     /// rounds the allocation up).
     fn block_instrs_estimate(&self) -> usize {
-        let streamed = if self.plan.residency == WeightResidency::Streamed {
-            (self.plan.slice_bytes_per_block / self.plan.stream_tile_bytes.max(1)) as usize + 8
-        } else {
-            0
-        };
-        40 + 3 * self.spec.heads_per_chip() + streamed
+        // One stream per weighted linear in the streamed regime.
+        let streams = if self.plan.residency == WeightResidency::Streamed { 6 } else { 0 };
+        40 + 3 * self.spec.heads_per_chip() + streams
     }
 
     /// Per-chip programs for one Transformer block in the given mode.
@@ -805,11 +792,27 @@ mod tests {
             .instrs()
             .iter()
             .map(|i| match i {
-                Instr::Dma { path: MemPath::L3ToL2, bytes } => *bytes,
+                Instr::Dma { path: MemPath::L3ToL2, bytes }
+                | Instr::DmaStream { path: MemPath::L3ToL2, bytes, .. } => *bytes,
                 _ => 0,
             })
             .sum();
         assert_eq!(l3_bytes, cfg.block_weight_bytes());
+        // One stream instruction per weighted linear (Q, K, V, output,
+        // two FFN), each in plan-sized tiles; no per-tile Dma.
+        let streams: Vec<_> = progs[0]
+            .instrs()
+            .iter()
+            .filter_map(|i| match *i {
+                Instr::DmaStream { path: MemPath::L3ToL2, tile, .. } => Some(tile),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(streams, vec![s.plan().stream_tile_bytes; 6]);
+        assert!(!progs[0]
+            .instrs()
+            .iter()
+            .any(|i| matches!(i, Instr::Dma { path: MemPath::L3ToL2, .. })));
     }
 
     #[test]
@@ -829,10 +832,11 @@ mod tests {
                 .sum();
             assert_eq!(async_l3, cfg.block_weight_bytes() / 8);
             // No synchronous L3 streaming in this regime.
-            assert!(!p
-                .instrs()
-                .iter()
-                .any(|i| matches!(i, Instr::Dma { path: MemPath::L3ToL2, .. })));
+            assert!(!p.instrs().iter().any(|i| matches!(
+                i,
+                Instr::Dma { path: MemPath::L3ToL2, .. }
+                    | Instr::DmaStream { path: MemPath::L3ToL2, .. }
+            )));
         }
     }
 
@@ -846,6 +850,7 @@ mod tests {
             assert!(!p.instrs().iter().any(|i| matches!(
                 i,
                 Instr::Dma { path: MemPath::L3ToL2, .. }
+                    | Instr::DmaStream { path: MemPath::L3ToL2, .. }
                     | Instr::DmaAsync { path: MemPath::L3ToL2, .. }
             )));
         }

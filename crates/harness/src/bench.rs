@@ -16,7 +16,8 @@
 //! quick numbers are comparable to each other (but noisier than full
 //! ones).
 
-use crate::sweep::{SweepEngine, SweepGrid};
+use crate::advisor::{self, Constraints, DesignSpace};
+use crate::sweep::{PlacementPolicy, SweepEngine, SweepGrid, TopologySpec};
 use mtp_core::schedule::Scheduler;
 use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 use mtp_model::reference::{AttnMask, AttnScratch};
@@ -220,6 +221,22 @@ pub fn run(quick: bool) -> BenchReport {
         s_reps,
     );
 
+    // --- The streamed regime: one chip streams every weight slice from
+    // L3 in 4 KiB tiles, the baseline the paper's speedups are measured
+    // against. Six `DmaStream` instructions carry the tiles.
+    let streamed_programs = Scheduler::new(&cfg, 1, &chip)
+        .expect("scheduler")
+        .model_programs(InferenceMode::Autoregressive, 1)
+        .expect("programs");
+    let one_chip = Machine::homogeneous(chip, 1);
+    push(
+        "sim/1chip_streamed_block",
+        best_of(s_reps, || {
+            std::hint::black_box(one_chip.run(&streamed_programs).expect("run"));
+        }),
+        s_reps,
+    );
+
     // --- Periodic steady-state engine: the same machine over a 96-block
     // deep-model pass — full event-driven simulation of every block vs.
     // warmup-and-extrapolate (`Machine::run_periodic`), which pins the
@@ -409,6 +426,28 @@ pub fn run(quick: bool) -> BenchReport {
             std::hint::black_box(engine.run(&per_request_grid).rows.len());
         }),
         g_reps,
+    );
+
+    // --- Design-space advisor: the `advise` query of the repository
+    // benchmark's design loop (TinyLlama AR, every valid chip count up
+    // to 8, both topologies and placements, a 30-point bandwidth range),
+    // symbolic scoring from a handful of compiles.
+    let advise_space = DesignSpace {
+        topologies: vec![TopologySpec::PaperDefault, TopologySpec::Flat],
+        placements: vec![PlacementPolicy::Auto, PlacementPolicy::ForceStreamed],
+        chip_counts: advisor::valid_chip_counts(&cfg, 8),
+        link_bw_pcts: (10..40).collect(),
+    };
+    let advise_limits = Constraints { max_latency_ms: Some(5.0), max_energy_mj: None };
+    push(
+        "advise/tinyllama_ar_30bw",
+        best_of(d_reps, || {
+            let advice =
+                advisor::advise(&cfg, InferenceMode::Autoregressive, advise_limits, &advise_space)
+                    .expect("advise");
+            std::hint::black_box(advice.candidates.len());
+        }),
+        d_reps,
     );
 
     BenchReport { profile, results }
@@ -651,7 +690,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 25);
+        assert_eq!(report.results.len(), 27);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }

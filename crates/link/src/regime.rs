@@ -253,10 +253,12 @@ pub fn go_back_n_overhead(
     }
     let per_mille = u64::from(drop_per_mille.min(999));
     let packets = bytes.div_ceil(LOSSY_MTU_BYTES);
+    let msg_state = fnv_word(FNV_OFFSET, msg_id);
     for pkt in 0..packets {
+        let pkt_state = fnv_word(msg_state, pkt);
         let mut delivered = false;
         for attempt in 0..LOSSY_MAX_ATTEMPTS {
-            if drop_hash(msg_id, pkt, attempt) % 1000 >= per_mille {
+            if attempt_hash(pkt_state, attempt) % 1000 >= per_mille {
                 delivered = true;
                 break;
             }
@@ -273,18 +275,51 @@ pub fn go_back_n_overhead(
     out
 }
 
-/// FNV-1a over the three words identifying one transmission attempt.
-fn drop_hash(msg_id: u64, packet: u64, attempt: u32) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for word in [msg_id, packet, u64::from(attempt)] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^6` and `FNV_PRIME^8` (wrapping). Folding `k` zero bytes is
+/// `k` multiplies by the prime with nothing in between (XOR with 0 is
+/// the identity), so one multiply by a power stands for them.
+const FNV_PRIME_POW6: u64 = fnv_prime_pow(6);
+const FNV_PRIME_POW8: u64 = fnv_prime_pow(8);
+
+const fn fnv_prime_pow(k: u32) -> u64 {
+    let mut pow = 1u64;
+    let mut i = 0;
+    while i < k {
+        pow = pow.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    pow
+}
+
+// `attempt_hash` folds only the attempt's low byte.
+const _: () = assert!(LOSSY_MAX_ATTEMPTS <= 256);
+
+/// Folds the eight little-endian bytes of `word` into FNV-1a state `h`.
+/// A word below 2^16 (every packet index of a message under 16 MiB)
+/// folds its two low bytes and then its six zero high bytes as one
+/// multiply.
+fn fnv_word(mut h: u64, word: u64) -> u64 {
+    if word < 1 << 16 {
+        h = (h ^ (word & 0xff)).wrapping_mul(FNV_PRIME);
+        return (h ^ (word >> 8)).wrapping_mul(FNV_PRIME).wrapping_mul(FNV_PRIME_POW6);
+    }
+    for byte in word.to_le_bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The FNV-1a hash of `(msg_id, packet, attempt)` from `pkt_state`, the
+/// state after the `msg_id` and `packet` words: the same value as the
+/// bytewise hash over all 24 bytes for any `attempt < 256`.
+#[inline]
+fn attempt_hash(pkt_state: u64, attempt: u32) -> u64 {
+    debug_assert!(attempt < 256);
+    (pkt_state ^ u64::from(attempt)).wrapping_mul(FNV_PRIME_POW8)
 }
 
 #[cfg(test)]
@@ -325,6 +360,43 @@ mod tests {
     fn parse_rejects_bad_spellings() {
         for bad in ["", "queue", "queued:0", "queued:x", "lossy:0", "lossy:1000", "droptail:0"] {
             assert!(LinkRegime::parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    /// Bytewise FNV-1a over the three words identifying one transmission
+    /// attempt: the reference the folded hash must equal.
+    fn drop_hash(msg_id: u64, packet: u64, attempt: u32) -> u64 {
+        let mut h = FNV_OFFSET;
+        for word in [msg_id, packet, u64::from(attempt)] {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn folded_hash_equals_bytewise_fnv() {
+        let mut z = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        };
+        for i in 0..10_000u64 {
+            // Mix full-width words with the small ones schedules emit,
+            // straddling the 2^16 fast-path bound.
+            let (msg, pkt) =
+                if i % 2 == 0 { (next(), next()) } else { (next() % 4096, next() % (1 << 17)) };
+            let attempt = (next() % 256) as u32;
+            let folded = attempt_hash(fnv_word(fnv_word(FNV_OFFSET, msg), pkt), attempt);
+            assert_eq!(folded, drop_hash(msg, pkt, attempt), "msg {msg} pkt {pkt} try {attempt}");
+        }
+        for attempt in 0..LOSSY_MAX_ATTEMPTS {
+            let state = fnv_word(fnv_word(FNV_OFFSET, u64::MAX), 0);
+            assert_eq!(attempt_hash(state, attempt), drop_hash(u64::MAX, 0, attempt));
         }
     }
 

@@ -5,7 +5,9 @@
 //! clock executes its next instruction. Sends occupy the sender's TX port
 //! and the receiver's RX port first-come-first-served, receives block until
 //! the matching message has fully arrived, and asynchronous DMA transfers
-//! overlap compute until the matching [`Instr::DmaWait`].
+//! overlap compute until the matching [`Instr::DmaWait`]. A blocking
+//! weight stream ([`Instr::DmaStream`]) advances by whole runs of equal
+//! tiles, stopping only at tile boundaries where a fault event ripens.
 //!
 //! The executor is generic over a [`TraceSink`]; the aggregate-only entry
 //! point ([`Machine::run`]) instantiates it with [`MakespanOnly`], which
@@ -249,8 +251,10 @@ impl Machine {
     ///
     /// Same conditions as [`Machine::run`].
     pub fn run_traced(&self, programs: &[Program]) -> Result<(RunStats, Trace)> {
-        let events_upper_bound: usize = programs.iter().map(Program::len).sum();
-        let sink = TraceCollector::with_capacity(events_upper_bound);
+        // One event per instruction at most, except that a stream records
+        // one per tile: a reservation hint, not a bound.
+        let events_hint: usize = programs.iter().map(Program::len).sum();
+        let sink = TraceCollector::with_capacity(events_hint);
         let (stats, sink) = self.run_with_sink(programs, sink)?;
         Ok((stats, sink.into_trace()))
     }
@@ -313,7 +317,8 @@ impl Machine {
 
 /// One chip's expanded fault schedule, materialized from the machine's
 /// [`FaultPlan`] at executor construction. All lists are sorted by start
-/// cycle; stalls are consumed once each through a cursor.
+/// cycle; stalls are consumed once each through a cursor, and each window
+/// list keeps a cursor past its prefix of already-closed windows.
 #[derive(Debug, Clone, Default)]
 struct ChipFaults {
     /// Earliest fail-stop cycle, if any.
@@ -323,9 +328,70 @@ struct ChipFaults {
     /// Index of the next unconsumed stall.
     next_stall: usize,
     /// Compute-slowdown windows as `(from, until, factor_pct)`.
-    slows: Vec<(u64, u64, u32)>,
+    slows: Windows,
     /// Outgoing-link degrade windows as `(from, until, factor_pct)`.
-    flaps: Vec<(u64, u64, u32)>,
+    flaps: Windows,
+}
+
+impl ChipFaults {
+    /// The cycle of this chip's next boundary event (an unconsumed stall
+    /// or the fail-stop), if any.
+    fn next_event(&self) -> Option<u64> {
+        let stall = self.stalls.get(self.next_stall).map(|&(at, _)| at);
+        match (stall, self.fail_at) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// How many of `left` back-to-back `cycles`-long tiles starting at
+    /// `start` can run before a tile boundary reaches the next event:
+    /// every boundary strictly inside the returned run lies before the
+    /// event, so the fault checks there are no-ops.
+    fn tiles_before_event(&self, start: u64, cycles: u64, left: u64) -> u64 {
+        match self.next_event() {
+            None => left,
+            Some(e) if e <= start => 1,
+            Some(_) if cycles == 0 => left,
+            Some(e) => ((e - start - 1) / cycles + 1).min(left),
+        }
+    }
+}
+
+/// A sorted degrade-window list with a cursor past the prefix of windows
+/// already closed. Exact because each chip queries its windows at
+/// non-decreasing times (its clock for slowdowns, its send start for
+/// link flaps), so a window closed once stays closed.
+#[derive(Debug, Clone, Default)]
+struct Windows {
+    /// `(from, until, factor_pct)`, sorted.
+    list: Vec<(u64, u64, u32)>,
+    /// Every window before this index has `until <= ` the last query time.
+    closed: usize,
+}
+
+impl Windows {
+    /// Sum of degrade-window surcharges for an action of `base` cycles
+    /// issued at local time `t` (non-decreasing across calls). The scan
+    /// starts past the closed prefix and stops at the first window
+    /// opening after `t`. Factors at or below 100 percent contribute
+    /// nothing (the parser rejects them; programmatic events are clamped
+    /// here).
+    fn extra(&mut self, t: u64, base: u64) -> u64 {
+        while self.list.get(self.closed).is_some_and(|&(_, until, _)| until <= t) {
+            self.closed += 1;
+        }
+        let mut extra = 0u64;
+        for &(from, until, pct) in &self.list[self.closed..] {
+            if from > t {
+                break;
+            }
+            if t < until {
+                extra += base * u64::from(pct).saturating_sub(100) / 100;
+            }
+        }
+        extra
+    }
 }
 
 /// Expands a fault plan into per-chip schedules; `None` for the empty
@@ -343,37 +409,19 @@ fn expand_faults(plan: &FaultPlan, n: usize) -> Option<Vec<ChipFaults>> {
             }
             FaultEvent::Stall { chip, at, cycles } => per_chip[chip].stalls.push((at, cycles)),
             FaultEvent::Slow { chip, from, cycles, factor_pct } => {
-                per_chip[chip].slows.push((from, from.saturating_add(cycles), factor_pct));
+                per_chip[chip].slows.list.push((from, from.saturating_add(cycles), factor_pct));
             }
             FaultEvent::Flap { chip, from, cycles, factor_pct } => {
-                per_chip[chip].flaps.push((from, from.saturating_add(cycles), factor_pct));
+                per_chip[chip].flaps.list.push((from, from.saturating_add(cycles), factor_pct));
             }
         }
     }
     for f in &mut per_chip {
         f.stalls.sort_unstable();
-        f.slows.sort_unstable();
-        f.flaps.sort_unstable();
+        f.slows.list.sort_unstable();
+        f.flaps.list.sort_unstable();
     }
     Some(per_chip)
-}
-
-/// Sum of degrade-window surcharges for an action of `base` cycles issued
-/// at local time `t`. Windows are sorted by start, so the scan stops at
-/// the first window opening after `t`. Factors at or below 100 percent
-/// contribute nothing (the parser rejects them; programmatic events are
-/// clamped here).
-fn window_extra(windows: &[(u64, u64, u32)], t: u64, base: u64) -> u64 {
-    let mut extra = 0u64;
-    for &(from, until, pct) in windows {
-        if from > t {
-            break;
-        }
-        if t < until {
-            extra += base * u64::from(pct).saturating_sub(100) / 100;
-        }
-    }
-    extra
 }
 
 /// Per-chip mutable execution state.
@@ -649,6 +697,65 @@ impl<'a, S: TraceSink> Executor<'a, S> {
         Ok(())
     }
 
+    /// Executes an [`Instr::DmaStream`] exactly as the run of per-tile
+    /// blocking [`Instr::Dma`]s it stands for, in O(1) without a fault
+    /// plan: the full tiles and the remainder tile each fold into one
+    /// step (`start = max(t, engine_free)`, `done = start + k·tc(tile)`).
+    ///
+    /// Faults apply at tile boundaries, before each tile, as they would
+    /// before each expanded instruction. A step folds only the tiles that
+    /// finish before the chip's next stall or fail-stop cycle, so every
+    /// ripe event still lands on the boundary where the expanded run
+    /// meets it. A recording sink still gets one event per tile.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ChipFailed`] when a tile boundary reaches the chip's
+    /// fail-stop cycle.
+    fn run_stream(
+        &mut self,
+        chip: usize,
+        spec: &ChipSpec,
+        path: MemPath,
+        bytes: u64,
+        tile: u64,
+    ) -> Result<()> {
+        let tile = tile.max(1);
+        let dma = if path.is_off_chip() { &spec.io_dma } else { &spec.cluster_dma };
+        let rest = bytes % tile;
+        let groups = [
+            (bytes / tile, tile, dma.transfer_cycles(tile)),
+            (u64::from(rest > 0), rest, dma.transfer_cycles(rest)),
+        ];
+        for (mut left, size, cycles) in groups {
+            while left > 0 {
+                self.apply_chip_faults(chip)?;
+                let st = &mut self.state[chip];
+                let engine_free =
+                    if path.is_off_chip() { &mut st.io_dma_free } else { &mut st.cluster_dma_free };
+                let start = st.t.max(*engine_free);
+                let n = match &self.faults {
+                    Some(faults) => faults[chip].tiles_before_event(start, cycles, left),
+                    None => left,
+                };
+                let done = start.saturating_add(cycles.saturating_mul(n));
+                if S::RECORDS {
+                    let mut issue = st.t;
+                    for k in 1..=n {
+                        let end = start.saturating_add(k.saturating_mul(cycles));
+                        self.sink.record(chip, issue, end, || TraceKind::Dma { path, bytes: size });
+                        issue = end;
+                    }
+                }
+                *engine_free = done;
+                st.stats.add_dma(path, size * n, done - st.t);
+                st.t = done;
+                left -= n;
+            }
+        }
+        Ok(())
+    }
+
     /// Runs `chip` from its current pc until it parks on a missing
     /// message, must yield before a [`Instr::Send`], or finishes.
     ///
@@ -685,8 +792,9 @@ impl<'a, S: TraceSink> Executor<'a, S> {
             // chip at or past its fail-stop cycle with work remaining
             // surfaces as a typed error (never a hang). A chip that
             // issues its final instruction before the fail cycle
-            // completes it and survives.
-            if self.faults.is_some() {
+            // completes it and survives. A stream applies them itself,
+            // before each of its tiles.
+            if self.faults.is_some() && !matches!(instr, Instr::DmaStream { .. }) {
                 self.apply_chip_faults(chip)?;
             }
             match instr {
@@ -704,10 +812,8 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                     // Slowdown windows stretch kernels issued inside them;
                     // the surcharge stays outside the memo (the memo is
                     // time-independent).
-                    let extra = match &self.faults {
-                        Some(faults) => {
-                            window_extra(&faults[chip].slows, self.state[chip].t, cycles)
-                        }
+                    let extra = match &mut self.faults {
+                        Some(faults) => faults[chip].slows.extra(self.state[chip].t, cycles),
                         None => 0,
                     };
                     let st = &mut self.state[chip];
@@ -734,6 +840,9 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                     let issue = st.t;
                     st.t = done;
                     self.sink.record(chip, issue, done, || TraceKind::Dma { path, bytes });
+                }
+                Instr::DmaStream { path, bytes, tile } => {
+                    self.run_stream(chip, spec, path, bytes, tile)?;
                 }
                 Instr::DmaAsync { path, bytes, tag } => {
                     let st = &mut self.state[chip];
@@ -801,8 +910,8 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                     // Link-degrade windows stretch transfers issued inside
                     // them (before any regime surcharge, which compounds
                     // on top of the degraded transfer time).
-                    if let Some(faults) = &self.faults {
-                        let extra = window_extra(&faults[chip].flaps, start, done - start);
+                    if let Some(faults) = &mut self.faults {
+                        let extra = faults[chip].flaps.extra(start, done - start);
                         if extra > 0 {
                             done += extra;
                             let st = &mut self.state[chip].stats;
@@ -1089,6 +1198,69 @@ mod tests {
         let stats = m.run(&[p]).unwrap();
         assert_eq!(stats.makespan, spec.cluster_dma.transfer_cycles(4096));
         assert_eq!(stats.per_chip[0].dma_l2_l1_bytes, 4096);
+    }
+
+    #[test]
+    fn stream_times_and_traces_like_its_tiles() {
+        let m = machine(1);
+        let io = ChipSpec::siracusa().io_dma;
+        let stream = Instr::DmaStream { path: MemPath::L3ToL2, bytes: 3 * 4096 + 100, tile: 4096 };
+        let tiles =
+            [4096, 4096, 4096, 100].map(|bytes| Instr::Dma { path: MemPath::L3ToL2, bytes });
+        let (stats, trace) = m.run_traced(&[Program::from_instrs([stream])]).unwrap();
+        let (per_tile, tile_trace) = m.run_traced(&[Program::from_instrs(tiles)]).unwrap();
+        assert_eq!(stats, per_tile);
+        assert_eq!(trace, tile_trace, "one traced event per tile");
+        assert_eq!(trace.events().len(), 4);
+        assert_eq!(stats.makespan, 3 * io.transfer_cycles(4096) + io.transfer_cycles(100));
+        assert_eq!(stats.per_chip[0].dma_l3_l2_bytes, 3 * 4096 + 100);
+        assert_eq!(stats.per_chip[0].dma_l3_l2_exposed_cycles, stats.makespan);
+    }
+
+    #[test]
+    fn stall_on_a_tile_boundary_lands_between_tiles() {
+        let tc = ChipSpec::siracusa().io_dma.transfer_cycles(4096);
+        let p = Program::from_instrs([Instr::DmaStream {
+            path: MemPath::L3ToL2,
+            bytes: 4 * 4096,
+            tile: 4096,
+        }]);
+        let plan = format!("stall:0:{}:777", 2 * tc);
+        let (stats, trace) = machine_with_faults(1, &plan).run_traced(&[p]).unwrap();
+        assert_eq!(stats.makespan, 4 * tc + 777);
+        assert_eq!(stats.per_chip[0].fault_stall_cycles, 777);
+        assert_eq!(stats.per_chip[0].dma_l3_l2_exposed_cycles, 4 * tc, "stalls are not DMA time");
+        let ends: Vec<u64> = trace.events().iter().map(|e| e.end).collect();
+        assert_eq!(ends, [tc, 2 * tc, 3 * tc + 777, 4 * tc + 777]);
+    }
+
+    #[test]
+    fn fail_stop_mid_stream_fails_at_the_next_tile_boundary() {
+        let tc = ChipSpec::siracusa().io_dma.transfer_cycles(4096);
+        let p = Program::from_instrs([Instr::DmaStream {
+            path: MemPath::L3ToL2,
+            bytes: 4 * 4096,
+            tile: 4096,
+        }]);
+        let plan = format!("failstop:0:{}", tc + 1);
+        let err = machine_with_faults(1, &plan).run(std::slice::from_ref(&p)).unwrap_err();
+        assert_eq!(err, SimError::ChipFailed { chip: ChipId(0), at: tc + 1 });
+        // A fail cycle after the last tile issues is survived.
+        let late = format!("failstop:0:{}", 3 * tc + 1);
+        assert!(machine_with_faults(1, &late).run(&[p]).is_ok());
+    }
+
+    #[test]
+    fn zero_byte_stream_is_not_an_instruction_boundary() {
+        // A zero-byte stream has no tiles: like the empty tile run it
+        // stands for, it neither waits for the engine nor meets faults.
+        let work = Instr::compute(Kernel::gemv(256, 256));
+        let empty = Instr::DmaStream { path: MemPath::L3ToL2, bytes: 0, tile: 4096 };
+        let p = Program::from_instrs([work, empty]);
+        let base = machine(1).run(&[Program::from_instrs([work])]).unwrap();
+        assert_eq!(machine(1).run(std::slice::from_ref(&p)).unwrap(), base);
+        let faulted = machine_with_faults(1, "failstop:0:1+stall:0:1:500");
+        assert_eq!(faulted.run(&[p]).unwrap(), base, "no boundary after the final compute");
     }
 
     #[test]

@@ -69,8 +69,8 @@ impl Trace {
         self.events.push(event);
     }
 
-    /// Pre-reserves room for `additional` events (the executor knows an
-    /// upper bound: one event per instruction).
+    /// Pre-reserves room for `additional` events (the executor reserves
+    /// one per instruction).
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.events.reserve(additional);
     }

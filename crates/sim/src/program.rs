@@ -41,6 +41,24 @@ pub enum Instr {
         /// Payload size in bytes.
         bytes: u64,
     },
+    /// A blocking transfer of `bytes` along `path` as `⌈bytes / tile⌉`
+    /// back-to-back tiles of `tile` bytes (the last one holds the
+    /// remainder), each paying the engine's setup cost — the synchronous
+    /// weight streaming of the streamed regime.
+    ///
+    /// One instruction behaves exactly like the run of per-tile
+    /// [`Instr::Dma`]s it stands for: the same timing, counters, fault
+    /// boundaries (between tiles) and one trace event per tile. A
+    /// zero-byte stream has no tiles and is a no-op; a `tile` of 0 is read
+    /// as 1. Build it with [`Program::push_stream`].
+    DmaStream {
+        /// Transfer path (determines which DMA engine and byte counter).
+        path: MemPath,
+        /// Total payload in bytes.
+        bytes: u64,
+        /// Bytes per tile.
+        tile: u64,
+    },
     /// Start an asynchronous DMA transfer; completion is awaited by
     /// [`Instr::DmaWait`] with the same tag. Used for double-buffered
     /// weight prefetch.
@@ -145,6 +163,15 @@ impl Program {
     /// builders know the total up front when instantiating templates).
     pub fn reserve(&mut self, additional: usize) {
         self.instrs.reserve(additional);
+    }
+
+    /// Appends a blocking [`Instr::DmaStream`] of `bytes` along `path` in
+    /// `tile`-byte tiles (`tile` clamped to at least 1). A zero-byte
+    /// stream has no tiles and appends nothing.
+    pub fn push_stream(&mut self, path: MemPath, bytes: u64, tile: u64) {
+        if bytes > 0 {
+            self.instrs.push(Instr::DmaStream { path, bytes, tile: tile.max(1) });
+        }
     }
 
     /// Appends `body` with every message id moved up by `msg` and every
@@ -258,6 +285,15 @@ mod tests {
                 Instr::Dma { path: MemPath::L3ToL2, bytes: 8 },
             ]
         );
+    }
+
+    #[test]
+    fn push_stream_skips_empty_streams_and_clamps_the_tile() {
+        let mut p = Program::new();
+        p.push_stream(MemPath::L3ToL2, 0, 4096);
+        assert!(p.is_empty(), "a zero-byte stream has no tiles");
+        p.push_stream(MemPath::L3ToL2, 10, 0);
+        assert_eq!(p.instrs(), &[Instr::DmaStream { path: MemPath::L3ToL2, bytes: 10, tile: 1 }]);
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! 3. **Sink equivalence** — aggregate-only runs ([`mtp::sim::MakespanOnly`])
 //!    report exactly the same makespan, per-chip breakdowns, and byte
 //!    counters as full-trace runs, on arbitrary well-formed program sets.
+//! 4. **Stream equivalence** — one `Instr::DmaStream` behaves exactly
+//!    like the per-tile `Instr::Dma` run it stands for: the same
+//!    `RunStats`, the same traced events, and the same errors, under
+//!    random stall/slow/flap/fail-stop plans whose events fall mid-stream.
 
 use mtp::kernels::Kernel;
 use mtp::model::reference::{self, AttnMask};
-use mtp::sim::{ChipSpec, Instr, Machine, MakespanOnly, MemPath, Program};
+use mtp::sim::{ChipSpec, FaultEvent, FaultPlan, Instr, Machine, MakespanOnly, MemPath, Program};
 use mtp::tensor::{naive, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -52,9 +56,53 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// A random blocking stream: either engine, a tile of 0 (read as 1), 7,
+/// 256 or 4096 bytes, and a byte count that is zero, below one tile, an
+/// exact multiple of the tile, or anything up to 40 tiles. Zero-byte
+/// streams are pushed raw (`Program::push_stream` drops them).
+fn random_stream(next: &mut impl FnMut() -> u64) -> Instr {
+    let path = if next().is_multiple_of(3) { MemPath::L2ToL1 } else { MemPath::L3ToL2 };
+    let tile = [0, 7, 256, 4096][(next() % 4) as usize];
+    let t = tile.max(1);
+    let bytes = match next() % 4 {
+        0 => 0,
+        1 => next() % t,
+        2 => t * (next() % 40 + 1),
+        _ => next() % (40 * t + 1),
+    };
+    Instr::DmaStream { path, bytes, tile }
+}
+
+/// `programs` with every stream expanded into its per-tile blocking
+/// `Dma`s: the reference a stream must be indistinguishable from.
+fn expand_streams(programs: &[Program]) -> Vec<Program> {
+    programs
+        .iter()
+        .map(|p| {
+            let mut out = Program::new();
+            for &instr in p.instrs() {
+                match instr {
+                    Instr::DmaStream { path, bytes, tile } => {
+                        let tile = tile.max(1);
+                        let mut left = bytes;
+                        while left > 0 {
+                            let chunk = left.min(tile);
+                            out.push(Instr::Dma { path, bytes: chunk });
+                            left -= chunk;
+                        }
+                    }
+                    other => out.push(other),
+                }
+            }
+            out
+        })
+        .collect()
+}
+
 /// Ring-exchange program set (same generator family as
 /// `simulator_properties.rs`), exercising compute, both DMA engines,
-/// async DMA with end-of-program drains, syncs, and sends/recvs.
+/// blocking streams, async DMA with end-of-program drains, syncs, and
+/// sends/recvs.
 fn program_set(n_chips: usize, seed: u64) -> Vec<Program> {
     let mut programs = Vec::with_capacity(n_chips);
     for c in 0..n_chips {
@@ -67,7 +115,7 @@ fn program_set(n_chips: usize, seed: u64) -> Vec<Program> {
             state
         };
         for i in 0..(next() % 7 + 1) {
-            match next() % 5 {
+            match next() % 6 {
                 0 => p.push(Instr::compute(Kernel::gemv(
                     (next() % 256 + 1) as usize,
                     (next() % 256 + 1) as usize,
@@ -84,6 +132,7 @@ fn program_set(n_chips: usize, seed: u64) -> Vec<Program> {
                         p.push(Instr::DmaWait(tag));
                     }
                 }
+                4 => p.push(random_stream(&mut next)),
                 _ => p.push(Instr::Sync((next() % 3) as u32)),
             }
         }
@@ -94,6 +143,42 @@ fn program_set(n_chips: usize, seed: u64) -> Vec<Program> {
         programs.push(p);
     }
     programs
+}
+
+/// A random fault plan whose events fall mid-stream: each event cycle is
+/// either one of `edges` (busy-interval ends of the fault-free run, so it
+/// lands exactly on a tile boundary) or uniform in `[0, max edge]`. Three
+/// stalls, a slowdown and a link flap per chip, and in about a third of
+/// the plans one fail-stop.
+fn random_plan(n_chips: usize, edges: &[u64], seed: u64) -> FaultPlan {
+    let mut state = seed.wrapping_mul(0xd134_2543_de82_ef95).wrapping_add(1);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let span = edges.iter().max().map_or(1, |&m| m + 1);
+    let mut at = || match edges.len() {
+        0 => 0,
+        n if next() % 2 == 0 => edges[(next() % n as u64) as usize],
+        _ => next() % span,
+    };
+    let mut events = Vec::new();
+    for chip in 0..n_chips {
+        for k in 0..3 {
+            events.push(FaultEvent::Stall { chip, at: at(), cycles: 1 + 977 * k });
+        }
+        let (from, until) = (at(), at());
+        let cycles = until.saturating_sub(from).max(1);
+        events.push(FaultEvent::Slow { chip, from, cycles, factor_pct: 150 });
+        events.push(FaultEvent::Flap { chip, from: until, cycles, factor_pct: 300 });
+    }
+    let fail_at = at();
+    if fail_at.is_multiple_of(3) {
+        events.push(FaultEvent::FailStop { chip: fail_at as usize % n_chips, at: fail_at });
+    }
+    FaultPlan::explicit(events)
 }
 
 proptest! {
@@ -213,5 +298,27 @@ proptest! {
         prop_assert_eq!(&plain, &traced, "sink choice must not change aggregates");
         let (with_sink, _) = machine.run_with_sink(&programs, MakespanOnly).unwrap();
         prop_assert_eq!(&plain, &with_sink);
+    }
+
+    /// A program with streams gives the same `RunStats`, traced events
+    /// and errors as the same program with each stream expanded into
+    /// per-tile `Dma`s — fault-free and under random fault plans whose
+    /// events fall mid-stream, on both sinks.
+    #[test]
+    fn prop_streams_match_per_tile_dma(
+        n_chips in 1usize..6,
+        seed in 0u64..10_000,
+        plan_seed in 0u64..10_000,
+    ) {
+        let programs = program_set(n_chips, seed);
+        let expanded = expand_streams(&programs);
+        let bare = Machine::homogeneous(ChipSpec::siracusa(), n_chips);
+        let (_, trace) = bare.run_traced(&expanded).unwrap();
+        let edges: Vec<u64> = trace.events().iter().map(|e| e.end).collect();
+        for plan in [FaultPlan::none(), random_plan(n_chips, &edges, plan_seed)] {
+            let machine = bare.clone().with_faults(plan);
+            prop_assert_eq!(machine.run(&programs), machine.run(&expanded));
+            prop_assert_eq!(machine.run_traced(&programs), machine.run_traced(&expanded));
+        }
     }
 }

@@ -131,7 +131,8 @@ fn distributed_system_reports_match_explicit_full_simulation() {
 }
 
 /// Ring-exchange program template (same generator family as
-/// `perf_lockstep.rs`): compute, both DMA engines, async DMA sometimes
+/// `perf_lockstep.rs`): compute, both DMA engines, blocking streams
+/// (including partial last tiles), async DMA sometimes
 /// left in flight at the template boundary (forcing fallback), syncs,
 /// and a send/recv ring.
 fn random_template(n_chips: usize, seed: u64) -> Vec<Program> {
@@ -146,7 +147,7 @@ fn random_template(n_chips: usize, seed: u64) -> Vec<Program> {
             state
         };
         for i in 0..(next() % 7 + 1) {
-            match next() % 5 {
+            match next() % 6 {
                 0 => p.push(Instr::compute(Kernel::gemv(
                     (next() % 256 + 1) as usize,
                     (next() % 256 + 1) as usize,
@@ -160,6 +161,10 @@ fn random_template(n_chips: usize, seed: u64) -> Vec<Program> {
                     if next() % 2 == 0 {
                         p.push(Instr::DmaWait(tag));
                     }
+                }
+                4 => {
+                    let path = if next() % 2 == 0 { MemPath::L3ToL2 } else { MemPath::L2ToL1 };
+                    p.push_stream(path, next() % 100_000, [256, 4096][(next() % 2) as usize]);
                 }
                 _ => p.push(Instr::Sync((next() % 3) as u32)),
             }
