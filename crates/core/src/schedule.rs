@@ -589,10 +589,11 @@ impl CompiledSchedule {
         ))
     }
 
-    /// Runs the periodic engine's warmup once for this template on a
-    /// machine of `chip`s and captures the proven steady state
+    /// Runs the periodic engine's steady-state walk once for this
+    /// template on a machine of `chip`s and keeps the proven fixed point
     /// ([`mtp_sim::Machine::warmup`]); [`CompiledSchedule::simulate_from`]
-    /// then answers any depth on the same `(template, chip)` pair in O(1).
+    /// then answers any depth on the same `(template, chip)` pair in O(1),
+    /// and [`CompiledSchedule::simulate_symbolic`] takes its model.
     ///
     /// This is the cross-depth half of the sweep engine's reuse story:
     /// d96 and d192 scenarios share one compiled template *and* — per
@@ -603,18 +604,22 @@ impl CompiledSchedule {
     /// # Errors
     ///
     /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only;
-    /// template problems surface from the fallback inside
-    /// [`CompiledSchedule::simulate_from`].
+    /// template problems yield a non-converged checkpoint and surface
+    /// from the exact simulation [`CompiledSchedule::simulate_from`]
+    /// falls back to.
     pub fn warmup(&self, chip: &ChipSpec) -> Result<mtp_sim::WarmupCheckpoint> {
         let machine = Machine::homogeneous(*chip, self.n_chips);
         Ok(machine.warmup(&self.template)?)
     }
 
-    /// [`CompiledSchedule::simulate`], resuming from a checkpoint taken
-    /// by [`CompiledSchedule::warmup`] on the **same chip spec** —
-    /// bit-identical results, with the warmup segments skipped whenever
-    /// the checkpoint applies (and an exact fallback whenever it does
-    /// not).
+    /// [`CompiledSchedule::simulate`], answered from a checkpoint taken
+    /// by [`CompiledSchedule::warmup`] on the **same chip spec**:
+    /// [`CompiledSchedule::simulate_symbolic`] when the checkpoint holds
+    /// a model and `n_blocks` is past the periodic engine's full-run
+    /// threshold of 4 blocks, [`CompiledSchedule::simulate`] otherwise.
+    /// The threshold keeps shallow runs on the full simulation, whose
+    /// `c2c_peak_queue_bytes` under an infinite queue can exceed the
+    /// per-segment peak a model extrapolates.
     ///
     /// # Errors
     ///
@@ -625,19 +630,10 @@ impl CompiledSchedule {
         n_blocks: usize,
         ckpt: &mtp_sim::WarmupCheckpoint,
     ) -> Result<crate::SystemReport> {
-        if n_blocks == 0 {
-            return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
+        match ckpt.model() {
+            Some(model) if n_blocks > 4 => self.simulate_symbolic(chip, model, n_blocks),
+            _ => self.simulate(chip, n_blocks),
         }
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_periodic_from(&self.template, n_blocks, ckpt)?;
-        Ok(crate::report::from_stats(
-            chip,
-            self.n_chips,
-            self.mode,
-            n_blocks,
-            self.residency,
-            stats,
-        ))
     }
 
     /// Simulates `n_blocks` blocks each serving a uniform batch of
@@ -675,31 +671,17 @@ impl CompiledSchedule {
         Ok(crate::report::from_stats(chip, self.n_chips, self.mode, total, self.residency, stats))
     }
 
-    /// Solves this template's steady state symbolically on a machine of
-    /// `chip`s ([`mtp_sim::SymbolicMakespan::derive`]): one warmup, then
-    /// **every** depth answers in closed form with zero simulation —
-    /// the design-space advisor's scoring primitive.
-    ///
-    /// Returns `Ok(None)` when the fixed point is not provable (aperiodic
-    /// template, contention-bearing link regime, faults); callers fall
-    /// back to [`CompiledSchedule::simulate`], which is exact either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only.
-    pub fn symbolic(&self, chip: &ChipSpec) -> Result<Option<mtp_sim::SymbolicMakespan>> {
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        Ok(mtp_sim::SymbolicMakespan::derive(&machine, &self.template)?)
-    }
-
-    /// [`CompiledSchedule::simulate`] answered from a symbolic model
-    /// taken by [`CompiledSchedule::symbolic`] on the **same chip spec**
-    /// — bit-identical [`crate::SystemReport`]s with zero simulation.
+    /// [`CompiledSchedule::simulate`] answered from a symbolic model of
+    /// this template on the **same chip spec** (from
+    /// [`CompiledSchedule::warmup`] or [`mtp_sim::SymbolicPlane`]) —
+    /// bit-identical [`crate::SystemReport`]s with zero simulation.
     ///
     /// # Errors
     ///
     /// `n_blocks` must be at least 1 and `model` must span this
     /// schedule's chip count; both are configuration errors.
+    /// [`mtp_sim::SimError::CycleOverflow`] when the `n_blocks`-deep
+    /// counters do not fit in `u64`.
     pub fn simulate_symbolic(
         &self,
         chip: &ChipSpec,
@@ -716,7 +698,7 @@ impl CompiledSchedule {
                 self.n_chips
             )));
         }
-        let stats = model.eval(n_blocks);
+        let stats = model.eval(n_blocks)?;
         Ok(crate::report::from_stats(
             chip,
             self.n_chips,
@@ -998,17 +980,18 @@ mod tests {
         let chip = ChipSpec::siracusa();
         let compiled =
             CompiledSchedule::compile(&cfg, 4, &chip, None, InferenceMode::Autoregressive).unwrap();
-        let model = compiled.symbolic(&chip).unwrap().expect("schedule templates are periodic");
+        let ckpt = compiled.warmup(&chip).unwrap();
+        let model = ckpt.model().expect("schedule templates are periodic");
         for n_blocks in [1usize, 3, 12, 96, 1000] {
-            let sym = compiled.simulate_symbolic(&chip, &model, n_blocks).unwrap();
+            let sym = compiled.simulate_symbolic(&chip, model, n_blocks).unwrap();
             let sim = compiled.simulate(&chip, n_blocks).unwrap();
             assert_eq!(sym.stats, sim.stats, "n_blocks={n_blocks}");
             assert_eq!(sym.n_blocks, sim.n_blocks);
         }
-        assert!(compiled.simulate_symbolic(&chip, &model, 0).is_err());
+        assert!(compiled.simulate_symbolic(&chip, model, 0).is_err());
         let other =
             CompiledSchedule::compile(&cfg, 2, &chip, None, InferenceMode::Autoregressive).unwrap();
-        assert!(other.simulate_symbolic(&chip, &model, 8).is_err(), "chip-count mismatch rejected");
+        assert!(other.simulate_symbolic(&chip, model, 8).is_err(), "chip-count mismatch rejected");
     }
 
     #[test]

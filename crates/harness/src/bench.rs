@@ -374,12 +374,12 @@ pub fn run(quick: bool) -> BenchReport {
         s_reps,
     );
 
-    // --- Warm-resume across depths (PR 7): the d96 warmup checkpoint
-    // replayed for a 192-block pass vs. a cold run_periodic of the same
-    // depth. Resume skips the whole warmup loop, so it should be near
-    // free next to the cold path.
+    // --- Warm-resume across depths: the warmup checkpoint's model
+    // evaluated at 192 blocks vs. a cold run_periodic of the same depth.
+    // Evaluation skips the whole warmup walk, so it should be near free
+    // next to the cold path.
     let ckpt = machine.warmup(&template).expect("warmup");
-    assert!(ckpt.converged(), "deep template must converge in warmup");
+    let model = ckpt.model().expect("deep template must converge in warmup");
     push(
         "sim/8chip_ar_d192_periodic_cold",
         best_of(s_reps, || {
@@ -390,9 +390,7 @@ pub fn run(quick: bool) -> BenchReport {
     push(
         "sim/8chip_ar_d192_periodic_warm",
         best_of(s_reps, || {
-            std::hint::black_box(
-                machine.run_periodic_from(&template, 192, &ckpt).expect("run_periodic_from"),
-            );
+            std::hint::black_box(model.eval(192).expect("eval"));
         }),
         s_reps,
     );

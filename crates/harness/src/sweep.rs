@@ -1516,8 +1516,8 @@ impl SweepEngine {
         // single warmup trajectory: the first worker to reach the group
         // runs `CompiledSchedule::warmup` once, and every member resumes
         // from the proven fixed point in O(1)
-        // (`CompiledSchedule::simulate_from`, bit-identical by the
-        // periodic engine's resume contract). A warm slot is only
+        // (`CompiledSchedule::simulate_from`, bit-identical because it
+        // evaluates the model the periodic engine's walk proved). A warm slot is only
         // allocated for groups with at least two distinct depths — a
         // lone depth gains nothing from checkpointing — and only where
         // the periodic engine could extrapolate at all (more than the

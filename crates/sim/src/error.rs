@@ -65,6 +65,12 @@ pub enum SimError {
         /// Requests per block.
         n_requests: usize,
     },
+    /// An extrapolated run's cycle or byte counters do not fit in `u64`
+    /// at this depth.
+    CycleOverflow {
+        /// The block count whose counters overflow.
+        n_blocks: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -93,6 +99,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::BlockCountOverflow { n_blocks, n_requests } => {
                 write!(f, "{n_blocks} blocks x {n_requests} requests overflows the block count")
+            }
+            SimError::CycleOverflow { n_blocks } => {
+                write!(f, "cycle counters overflow u64 at {n_blocks} blocks")
             }
         }
     }

@@ -18,9 +18,11 @@
 //! remaining `n_blocks - k` blocks reduce to one multiply-add per
 //! counter. Detection is an exact fixed-point test on executor state, not
 //! a heuristic; whenever any proof obligation fails, the engine falls
-//! back to full simulation. See `DESIGN.md` §9 for the soundness
-//! argument, and `tests/periodic_lockstep.rs` for the exact-equality
-//! lockstep suites.
+//! back to full simulation. The segment loop itself is the crate's one
+//! steady-state walk ([`crate::symbolic`]); [`Machine::run_periodic`]
+//! stops it at `n_blocks` segments, [`Machine::warmup`] at the warmup
+//! bound. See `DESIGN.md` §9 for the soundness argument, and
+//! `tests/periodic_lockstep.rs` for the exact-equality lockstep suites.
 //!
 //! Proof obligations checked per segment (any failure → full simulation):
 //!
@@ -37,7 +39,8 @@
 //!    segment-start minimum clock (an *inactive* component: it is never
 //!    selected by any `max` again, so it behaves as minus infinity).
 
-use crate::{trace::ChipStats, Machine, Program, Result, RunStats};
+use crate::symbolic::{walk, Walk};
+use crate::{trace::ChipStats, Machine, Program, Result, RunStats, SymbolicMakespan};
 
 /// Snapshot of the machine's time-like state at a segment boundary, also
 /// used as the carried starting state of the next segment.
@@ -131,93 +134,37 @@ pub(crate) fn uniform_delta(prev: &MachineState, next: &MachineState) -> Option<
     Some(delta.unwrap_or(0))
 }
 
-/// Scales every additive counter of a per-segment [`ChipStats`] by the
-/// number of extrapolated repetitions. Peak queue occupancy is a maximum,
-/// not a sum: the steady-state segment repeats the same occupancy
-/// trajectory, so its peak carries over unscaled.
-pub(crate) fn scaled(stats: &ChipStats, reps: u64) -> ChipStats {
-    ChipStats {
-        compute_cycles: stats.compute_cycles * reps,
-        dma_l3_l2_exposed_cycles: stats.dma_l3_l2_exposed_cycles * reps,
-        dma_l2_l1_exposed_cycles: stats.dma_l2_l1_exposed_cycles * reps,
-        c2c_exposed_cycles: stats.c2c_exposed_cycles * reps,
-        dma_l3_l2_bytes: stats.dma_l3_l2_bytes * reps,
-        dma_l2_l1_bytes: stats.dma_l2_l1_bytes * reps,
-        c2c_bytes_sent: stats.c2c_bytes_sent * reps,
-        sync_marks: stats.sync_marks * reps,
-        finish_cycles: 0,
-        c2c_queue_cycles: stats.c2c_queue_cycles * reps,
-        c2c_peak_queue_bytes: stats.c2c_peak_queue_bytes,
-        c2c_drops: stats.c2c_drops * reps,
-        c2c_retransmits: stats.c2c_retransmits * reps,
-        c2c_gave_up: stats.c2c_gave_up * reps,
-        fault_stall_cycles: stats.fault_stall_cycles * reps,
-        fault_slow_cycles: stats.fault_slow_cycles * reps,
-        fault_link_cycles: stats.fault_link_cycles * reps,
-        fault_transfers_affected: stats.fault_transfers_affected * reps,
-        fault_downtime_cycles: stats.fault_downtime_cycles * reps,
-    }
-}
-
-fn add_assign(into: &mut ChipStats, from: &ChipStats) {
-    into.accumulate(from);
-}
-
-/// A proven uniform-delta fixed point of one `(machine, template)` pair,
-/// reusable across every block count simulated on that pair.
+/// The steady state [`Machine::warmup`] proved for one
+/// `(machine, template)` pair, reusable across every block count
+/// simulated on that pair: the sweep engine uses it to make depth
+/// variants (d96, d192, ...) of one schedule share a single warmup
+/// trajectory per link bandwidth.
 ///
-/// [`Machine::warmup`] runs the warmup segments once and captures the
-/// steady state; [`Machine::run_periodic_from`] then answers any depth in
-/// O(1) from the checkpoint instead of re-simulating the warmup. The
-/// sweep engine uses this to make depth variants (d96, d192, ...) of one
-/// schedule share a single warmup trajectory per link bandwidth.
-///
-/// A checkpoint is only meaningful for the exact machine and template it
-/// was taken from — resuming with a different pair is a contract
-/// violation (the result would be deterministic nonsense). The resume
-/// path re-checks every cheap precondition (chip count, block count,
-/// contention-free regime) and falls back to [`Machine::run_periodic`]
-/// whenever the checkpoint does not apply, so results are always exact.
+/// It holds the [`SymbolicMakespan`] when the proof went through and
+/// nothing otherwise (aperiodic template, contention-bearing link
+/// regime, fault plan, or a template error); callers simulate exactly
+/// in that case.
 #[derive(Debug, Clone)]
-pub struct WarmupCheckpoint {
-    n_chips: usize,
-    fixed: Option<FixedPoint>,
-}
-
-/// The captured steady state: everything the extrapolation arm of
-/// [`Machine::run_periodic`] reads after its fixed-point test passes.
-#[derive(Debug, Clone)]
-struct FixedPoint {
-    /// Warmup segments simulated before the fixed point held.
-    segments: usize,
-    /// Per-chip counters accumulated over those segments.
-    totals: Vec<ChipStats>,
-    /// The steady-state segment's own counters (the per-block delta).
-    last: Vec<ChipStats>,
-    /// Chip clocks at the fixed-point boundary...
-    t_now: Vec<u64>,
-    /// ...and one segment earlier (their difference is the per-block
-    /// clock advance of each chip; inactive chips advance by zero).
-    t_prev: Vec<u64>,
-    /// Distinct sync ids per segment.
-    distinct_syncs: usize,
-}
+pub struct WarmupCheckpoint(Option<SymbolicMakespan>);
 
 impl WarmupCheckpoint {
-    /// `true` when the warmup proved a fixed point; a non-converged
-    /// checkpoint makes [`Machine::run_periodic_from`] fall back to
-    /// [`Machine::run_periodic`] (aperiodic template, contention-bearing
-    /// link regime, or a template error).
+    /// `true` when the warmup proved a fixed point.
     #[must_use]
     pub fn converged(&self) -> bool {
-        self.fixed.is_some()
+        self.0.is_some()
     }
 
     /// Number of warmup segments the proof consumed (`None` when not
     /// converged) — the per-depth simulation cost the checkpoint saves.
     #[must_use]
     pub fn warmup_segments(&self) -> Option<usize> {
-        self.fixed.as_ref().map(|f| f.segments)
+        self.0.as_ref().map(SymbolicMakespan::warm_blocks)
+    }
+
+    /// The proven steady state, `None` when not converged.
+    #[must_use]
+    pub fn model(&self) -> Option<&SymbolicMakespan> {
+        self.0.as_ref()
     }
 }
 
@@ -225,7 +172,7 @@ impl WarmupCheckpoint {
 /// against: `n_blocks` copies of the template with per-block message and
 /// sync identifier shifts (stride = the template's [`crate::id_span`]),
 /// exactly the id-disjoint instantiation a schedule builder would emit.
-fn concat_shifted(template: &[Program], n_blocks: usize) -> Vec<Program> {
+pub(crate) fn concat_shifted(template: &[Program], n_blocks: usize) -> Vec<Program> {
     let (msg_stride, sync_stride) = crate::id_span(template);
     let mut out: Vec<Program> = (0..template.len()).map(|_| Program::new()).collect();
     for (o, t) in out.iter_mut().zip(template) {
@@ -276,7 +223,8 @@ impl Machine {
     ///
     /// Same conditions as [`Machine::run`] on the concatenated programs:
     /// [`crate::SimError::ProgramCountMismatch`], deadlocks, and
-    /// malformed-program errors.
+    /// malformed-program errors; plus [`crate::SimError::CycleOverflow`]
+    /// when an extrapolated counter does not fit in `u64`.
     pub fn run_periodic(&self, template: &[Program], n_blocks: usize) -> Result<RunStats> {
         if template.len() != self.len() {
             return Err(crate::SimError::ProgramCountMismatch {
@@ -292,192 +240,22 @@ impl Machine {
             // as-is (this is every block-span scenario of a sweep).
             return self.run(template);
         }
-        if n_blocks <= FULL_RUN_THRESHOLD {
-            return self.run(&concat_shifted(template, n_blocks));
+        if n_blocks > FULL_RUN_THRESHOLD {
+            match walk(self, template, n_blocks) {
+                Walk::Proven(model) => return model.eval(n_blocks),
+                Walk::Exact(stats) => return Ok(stats),
+                // The full run reproduces the exact result, or the exact
+                // error the concatenated simulation reports.
+                Walk::Refused => {}
+            }
         }
-        // Non-affine link timing voids the shift-invariance proof: a
-        // finite ingress buffer couples segments through occupancy carried
-        // across boundaries, and the lossy drop pattern depends on the
-        // per-block message ids the segment re-uses. Only regimes that
-        // provably never depart from affine timing (affine itself, or a
-        // queue that can never fill) may extrapolate; everything else is
-        // simulated in full — same result, only slower (`DESIGN.md` §11).
-        if self.chips().iter().any(|c| !c.link_regime.contention_free()) {
-            return self.run(&concat_shifted(template, n_blocks));
-        }
-        // A non-empty fault plan likewise voids the proof: faults are
-        // pinned to absolute cycles, so segments are not shift-invariant.
-        // Faulted workloads always run the exact full simulation.
-        if !self.faults().is_empty() {
-            return self.run(&concat_shifted(template, n_blocks));
-        }
-        let n = self.len();
-        let mut carry = MachineState::zero(n);
-        let mut totals: Vec<ChipStats> = vec![ChipStats::default(); n];
-        let mut prev_send_issue: Option<Option<(u64, u64)>> = None;
-        for seg in 1..=n_blocks.min(MAX_WARMUP_SEGMENTS) {
-            let Ok(run) = self.run_segment(template, &carry) else {
-                // Malformed template: the full run reproduces the exact
-                // error the concatenated simulation would report.
-                return self.run(&concat_shifted(template, n_blocks));
-            };
-            if !run.clean {
-                return self.run(&concat_shifted(template, n_blocks));
-            }
-            // Send-order separation from the previous segment.
-            if let Some(prev) = prev_send_issue {
-                let separated = match (prev, run.send_issue) {
-                    (Some((_, prev_max)), Some((next_min, _))) => prev_max < next_min,
-                    _ => true,
-                };
-                if !separated {
-                    return self.run(&concat_shifted(template, n_blocks));
-                }
-            }
-            for (total, seg_stats) in totals.iter_mut().zip(&run.stats) {
-                add_assign(total, seg_stats);
-            }
-            if let Some(delta) = uniform_delta(&carry, &run.state) {
-                // Send-order separation must keep holding at every
-                // extrapolated boundary: the next segment's sends are this
-                // segment's shifted by delta.
-                let separated_forever = match run.send_issue {
-                    Some((min, max)) => max < min.saturating_add(delta),
-                    None => true,
-                };
-                if separated_forever {
-                    let reps = (n_blocks - seg) as u64;
-                    let per_chip = totals
-                        .iter()
-                        .zip(&run.stats)
-                        .zip(run.state.t.iter().zip(&carry.t))
-                        .map(|((total, seg_stats), (&t_now, &t_prev))| {
-                            let mut chip = total.clone();
-                            add_assign(&mut chip, &scaled(seg_stats, reps));
-                            // Inactive chips (delta 0) stay parked at
-                            // their clock; active chips advance by delta
-                            // per block.
-                            chip.finish_cycles = t_now + reps * (t_now - t_prev);
-                            chip
-                        })
-                        .collect();
-                    return Ok(RunStats::new(per_chip, run.distinct_syncs * n_blocks));
-                }
-            }
-            if seg == n_blocks {
-                // Every block simulated segment by segment with all
-                // boundary obligations holding: the totals are exact.
-                let per_chip = totals
-                    .iter()
-                    .zip(&run.state.t)
-                    .map(|(total, &t)| {
-                        let mut chip = total.clone();
-                        chip.finish_cycles = t;
-                        chip
-                    })
-                    .collect();
-                return Ok(RunStats::new(per_chip, run.distinct_syncs * n_blocks));
-            }
-            prev_send_issue = Some(run.send_issue);
-            carry = run.state;
-        }
-        // No fixed point within the warmup bound: aperiodic workload.
         self.run(&concat_shifted(template, n_blocks))
     }
 
-    /// Runs the warmup phase of [`Machine::run_periodic`] once —
-    /// independent of any block count — and captures the proven
-    /// uniform-delta fixed point as a reusable [`WarmupCheckpoint`].
-    ///
-    /// The warmup loop is exactly `run_periodic`'s: segment-by-segment
-    /// execution with clean-boundary and send-order-separation checks,
-    /// stopping at the first segment whose state advance is a uniform
-    /// delta that also keeps future sends separated. Because that loop
-    /// never reads the block count, one checkpoint answers *every* depth:
-    /// [`Machine::run_periodic_from`] replays only the O(1) extrapolation
-    /// arm. Any proof failure (contention-bearing link regime, unclean
-    /// boundary, aperiodic state, segment error) yields a non-converged
-    /// checkpoint whose resume path falls back to the full engine.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::ProgramCountMismatch`] when `template` does not
-    /// provide one program per chip. All other template problems are
-    /// deferred: they surface from the fallback inside
-    /// [`Machine::run_periodic_from`], which reproduces the exact error
-    /// [`Machine::run_periodic`] would report.
-    pub fn warmup(&self, template: &[Program]) -> Result<WarmupCheckpoint> {
-        if template.len() != self.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: self.len(),
-                programs: template.len(),
-            });
-        }
-        let unconverged = || Ok(WarmupCheckpoint { n_chips: self.len(), fixed: None });
-        if self.chips().iter().any(|c| !c.link_regime.contention_free())
-            || !self.faults().is_empty()
-        {
-            return unconverged();
-        }
-        let n = self.len();
-        let mut carry = MachineState::zero(n);
-        let mut totals: Vec<ChipStats> = vec![ChipStats::default(); n];
-        let mut prev_send_issue: Option<Option<(u64, u64)>> = None;
-        for seg in 1..=MAX_WARMUP_SEGMENTS {
-            let Ok(run) = self.run_segment(template, &carry) else {
-                return unconverged();
-            };
-            if !run.clean {
-                return unconverged();
-            }
-            if let Some(prev) = prev_send_issue {
-                let separated = match (prev, run.send_issue) {
-                    (Some((_, prev_max)), Some((next_min, _))) => prev_max < next_min,
-                    _ => true,
-                };
-                if !separated {
-                    return unconverged();
-                }
-            }
-            for (total, seg_stats) in totals.iter_mut().zip(&run.stats) {
-                add_assign(total, seg_stats);
-            }
-            if let Some(delta) = uniform_delta(&carry, &run.state) {
-                let separated_forever = match run.send_issue {
-                    Some((min, max)) => max < min.saturating_add(delta),
-                    None => true,
-                };
-                if separated_forever {
-                    return Ok(WarmupCheckpoint {
-                        n_chips: n,
-                        fixed: Some(FixedPoint {
-                            segments: seg,
-                            totals,
-                            last: run.stats,
-                            t_now: run.state.t.clone(),
-                            t_prev: carry.t.clone(),
-                            distinct_syncs: run.distinct_syncs,
-                        }),
-                    });
-                }
-            }
-            prev_send_issue = Some(run.send_issue);
-            carry = run.state;
-        }
-        unconverged()
-    }
-
-    /// [`Machine::run_periodic`], resuming from a [`WarmupCheckpoint`]
-    /// taken by [`Machine::warmup`] on the **same machine and template**:
-    /// when the checkpoint applies, the answer is one multiply-add per
-    /// counter with zero simulation.
-    ///
-    /// Falls back to [`Machine::run_periodic`] — same result, only slower
-    /// — whenever the checkpoint cannot prove the extrapolation:
-    /// non-converged warmup, chip-count mismatch, `n_blocks` at or below
-    /// the full-run threshold, fewer blocks than warmup segments (the
-    /// engine would have finished exactly before reaching the fixed
-    /// point), or a contention-bearing link regime.
+    /// Runs the steady-state walk of [`Machine::run_periodic`] once —
+    /// independent of any block count — and keeps the proven fixed point
+    /// as a reusable [`WarmupCheckpoint`]: the same model
+    /// [`SymbolicMakespan::derive`] returns.
     ///
     /// ```
     /// use mtp_sim::{ChipSpec, Instr, Machine, Program};
@@ -486,7 +264,7 @@ impl Machine {
     /// let machine = Machine::homogeneous(ChipSpec::siracusa(), 1);
     /// let block = Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))]);
     /// let ckpt = machine.warmup(std::slice::from_ref(&block))?;
-    /// let warm = machine.run_periodic_from(std::slice::from_ref(&block), 192, &ckpt)?;
+    /// let warm = ckpt.model().unwrap().eval(192)?;
     /// let cold = machine.run_periodic(std::slice::from_ref(&block), 192)?;
     /// assert_eq!(warm, cold);
     /// # Ok::<(), mtp_sim::SimError>(())
@@ -494,48 +272,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::run_periodic`]; the extrapolation arm
-    /// itself is infallible.
-    pub fn run_periodic_from(
-        &self,
-        template: &[Program],
-        n_blocks: usize,
-        ckpt: &WarmupCheckpoint,
-    ) -> Result<RunStats> {
-        if template.len() != self.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: self.len(),
-                programs: template.len(),
-            });
-        }
-        let Some(fixed) = &ckpt.fixed else {
-            return self.run_periodic(template, n_blocks);
-        };
-        if ckpt.n_chips != self.len()
-            || n_blocks <= FULL_RUN_THRESHOLD
-            || n_blocks < fixed.segments
-            || self.chips().iter().any(|c| !c.link_regime.contention_free())
-            || !self.faults().is_empty()
-        {
-            return self.run_periodic(template, n_blocks);
-        }
-        // From here on this is `run_periodic`'s extrapolation arm
-        // verbatim, with the loop-carried values read from the
-        // checkpoint instead of recomputed.
-        let reps = (n_blocks - fixed.segments) as u64;
-        let per_chip = fixed
-            .totals
-            .iter()
-            .zip(&fixed.last)
-            .zip(fixed.t_now.iter().zip(&fixed.t_prev))
-            .map(|((total, seg_stats), (&t_now, &t_prev))| {
-                let mut chip = total.clone();
-                add_assign(&mut chip, &scaled(seg_stats, reps));
-                chip.finish_cycles = t_now + reps * (t_now - t_prev);
-                chip
-            })
-            .collect();
-        Ok(RunStats::new(per_chip, fixed.distinct_syncs * n_blocks))
+    /// [`crate::SimError::ProgramCountMismatch`] when `template` does not
+    /// provide one program per chip. Every other template problem yields
+    /// a non-converged checkpoint; simulating exactly then reports it.
+    pub fn warmup(&self, template: &[Program]) -> Result<WarmupCheckpoint> {
+        SymbolicMakespan::derive(self, template).map(WarmupCheckpoint)
     }
 
     /// Executes `n_blocks` Transformer blocks each serving a uniform
@@ -819,30 +560,33 @@ mod tests {
         }
         let ckpt = m.warmup(&template).unwrap();
         assert!(!ckpt.converged(), "faulted machines never extrapolate");
-        let warm = m.run_periodic_from(&template, 40, &ckpt).unwrap();
-        assert_eq!(warm, m.run_periodic(&template, 40).unwrap());
+        assert!(ckpt.model().is_none());
     }
 
     #[test]
     fn warm_resume_matches_cold_periodic_across_depths() {
-        // One warmup checkpoint answers every depth bit-identically.
+        // One warmup checkpoint answers every depth bit-identically, and
+        // every depth equals the full concatenated simulation.
         let m = machine(2);
         let template = ping_pong_template();
         let ckpt = m.warmup(&template).unwrap();
         assert!(ckpt.converged());
         assert!(ckpt.warmup_segments().unwrap() <= MAX_WARMUP_SEGMENTS);
-        for n_blocks in [1usize, 3, 5, 9, 40, 96, 192, 10_000] {
-            let warm = m.run_periodic_from(&template, n_blocks, &ckpt).unwrap();
-            let cold = m.run_periodic(&template, n_blocks).unwrap();
-            assert_eq!(warm, cold, "n_blocks={n_blocks}");
+        let model = ckpt.model().unwrap();
+        assert_eq!(ckpt.warmup_segments(), Some(model.warm_blocks()));
+        for n_blocks in [1usize, 3, 5, 9, 40, 96, 192] {
+            let warm = model.eval(n_blocks).unwrap();
+            let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
+            assert_eq!(warm, full, "n_blocks={n_blocks}");
         }
+        assert_eq!(model.eval(10_000).unwrap(), m.run_periodic(&template, 10_000).unwrap());
     }
 
     #[test]
     fn warmup_on_aperiodic_template_resumes_via_fallback() {
         // The in-flight-DMA template never proves a clean boundary: the
-        // checkpoint is unconverged and the resume path must reproduce
-        // the full simulation exactly.
+        // checkpoint is unconverged and the periodic engine must
+        // reproduce the full simulation exactly.
         let m = machine(1);
         let template = [Program::from_instrs([
             Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 1 << 20, tag: DmaTag(0) },
@@ -851,9 +595,9 @@ mod tests {
         let ckpt = m.warmup(&template).unwrap();
         assert!(!ckpt.converged());
         assert_eq!(ckpt.warmup_segments(), None);
-        let warm = m.run_periodic_from(&template, 7, &ckpt).unwrap();
+        assert!(ckpt.model().is_none());
         let cold = m.run_periodic(&template, 7).unwrap();
-        assert_eq!(warm, cold);
+        assert_eq!(cold, m.run(&concat_shifted(&template, 7)).unwrap());
     }
 
     #[test]
@@ -866,9 +610,9 @@ mod tests {
         let ckpt = m.warmup(&template).unwrap();
         assert!(!ckpt.converged());
         for n_blocks in [5usize, 40] {
-            let warm = m.run_periodic_from(&template, n_blocks, &ckpt).unwrap();
             let cold = m.run_periodic(&template, n_blocks).unwrap();
-            assert_eq!(warm, cold, "n_blocks={n_blocks}");
+            let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
+            assert_eq!(cold, full, "n_blocks={n_blocks}");
         }
     }
 
@@ -877,11 +621,6 @@ mod tests {
         let m = machine(2);
         assert!(matches!(
             m.warmup(&[Program::new()]),
-            Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
-        ));
-        let ckpt = m.warmup(&ping_pong_template()).unwrap();
-        assert!(matches!(
-            m.run_periodic_from(&[Program::new()], 10, &ckpt),
             Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
         ));
     }

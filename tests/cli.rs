@@ -172,6 +172,18 @@ fn bench_check_without_compare_is_rejected() {
     assert!(stderr(&out).contains("--check requires --compare <BENCH_N.json>"));
 }
 
+/// A depth whose cycle counters do not fit in `u64` is a typed error,
+/// never a wrapped number printed as a result.
+#[test]
+fn simulate_past_u64_cycles_is_a_typed_overflow() {
+    let blocks = "1000000000000000000";
+    let out = mtp(&["simulate", "--model", "tinyllama", "--chips", "8", "--blocks", blocks]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains(&format!("cycle counters overflow u64 at {blocks} blocks")), "{err}");
+    assert!(stdout(&out).is_empty(), "no report may be printed");
+}
+
 // ---------------------------------------------------------------------
 // Accepted spellings: exit 0 and the expected output shape.
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! Exact-equality lockstep suite for the symbolic makespan model
 //! (see DESIGN.md §15): [`mtp::sim::SymbolicMakespan::eval`] must be
 //! **indistinguishable** — makespan, every per-chip counter, the
-//! sync-phase count, all exact `u64` equality — from both
-//! [`mtp::sim::Machine::run_periodic`] and a full
-//! [`mtp::sim::Machine::run`] of the concatenated programs, across:
+//! sync-phase count, all exact `u64` equality — from a full
+//! [`mtp::sim::Machine::run`] of the concatenated programs (the oracle)
+//! and from [`mtp::sim::Machine::run_periodic`] (which evaluates the same
+//! model past four blocks, so that check guards its shortcuts), across:
 //!
 //! 1. every valid scenario of the default sweep grid;
 //! 2. the deep grid (96+ blocks) and the batch grid (uniform batches as
@@ -77,13 +78,13 @@ fn assert_symbolic_lockstep(
         return false;
     };
     for &n in depths {
-        let sym = model.eval(n);
+        let sym = model.eval(n).unwrap();
         let fast = machine.run_periodic(template, n).unwrap();
         let full = machine.run(&concat_shifted(template, n)).unwrap();
         assert_eq!(sym, fast, "symbolic != periodic: {context} n_blocks={n}");
         assert_eq!(sym, full, "symbolic != full: {context} n_blocks={n}");
         assert_eq!(
-            model.makespan(n),
+            model.makespan(n).unwrap(),
             sym.makespan,
             "closed form != evaluated stats: {context} n_blocks={n}"
         );
@@ -163,7 +164,7 @@ fn plane_matches_independent_derivations_on_an_eight_chip_schedule() {
         let machine = Machine::homogeneous(scaled, 8);
         for n in [1, 7, cfg.n_layers, 300] {
             assert_eq!(
-                plane.eval(pct, n).expect("pct in plane"),
+                plane.eval(pct, n).expect("pct in plane").unwrap(),
                 machine.run_periodic(&template, n).unwrap(),
                 "bw {pct}% n_blocks={n}"
             );
@@ -212,11 +213,11 @@ proptest! {
             // Unprovable fixed point: covered by the periodic fallback suite.
             return Ok(());
         };
-        let sym = model.eval(n_blocks);
+        let sym = model.eval(n_blocks).unwrap();
         let fast = machine.run_periodic(&template, n_blocks).unwrap();
         let full = machine.run(&concat_shifted(&template, n_blocks)).unwrap();
         prop_assert_eq!(&sym, &fast);
         prop_assert_eq!(&sym, &full);
-        prop_assert_eq!(model.makespan(n_blocks), sym.makespan);
+        prop_assert_eq!(model.makespan(n_blocks).unwrap(), sym.makespan);
     }
 }
