@@ -28,7 +28,8 @@
 //! nothing in the report depends on wall clock, so two runs render, CSV,
 //! and JSON byte-identically.
 
-use crate::sweep::{json_string, PlacementPolicy, Scenario, ScheduleKey, Span, TopologySpec};
+use crate::record::{self, Cell, Cells, Format, Record};
+use crate::sweep::{PlacementPolicy, Scenario, ScheduleKey, Span, TopologySpec};
 use crate::table::TextTable;
 use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, SystemReport};
@@ -340,71 +341,60 @@ pub fn advise(
     })
 }
 
-/// CSV column header of [`Advice::to_csv`].
+/// The advise table's column list: the CSV header line of
+/// [`Advice::to_csv`] and the keys of each [`Advice::to_json`] row.
 pub const ADVISE_CSV_HEADER: &str = "model,mode,chips,topology,placement,link_bw_pct,\
 makespan_cycles,latency_ms,energy_mj,residency,symbolic,pareto,feasible,recommended";
 
+/// One candidate of an [`Advice`] as a table row.
+struct AdviseRow<'a> {
+    advice: &'a Advice,
+    index: usize,
+}
+
+impl Record for AdviseRow<'_> {
+    const HEADER: &'static str = ADVISE_CSV_HEADER;
+    const JSON_INDENTED: bool = false;
+
+    fn cells(&self, w: &mut Cells<'_>) {
+        let a = self.advice;
+        let c = &a.candidates[self.index];
+        w.cell(Cell::Str(&a.model));
+        w.cell(Cell::Str(&a.mode.to_string()));
+        w.cell(Cell::Int(c.point.n_chips as u64));
+        w.cell(Cell::Str(&c.point.topology.label()));
+        w.cell(Cell::Str(c.point.placement.label()));
+        w.cell(Cell::Int(u64::from(c.point.link_bw_pct)));
+        w.cell(Cell::Int(c.makespan()));
+        w.cell(Cell::Real(c.report.runtime_ms()));
+        w.cell(Cell::Real(c.report.energy_mj()));
+        w.cell(Cell::Str(&c.report.residency.to_string()));
+        w.cell(Cell::Bit(c.symbolic));
+        w.cell(Cell::Bit(c.pareto));
+        w.cell(Cell::Bit(c.feasible));
+        w.cell(Cell::Bit(a.recommended == Some(self.index)));
+    }
+}
+
 impl Advice {
+    fn table(&self, format: Format) -> String {
+        let rows: Vec<AdviseRow<'_>> =
+            (0..self.candidates.len()).map(|index| AdviseRow { advice: self, index }).collect();
+        record::render(format, &rows)
+    }
+
     /// All candidates as CSV (header + one row per point, enumeration
     /// order) — deterministic byte-for-byte across runs.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(ADVISE_CSV_HEADER);
-        out.push('\n');
-        for (i, c) in self.candidates.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{:.6},{:.6},{},{},{},{},{}\n",
-                self.model,
-                self.mode,
-                c.point.n_chips,
-                c.point.topology.label(),
-                c.point.placement.label(),
-                c.point.link_bw_pct,
-                c.makespan(),
-                c.report.runtime_ms(),
-                c.report.energy_mj(),
-                c.report.residency,
-                u8::from(c.symbolic),
-                u8::from(c.pareto),
-                u8::from(c.feasible),
-                u8::from(self.recommended == Some(i)),
-            ));
-        }
-        out
+        self.table(Format::Csv)
     }
 
     /// All candidates as a JSON array (same order and values as the
     /// CSV) — deterministic byte-for-byte across runs.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                format!(
-                    "{{\"model\":{},\"mode\":{},\"chips\":{},\"topology\":{},\
-                     \"placement\":{},\"link_bw_pct\":{},\"makespan_cycles\":{},\
-                     \"latency_ms\":{:.6},\"energy_mj\":{:.6},\"residency\":{},\
-                     \"symbolic\":{},\"pareto\":{},\"feasible\":{},\"recommended\":{}}}",
-                    json_string(&self.model),
-                    json_string(&self.mode.to_string()),
-                    c.point.n_chips,
-                    json_string(&c.point.topology.label()),
-                    json_string(c.point.placement.label()),
-                    c.point.link_bw_pct,
-                    c.makespan(),
-                    c.report.runtime_ms(),
-                    c.report.energy_mj(),
-                    json_string(&c.report.residency.to_string()),
-                    c.symbolic,
-                    c.pareto,
-                    c.feasible,
-                    self.recommended == Some(i),
-                )
-            })
-            .collect();
-        format!("[\n{}\n]\n", rows.join(",\n"))
+        self.table(Format::Json)
     }
 
     /// One-line search summary (points, frontier size, reuse counters).
@@ -618,6 +608,17 @@ mod tests {
         assert!(csv.starts_with(ADVISE_CSV_HEADER));
         assert_eq!(csv.lines().count(), a.candidates.len() + 1);
         assert_eq!(csv.matches(",1\n").count(), 1, "exactly one recommended row");
+    }
+
+    #[test]
+    fn rows_list_one_value_per_column() {
+        let cfg = TransformerConfig::tiny_llama_42m();
+        let advice =
+            advise(&cfg, InferenceMode::Autoregressive, unconstrained(), &space(&cfg, 2)).unwrap();
+        let columns = ADVISE_CSV_HEADER.split(',').count();
+        for index in 0..advice.candidates.len() {
+            assert_eq!(record::values_listed(&AdviseRow { advice: &advice, index }), columns);
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod headline;
+mod record;
 pub mod serve;
 pub mod sweep;
 pub mod table;

@@ -26,7 +26,8 @@
 //! produce byte-identical CSV/JSON across engines and runs (locked by
 //! `tests/serving_lockstep.rs`).
 
-use crate::sweep::{csv_field, json_string, ModelPreset};
+use crate::record::{self, Cell, Cells, Format, Record};
+use crate::sweep::ModelPreset;
 use crate::table::{fmt_cycles, TextTable};
 use mtp_core::{
     BatchPolicy, Billing, DistributedSystem, FaultProfile, RequestOutcome, ServeReport,
@@ -242,86 +243,43 @@ impl ServeRow {
     /// [`SERVE_CSV_HEADER`].
     #[must_use]
     pub fn to_csv_line(&self) -> String {
-        let s = &self.scenario;
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},\
-             {},{},{},{},{}",
-            csv_field(&s.model.cli_name()),
-            s.n_chips,
-            csv_field(&s.process.label()),
-            csv_field(&s.policy.label()),
-            s.billing.label(),
-            s.n_requests,
-            s.prompt_len,
-            s.decode_len,
-            s.seed,
-            csv_field(&s.faults.label()),
-            self.report.makespan,
-            self.report.peak_concurrency(),
-            self.report.passes.len(),
-            self.ttft.0,
-            self.ttft.1,
-            self.ttft.2,
-            self.tpot.0,
-            self.tpot.1,
-            self.tpot.2,
-            self.e2e_p99,
-            self.slo_cycles,
-            self.slo_ok,
-            self.goodput_rps,
-            self.offered_rps,
-            // A zero-request run has no availability: empty CSV field.
-            self.report.availability().map_or_else(String::new, |a| format!("{a:.6}")),
-            self.report.retries,
-            self.report.sheds,
-            self.report.timeouts,
-            self.report.failed,
-        )
+        record::csv_line(self)
     }
+}
 
-    /// One JSON object (the same fields as the CSV line).
-    #[must_use]
-    pub fn to_json_object(&self) -> String {
+impl Record for ServeRow {
+    const HEADER: &'static str = SERVE_CSV_HEADER;
+
+    fn cells(&self, w: &mut Cells<'_>) {
         let s = &self.scenario;
-        format!(
-            "{{\"model\":{},\"chips\":{},\"arrival\":{},\"policy\":{},\"billing\":{},\
-             \"requests\":{},\"prompt_len\":{},\"decode_len\":{},\"seed\":{},\"faults\":{},\
-             \"makespan_cycles\":{},\"peak_slots\":{},\"passes\":{},\"ttft_p50\":{},\
-             \"ttft_p95\":{},\"ttft_p99\":{},\"tpot_p50\":{},\"tpot_p95\":{},\"tpot_p99\":{},\
-             \"e2e_p99\":{},\"slo_cycles\":{},\"slo_ok\":{},\"goodput_rps\":{:.6},\
-             \"offered_rps\":{:.6},\"availability\":{},\"retries\":{},\"sheds\":{},\
-             \"timeouts\":{},\"failed\":{}}}",
-            json_string(&s.model.cli_name()),
-            s.n_chips,
-            json_string(&s.process.label()),
-            json_string(&s.policy.label()),
-            json_string(s.billing.label()),
-            s.n_requests,
-            s.prompt_len,
-            s.decode_len,
-            s.seed,
-            json_string(&s.faults.label()),
-            self.report.makespan,
-            self.report.peak_concurrency(),
-            self.report.passes.len(),
-            self.ttft.0,
-            self.ttft.1,
-            self.ttft.2,
-            self.tpot.0,
-            self.tpot.1,
-            self.tpot.2,
-            self.e2e_p99,
-            self.slo_cycles,
-            self.slo_ok,
-            self.goodput_rps,
-            self.offered_rps,
-            // A zero-request run has no availability: JSON null.
-            self.report.availability().map_or_else(|| "null".to_owned(), |a| format!("{a:.6}")),
-            self.report.retries,
-            self.report.sheds,
-            self.report.timeouts,
-            self.report.failed,
-        )
+        let r = &*self.report;
+        w.cell(Cell::Str(&s.model.cli_name()));
+        w.cell(Cell::Int(s.n_chips as u64));
+        w.cell(Cell::Str(&s.process.label()));
+        w.cell(Cell::Str(&s.policy.label()));
+        w.cell(Cell::Str(s.billing.label()));
+        w.cell(Cell::Int(s.n_requests as u64));
+        w.cell(Cell::Int(s.prompt_len as u64));
+        w.cell(Cell::Int(s.decode_len as u64));
+        w.cell(Cell::Int(s.seed));
+        w.cell(Cell::Str(&s.faults.label()));
+        w.cell(Cell::Int(r.makespan));
+        w.cell(Cell::Int(r.peak_concurrency() as u64));
+        w.cell(Cell::Int(r.passes.len() as u64));
+        for cycles in [self.ttft.0, self.ttft.1, self.ttft.2, self.tpot.0, self.tpot.1, self.tpot.2]
+        {
+            w.cell(Cell::Int(cycles));
+        }
+        w.cell(Cell::Int(self.e2e_p99));
+        w.cell(Cell::Int(self.slo_cycles));
+        w.cell(Cell::Int(self.slo_ok as u64));
+        w.cell(Cell::Real(self.goodput_rps));
+        w.cell(Cell::Real(self.offered_rps));
+        // A zero-request run has no availability.
+        w.cell(Cell::Maybe(r.availability()));
+        for count in [r.retries, r.sheds, r.timeouts, r.failed] {
+            w.cell(Cell::Int(count));
+        }
     }
 }
 
@@ -330,8 +288,9 @@ impl ServeRow {
 /// exact.
 pub const SLO_FACTOR_PCT: u64 = 300;
 
-/// CSV column header of [`ServeResults::to_csv`], stable for downstream
-/// tooling.
+/// The serving table's column list, stable for downstream tooling: the
+/// CSV header line of [`ServeResults::to_csv`] and the keys of each JSON
+/// row.
 pub const SERVE_CSV_HEADER: &str = "model,chips,arrival,policy,billing,requests,prompt_len,\
                                     decode_len,seed,faults,makespan_cycles,peak_slots,passes,\
                                     ttft_p50,ttft_p95,ttft_p99,tpot_p50,tpot_p95,tpot_p99,\
@@ -367,31 +326,14 @@ impl ServeResults {
     /// newline). Byte-identical across runs of the same grid.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(SERVE_CSV_HEADER);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.to_csv_line());
-            out.push('\n');
-        }
-        out
+        record::render(Format::Csv, &self.rows)
     }
 
     /// Serializes every row as a JSON array (one object per row).
     /// Byte-identical across runs of the same grid.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&row.to_json_object());
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push(']');
-        out.push('\n');
-        out
+        record::render(Format::Json, &self.rows)
     }
 
     /// Renders the rows as an aligned text table (what `mtp serve`
@@ -673,6 +615,20 @@ mod tests {
             .with_arrivals(vec![ArrivalProcess::Poisson { rate_per_mcycle: 1.0 }])
             .with_policies(vec![BatchPolicy::Continuous { max_slots: 4 }])
             .with_requests(6, 16, 2)
+    }
+
+    #[test]
+    fn rows_list_one_value_per_column() {
+        let grid = tiny_grid().with_faults(vec![
+            FaultProfile::none(),
+            FaultProfile::parse("fail:300:1:0:4").unwrap(),
+        ]);
+        let results = ServeEngine::new().run(&grid);
+        assert_eq!(results.rows.len(), 2);
+        let columns = SERVE_CSV_HEADER.split(',').count();
+        for row in &results.rows {
+            assert_eq!(record::values_listed(row), columns);
+        }
     }
 
     #[test]

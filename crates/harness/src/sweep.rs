@@ -34,6 +34,7 @@
 //! assert!(results.rows[1].report.speedup_over(&results.rows[0].report) > 8.0);
 //! ```
 
+use crate::record::{self, Cell, Cells, Format, Record, Table};
 use crate::table::{fmt_cycles, TextTable};
 use mtp_core::schedule::{BatchRegime, CompiledSchedule};
 use mtp_core::{
@@ -43,7 +44,7 @@ use mtp_core::{
 use mtp_kernels::CalibratedCostModel;
 use mtp_link::Topology;
 use mtp_model::{InferenceMode, TransformerConfig};
-use mtp_sim::{ChipSpec, FaultPlan, LinkRegime};
+use mtp_sim::{ChipSpec, ChipStats, FaultPlan, LinkRegime};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -594,18 +595,6 @@ impl Scenario {
         }
     }
 
-    /// The `link_bw_pct` JSON value: a bare number under the affine
-    /// regime (byte-identical to the pre-regime engine), a quoted
-    /// `"pct@regime"` string otherwise.
-    #[must_use]
-    pub fn link_bw_json(&self) -> String {
-        if self.link_regime == LinkRegime::Affine {
-            self.link_bw_pct.to_string()
-        } else {
-            json_string(&self.link_label())
-        }
-    }
-
     /// The chip specification this scenario simulates on: Siracusa with
     /// the link-bandwidth, link-regime, and placement axes applied.
     #[must_use]
@@ -1069,136 +1058,67 @@ pub struct SweepResults {
     pub elapsed: Duration,
 }
 
-/// CSV column header of [`SweepResults::to_csv`] (one value per
-/// [`SweepRow`] field, stable for downstream tooling).
+/// The sweep table's column list, stable for downstream tooling: the
+/// CSV header line of [`SweepResults::to_csv`] and, in order, the keys
+/// of each JSON row. Faulted JSON rows add their fault counters before
+/// `energy_mj`, and every JSON row ends with its `per_chip` breakdowns.
 pub const CSV_HEADER: &str = "model,mode,chips,topology,placement,link_bw_pct,span,blocks,\
                               residency,makespan_cycles,runtime_ms,compute_cycles,\
                               dma_l3_l2_cycles,dma_l2_l1_cycles,c2c_cycles,idle_cycles,\
                               l3_l2_bytes,l2_l1_bytes,c2c_bytes,energy_mj,edp_mj_ms";
 
-pub(crate) fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
-    }
-}
+impl Record for SweepRow {
+    const HEADER: &'static str = CSV_HEADER;
 
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    fn cells(&self, w: &mut Cells<'_>) {
+        let s = &self.scenario;
+        let r = &*self.report;
+        let b = r.breakdown();
+        w.cell(Cell::Str(&s.model_label()));
+        w.cell(Cell::Str(&s.mode.to_string()));
+        w.cell(Cell::Int(s.n_chips as u64));
+        w.cell(Cell::Str(&s.topology.label()));
+        w.cell(Cell::Str(s.placement.label()));
+        // A bare number under the affine regime (the pre-regime
+        // spelling), a `pct@regime` string otherwise.
+        if s.link_regime == LinkRegime::Affine {
+            w.cell(Cell::Int(u64::from(s.link_bw_pct)));
+        } else {
+            w.cell(Cell::Str(&s.link_label()));
         }
+        w.cell(Cell::Str(&s.span_batch_label()));
+        w.cell(Cell::Int(r.n_blocks as u64));
+        w.cell(Cell::Str(&r.residency.to_string()));
+        w.cell(Cell::Int(r.stats.makespan));
+        w.cell(Cell::Real(r.runtime_ms()));
+        for cycles in [b.compute, b.dma_l3_l2, b.dma_l2_l1, b.c2c, b.idle] {
+            w.cell(Cell::Int(cycles));
+        }
+        w.cell(Cell::Int(r.stats.total_l3_l2_bytes()));
+        w.cell(Cell::Int(r.stats.total_l2_l1_bytes()));
+        w.cell(Cell::Int(r.stats.total_c2c_bytes()));
+        // Fault counters appear only on faulted JSON rows, so fault-free
+        // JSON stays byte-identical to the pre-fault engine (the pinned
+        // checksum contract).
+        if !s.faults.is_empty() {
+            w.json_cell("faults", Cell::Str(&s.faults.label()));
+            w.json_cell("fail_policy", Cell::Str(s.fail_policy.label()));
+            w.json_cell("fault_stall_cycles", Cell::Int(r.stats.total_fault_stall_cycles()));
+            w.json_cell("fault_slow_cycles", Cell::Int(r.stats.total_fault_slow_cycles()));
+            w.json_cell("fault_link_cycles", Cell::Int(r.stats.total_fault_link_cycles()));
+            w.json_cell("fault_downtime_cycles", Cell::Int(r.stats.total_downtime_cycles()));
+        }
+        w.cell(Cell::Real(r.energy_mj()));
+        w.cell(Cell::Real(r.edp()));
+        w.json_records("per_chip", r.stats.per_chip.iter().map(ChipStats::breakdown));
     }
-    out.push('"');
-    out
 }
 
 impl SweepRow {
     /// One CSV line (no trailing newline), matching [`CSV_HEADER`].
     #[must_use]
     pub fn to_csv_line(&self) -> String {
-        let s = &self.scenario;
-        let r = &self.report;
-        let b = r.breakdown();
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{:.6},{:.6}",
-            csv_field(&s.model_label()),
-            s.mode,
-            s.n_chips,
-            s.topology.label(),
-            s.placement.label(),
-            s.link_label(),
-            s.span_batch_label(),
-            r.n_blocks,
-            r.residency,
-            r.stats.makespan,
-            r.runtime_ms(),
-            b.compute,
-            b.dma_l3_l2,
-            b.dma_l2_l1,
-            b.c2c,
-            b.idle,
-            r.stats.total_l3_l2_bytes(),
-            r.stats.total_l2_l1_bytes(),
-            r.stats.total_c2c_bytes(),
-            r.energy_mj(),
-            r.edp(),
-        )
-    }
-
-    /// One JSON object (the same fields as the CSV line plus the per-chip
-    /// breakdown array).
-    #[must_use]
-    pub fn to_json_object(&self) -> String {
-        let s = &self.scenario;
-        let r = &self.report;
-        let b = r.breakdown();
-        let per_chip: Vec<String> = r
-            .per_chip_breakdowns()
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"compute\":{},\"dma_l3_l2\":{},\"dma_l2_l1\":{},\"c2c\":{},\"idle\":{}}}",
-                    c.compute, c.dma_l3_l2, c.dma_l2_l1, c.c2c, c.idle
-                )
-            })
-            .collect();
-        // Fault counters appear only on faulted rows, so fault-free JSON
-        // stays byte-identical to the pre-fault engine (the pinned
-        // checksum contract).
-        let faults = if s.faults.is_empty() {
-            String::new()
-        } else {
-            format!(
-                "\"faults\":{},\"fail_policy\":{},\"fault_stall_cycles\":{},\
-                 \"fault_slow_cycles\":{},\"fault_link_cycles\":{},\"fault_downtime_cycles\":{},",
-                json_string(&s.faults.label()),
-                json_string(s.fail_policy.label()),
-                r.stats.total_fault_stall_cycles(),
-                r.stats.total_fault_slow_cycles(),
-                r.stats.total_fault_link_cycles(),
-                r.stats.total_downtime_cycles(),
-            )
-        };
-        format!(
-            "{{\"model\":{},\"mode\":{},\"chips\":{},\"topology\":{},\"placement\":{},\
-             \"link_bw_pct\":{},\"span\":{},\"blocks\":{},\"residency\":{},\
-             \"makespan_cycles\":{},\"runtime_ms\":{:.6},\"compute_cycles\":{},\
-             \"dma_l3_l2_cycles\":{},\"dma_l2_l1_cycles\":{},\"c2c_cycles\":{},\
-             \"idle_cycles\":{},\"l3_l2_bytes\":{},\"l2_l1_bytes\":{},\"c2c_bytes\":{},\
-             {faults}\"energy_mj\":{:.6},\"edp_mj_ms\":{:.6},\"per_chip\":[{}]}}",
-            json_string(&s.model_label()),
-            json_string(&s.mode.to_string()),
-            s.n_chips,
-            json_string(&s.topology.label()),
-            json_string(s.placement.label()),
-            s.link_bw_json(),
-            json_string(&s.span_batch_label()),
-            r.n_blocks,
-            json_string(&r.residency.to_string()),
-            r.stats.makespan,
-            r.runtime_ms(),
-            b.compute,
-            b.dma_l3_l2,
-            b.dma_l2_l1,
-            b.c2c,
-            b.idle,
-            r.stats.total_l3_l2_bytes(),
-            r.stats.total_l2_l1_bytes(),
-            r.stats.total_c2c_bytes(),
-            r.energy_mj(),
-            r.edp(),
-            per_chip.join(","),
-        )
+        record::csv_line(self)
     }
 }
 
@@ -1207,31 +1127,15 @@ impl SweepResults {
     /// newline). Byte-identical across runs of the same grid.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.to_csv_line());
-            out.push('\n');
-        }
-        out
+        record::render(Format::Csv, &self.rows)
     }
 
-    /// Serializes every row as a JSON array (one object per row).
-    /// Byte-identical across runs of the same grid.
+    /// Serializes every row as a JSON array (one object per row, with
+    /// the per-chip breakdown array and, on faulted rows, the fault
+    /// counters). Byte-identical across runs of the same grid.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&row.to_json_object());
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push(']');
-        out.push('\n');
-        out
+        record::render(Format::Json, &self.rows)
     }
 
     /// Renders the rows as an aligned text table (what `mtp sweep`
@@ -1727,14 +1631,7 @@ impl SweepEngine {
         scenarios: &[Scenario],
         out: &mut W,
     ) -> std::io::Result<StreamSummary> {
-        out.write_all(CSV_HEADER.as_bytes())?;
-        out.write_all(b"\n")?;
-        let summary = self.stream_rows(scenarios, |row| {
-            out.write_all(row.to_csv_line().as_bytes())?;
-            out.write_all(b"\n")
-        })?;
-        out.flush()?;
-        Ok(summary)
+        self.stream(Format::Csv, scenarios, out)
     }
 
     /// The JSON twin of [`SweepEngine::run_streamed`]: streams the exact
@@ -1756,20 +1653,24 @@ impl SweepEngine {
         scenarios: &[Scenario],
         out: &mut W,
     ) -> std::io::Result<StreamSummary> {
-        out.write_all(b"[\n")?;
-        let mut first = true;
+        self.stream(Format::Json, scenarios, out)
+    }
+
+    /// Writes one table of `scenarios`' rows to `out` as the chunking
+    /// loop produces them, draining the table's buffer after each row.
+    fn stream<W: std::io::Write>(
+        &self,
+        format: Format,
+        scenarios: &[Scenario],
+        out: &mut W,
+    ) -> std::io::Result<StreamSummary> {
+        let mut table = Table::new(format);
+        table.drain_to(out)?;
         let summary = self.stream_rows(scenarios, |row| {
-            if !first {
-                out.write_all(b",\n")?;
-            }
-            first = false;
-            out.write_all(b"  ")?;
-            out.write_all(row.to_json_object().as_bytes())
+            table.push(row);
+            table.drain_to(out)
         })?;
-        if !first {
-            out.write_all(b"\n")?;
-        }
-        out.write_all(b"]\n")?;
+        out.write_all(table.finish().as_bytes())?;
         out.flush()?;
         Ok(summary)
     }
@@ -2291,6 +2192,21 @@ mod tests {
         let all_drop =
             base.with_link_regime(LinkRegime::Lossy { drop_per_mille: 1000, nack_cycles: 500 });
         assert!(all_drop.validate().unwrap_err().to_string().contains("1000"));
+    }
+
+    #[test]
+    fn rows_list_one_value_per_column() {
+        let grid = small_grid()
+            .with_link_regimes(vec![LinkRegime::Affine, LinkRegime::parse("lossy:5").unwrap()])
+            .with_batch_sizes(vec![1, 4])
+            .with_fault_plans(vec![FaultPlan::none(), FaultPlan::parse("failstop:0:2000").unwrap()])
+            .with_fail_policy(FailPolicy::SpareChip);
+        let results = SweepEngine::new().run(&grid);
+        assert!(results.rows.iter().any(|r| !r.scenario.faults.is_empty()));
+        let columns = CSV_HEADER.split(',').count();
+        for row in &results.rows {
+            assert_eq!(record::values_listed(row), columns);
+        }
     }
 
     #[test]
