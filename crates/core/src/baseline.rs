@@ -21,7 +21,7 @@ use mtp_sim::{ChipSpec, Instr, Machine, MemPath, Program};
 
 /// Qualitative properties of a partitioning strategy (the rows of the
 /// paper's Table I).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyProperties {
     /// Strategy name.
     pub name: String,

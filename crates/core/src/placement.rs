@@ -18,10 +18,9 @@
 use crate::{PartitionSpec, Result};
 use mtp_model::{AttentionKind, TransformerConfig};
 use mtp_sim::ChipSpec;
-use serde::{Deserialize, Serialize};
 
 /// Steady-state residency of a chip's weight slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightResidency {
     /// Slices streamed synchronously from L3 each block.
     Streamed,
@@ -43,7 +42,7 @@ impl std::fmt::Display for WeightResidency {
 }
 
 /// The memory plan for one chip of the distributed system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
     /// Chosen residency regime.
     pub residency: WeightResidency,

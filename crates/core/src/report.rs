@@ -4,11 +4,10 @@ use crate::WeightResidency;
 use mtp_energy::EnergyReport;
 use mtp_model::InferenceMode;
 use mtp_sim::{Breakdown, RunStats};
-use serde::{Deserialize, Serialize};
 
 /// The result of simulating one workload on the distributed system —
 /// everything the paper's figures plot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemReport {
     /// Number of chips used.
     pub n_chips: usize,

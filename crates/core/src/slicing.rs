@@ -3,7 +3,6 @@
 use crate::{CoreError, Result};
 use mtp_model::{BlockWeights, TransformerConfig};
 use mtp_tensor::{Dtype, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Static description of how one model is partitioned over `n_chips`.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.ffn_per_chip(), 256);
 /// # Ok::<(), mtp_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     n_chips: usize,
     n_heads: usize,

@@ -33,11 +33,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 /// Traffic and compute-time summary of one inference run — the observables
 /// the energy formula consumes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Total bytes moved between L3 and L2 across all chips.
     pub l3_l2_bytes: u64,
@@ -50,7 +48,7 @@ pub struct Traffic {
 }
 
 /// Constants of the analytical energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// L3 (off-chip) access energy, picojoules per byte.
     pub l3_pj_per_byte: f64,
@@ -105,7 +103,7 @@ impl Default for EnergyParams {
 }
 
 /// Energy broken down by the four terms of the formula, in millijoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {
     /// `sum_j P * T_comp,j`.
     pub compute_mj: f64,

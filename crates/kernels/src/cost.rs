@@ -8,13 +8,12 @@
 //! partitioning lose energy efficiency in the paper's MobileBERT result.
 
 use crate::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the cluster cost model.
 ///
 /// Defaults ([`CostParams::siracusa`]) model the 8-core Siracusa cluster at
 /// 500 MHz executing int8 kernels with XpulpNN-style SIMD MACs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Number of worker cores in the cluster.
     pub cores: usize,
@@ -85,7 +84,7 @@ impl Default for CostParams {
 /// let m = ClusterCostModel::siracusa();
 /// assert!(m.cycles(&Kernel::gemv(512, 512)) > 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterCostModel {
     params: CostParams,
 }
@@ -186,7 +185,7 @@ impl Default for ClusterCostModel {
 
 /// Broad operation class a [`Kernel`] falls into for calibration: kernels
 /// in one class share a host throughput (ns per work unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// GEMM-shaped (data-reuse friendly) matmuls; unit = one MAC.
     Gemm,
@@ -231,7 +230,7 @@ impl OpClass {
 
 /// One measured host timing: `kernel` took `host_ns` nanoseconds end to
 /// end on the measurement machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationSample {
     /// The kernel shape that was timed.
     pub kernel: Kernel,
@@ -250,7 +249,7 @@ pub struct CalibrationSample {
 /// simulator path keeps the deterministic [`ClusterCostModel`]; calibration
 /// is opt-in (`mtp bench --calibrate`) because measured timings vary by
 /// host and would break reproducible sweep outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibratedCostModel {
     gemm_ns_per_mac: f64,
     gemv_ns_per_mac: f64,
@@ -404,7 +403,7 @@ impl CalibratedCostModel {
 /// The simulator's default is [`CostSource::Analytic`] — deterministic,
 /// host-independent, reproducible sweep checksums. [`CostSource::Calibrated`]
 /// swaps in measured host throughputs for what-if analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostSource {
     /// The analytical roofline model (the default everywhere).
     Analytic(ClusterCostModel),

@@ -41,12 +41,10 @@ pub use ops::{
     rope_heads_inplace, rope_inplace, silu, silu_inplace, softmax_rows, softmax_rows_inplace,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// A dimension-only descriptor of one kernel invocation on a cluster.
 ///
 /// The timing simulator schedules `Kernel`s; it never sees tensor values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Dense matrix multiply `[m x k] @ [k x n]`.
     Gemm {

@@ -1,14 +1,12 @@
 //! Structural steps of collective operations.
 
-use serde::{Deserialize, Serialize};
-
 /// One point-to-point message within a collective.
 ///
 /// Steps are emitted in *dependency order*: for a reduction, every step at
 /// `level` k may require the destination to have already received its
 /// level-(k-1) messages; executing steps in slice order (and matching
 /// receive order at each destination) is always correct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommStep {
     /// Sending chip.
     pub from: usize,

@@ -1,7 +1,5 @@
 //! Analytical model of the MIPI chip-to-chip serial port.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of a chip-to-chip link port.
 ///
 /// The paper's MIPI interface: 0.5 GB/s (1 byte per 500 MHz cluster cycle)
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// let mipi = mtp_link::LinkPortSpec::mipi();
 /// assert_eq!(mipi.transfer_cycles(1000), 500 + 1000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPortSpec {
     /// Sustained link bandwidth in bytes per cluster cycle.
     pub bytes_per_cycle: f64,

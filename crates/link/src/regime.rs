@@ -18,8 +18,6 @@
 //! hash of `(message id, packet index, attempt)`, so a given program
 //! produces the same timing on every run and on every thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// Packet (MTU) size assumed by the lossy go-back-N model, in bytes.
 pub const LOSSY_MTU_BYTES: u64 = 256;
 
@@ -34,7 +32,7 @@ pub const GO_BACK_N_WINDOW: u64 = 8;
 pub const LOSSY_MAX_ATTEMPTS: u32 = 64;
 
 /// How a finite ingress buffer reacts to a message that does not fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueDiscipline {
     /// Lossless credit-based flow control: the sender stalls until the
     /// receiver drains enough bytes, then transmits. Nothing is ever
@@ -56,7 +54,7 @@ pub enum QueueDiscipline {
 /// `Affine` is the default and reproduces the paper's numbers exactly;
 /// `Queued` with an infinite buffer is timing-identical to `Affine` (see
 /// `DESIGN.md` §11 for the argument).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkRegime {
     /// Affine per-message cost (fixed latency + bytes/bandwidth); the
     /// paper's model and the default.

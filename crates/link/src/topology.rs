@@ -1,7 +1,6 @@
 //! Hierarchical group-of-4 reduction topology (paper Fig. 1).
 
 use crate::CommStep;
-use serde::{Deserialize, Serialize};
 
 /// Error building a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +28,7 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Shape of the collective: hierarchical tree or flat all-to-one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scheme {
     Hierarchical { group_size: usize },
     Flat,
@@ -49,7 +48,7 @@ enum Scheme {
 /// assert_eq!(t.reduce_steps().len(), 15);
 /// # Ok::<(), mtp_link::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n_chips: usize,
     scheme: Scheme,

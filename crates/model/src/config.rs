@@ -1,10 +1,9 @@
 //! Transformer architecture configurations.
 
 use mtp_tensor::Dtype;
-use serde::{Deserialize, Serialize};
 
 /// Row-wise normalization flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NormKind {
     /// LayerNorm (BERT-family).
     LayerNorm,
@@ -13,7 +12,7 @@ pub enum NormKind {
 }
 
 /// FFN activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Gaussian Error Linear Unit (the paper's FC description).
     Gelu,
@@ -22,7 +21,7 @@ pub enum Activation {
 }
 
 /// Attention variant: bidirectional encoder or causal decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttentionKind {
     /// Bidirectional (encoder-only models such as MobileBERT).
     Bidirectional,
@@ -31,7 +30,7 @@ pub enum AttentionKind {
 }
 
 /// Inference mode of a decoder-only model (paper Sec. II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InferenceMode {
     /// Token-by-token generation with a KV-cache; GEMV-dominated.
     Autoregressive,
@@ -53,7 +52,7 @@ impl std::fmt::Display for InferenceMode {
 /// Dimension names follow the paper: sequence length `S`, embedding
 /// dimension `E`, per-head projection dimension `P`, head count `H`,
 /// FFN intermediate dimension `F`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TransformerConfig {
     /// Human-readable model name.
     pub name: String,

@@ -3,7 +3,6 @@
 use crate::{DmaSpec, MemorySpec};
 use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 pub use mtp_link::{LinkPortSpec, LinkRegime, QueueDiscipline};
-use serde::{Deserialize, Serialize};
 
 /// Full specification of one MCU in the multi-chip system.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let chip = mtp_sim::ChipSpec::siracusa();
 /// assert_eq!(chip.l2.capacity_bytes, 2 * 1024 * 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSpec {
     /// Cluster clock frequency in hertz.
     pub freq_hz: f64,

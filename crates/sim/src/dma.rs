@@ -1,7 +1,5 @@
 //! DMA engine timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing model of a DMA engine: per-transfer setup latency plus a
 /// bandwidth term.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// off-chip memory so much slower than bulk asynchronous prefetch — the
 /// mechanism behind the paper's super-linear speedups once weights fit
 /// on-chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaSpec {
     /// Sustained bandwidth in bytes per cluster cycle.
     pub bytes_per_cycle: f64,

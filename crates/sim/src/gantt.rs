@@ -6,10 +6,9 @@
 //! be inspected, rendered, or diffed. Tracing does not alter timing.
 
 use crate::MemPath;
-use serde::{Deserialize, Serialize};
 
 /// What a chip was doing during a traced interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// Kernel execution on the cluster (with its display label).
     Compute {
@@ -38,7 +37,7 @@ pub enum TraceKind {
 }
 
 /// One busy interval of one chip.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Chip index.
     pub chip: usize,
@@ -59,7 +58,7 @@ impl TraceEvent {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }

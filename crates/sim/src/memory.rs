@@ -1,9 +1,7 @@
 //! Memory-level specifications and transfer paths.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of one memory level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySpec {
     /// Usable capacity in bytes (`u64::MAX` for unbounded off-chip memory).
     pub capacity_bytes: u64,
@@ -24,7 +22,7 @@ impl MemorySpec {
 /// The simulator attributes exposed DMA time and byte counters per path
 /// *pair* (direction does not change cost), matching the paper's
 /// `N_{L3<->L2}` / `N_{L2<->L1}` notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemPath {
     /// Off-chip L3 into on-chip L2 (weight streaming / prefetch).
     L3ToL2,

@@ -2,10 +2,9 @@
 
 use crate::MemPath;
 use mtp_kernels::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one chip in the multi-chip system (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChipId(pub usize);
 
 impl std::fmt::Display for ChipId {
@@ -18,11 +17,11 @@ impl std::fmt::Display for ChipId {
 ///
 /// The schedule builder assigns these; a [`Instr::Recv`] matches the
 /// [`Instr::Send`] carrying the same id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgId(pub u64);
 
 /// Identifier of an in-flight asynchronous DMA transfer within one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DmaTag(pub u32);
 
 /// One instruction of a per-chip program.
@@ -30,7 +29,7 @@ pub struct DmaTag(pub u32);
 /// Programs are straight-line: control flow (layer loops, head loops) is
 /// unrolled by the schedule builder in `mtp-core`, exactly as a deployment
 /// compiler like Deeploy emits a static schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// Run a kernel on the compute cluster (blocking).
     Compute(Kernel),
@@ -136,7 +135,7 @@ pub fn id_span(template: &[Program]) -> (u64, u32) {
 }
 
 /// A straight-line instruction sequence for one chip.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -1,7 +1,6 @@
 //! Run statistics: makespan, per-chip breakdowns, byte counters.
 
 use crate::MemPath;
-use serde::{Deserialize, Serialize};
 
 /// Per-chip counters accumulated by the executor.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// transfers, stalls at `DmaWait`/`Recv`); bytes are counted for every
 /// transfer regardless of overlap, because the energy model charges bytes,
 /// not time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChipStats {
     /// Cycles the cluster spent executing kernels.
     pub compute_cycles: u64,
@@ -137,7 +136,7 @@ impl ChipStats {
 
 /// Runtime breakdown into the four categories of the paper's Fig. 4, plus
 /// idle time (cycles).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     /// Cluster computation.
     pub compute: u64,
@@ -170,7 +169,7 @@ impl std::fmt::Display for Breakdown {
 }
 
 /// Result of executing one set of programs on a [`crate::Machine`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// End-to-end runtime in cycles (max finish over chips).
     pub makespan: u64,

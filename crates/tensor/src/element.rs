@@ -71,7 +71,7 @@ impl TensorElement for i8 {
 /// accumulate there (exactly like MCU half-precision pipelines with f32
 /// accumulators), and narrow on store if needed. Widening is exact, so
 /// SIMD and scalar f16 kernels stay bit-identical to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(transparent)]
 pub struct F16(u16);
 

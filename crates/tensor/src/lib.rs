@@ -65,7 +65,7 @@ pub use workspace::{
 /// The simulator only needs the *byte width*; the functional executor always
 /// computes in `f32` (with an `i32` accumulator path for the int8 pipeline
 /// and exact-widening half-precision storage via [`F16`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// 8-bit signed integer (the deployment dtype used in the paper).
     Int8,

@@ -9,7 +9,7 @@ use crate::element::TensorElement;
 use crate::{Result, Shape, Tensor, TensorBase, TensorError};
 
 /// Parameters of a symmetric linear quantizer `real = scale * q`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantization {
     /// Scale factor mapping int8 values back to reals.
     pub scale: f32,
@@ -28,7 +28,7 @@ impl Quantization {
 
 /// A quantized int8 tensor: a [`TensorBase<i8>`] container paired with its
 /// per-tensor [`Quantization`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
     values: TensorBase<i8>,
     quant: Quantization,

@@ -15,7 +15,7 @@ use crate::{Result, TensorError};
 /// assert_eq!(s.rows(), 4);
 /// assert_eq!(s.cols(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; 3],
     rank: u8,

@@ -12,7 +12,7 @@ use crate::{Result, Shape, TensorError};
 /// [`Tensor`] (= `TensorBase<f32>`, the golden-model type every
 /// functional path computes in) and the half/int8 storage forms that
 /// widen into it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TensorBase<E: TensorElement> {
     shape: Shape,
     data: Vec<E>,
