@@ -1,7 +1,5 @@
 //! The repo's wall-clock benchmark runner (`mtp bench`).
 //!
-//! Criterion micro-benchmarks (in `crates/bench`) are great for local
-//! kernel work but too slow and too verbose for a committed trajectory.
 //! This module runs a fixed, versioned set of **hot-path benchmarks** —
 //! the blocked tensor kernels, the event-driven simulator, and the
 //! cold-cache scenario sweep — and serializes the results as one small

@@ -4,8 +4,8 @@
 //! Each `figN` module exposes a `run()` that produces the figure's data
 //! (chip-count sweeps of [`mtp_core::SystemReport`]s) and a `print()` that
 //! renders the same rows/series the paper plots. The modules are consumed
-//! by the `examples/paper_figures.rs` binary and by the Criterion benches
-//! in `mtp-bench` (one bench target per figure).
+//! by the `examples/paper_figures.rs` binary and the `mtp` CLI, and
+//! [`bench`] times the simulations behind them.
 //!
 //! | Paper artefact | Module |
 //! |---|---|

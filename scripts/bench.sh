@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Runs the repo's performance benchmarks.
 #
-#   scripts/bench.sh               full run: criterion micro-suite + the
-#                                  `mtp bench` wall-clock suite, writing
-#                                  bench-results.json in the repo root
+#   scripts/bench.sh               full run of the `mtp bench` wall-clock
+#                                  suite, writing bench-results.json in
+#                                  the repo root
 #   scripts/bench.sh --quick       CI smoke profile: `mtp bench --quick`
-#                                  only (criterion stays out of CI)
 #   scripts/bench.sh --json FILE   override the JSON output path
 #
 # The `mtp bench` suite includes the multi-request batching entries
@@ -29,12 +28,6 @@ while [ $# -gt 0 ]; do
     *) echo "usage: scripts/bench.sh [--quick] [--json FILE]" >&2; exit 2 ;;
   esac
 done
-
-if [ -z "$quick" ]; then
-  echo "== criterion micro-suite (kernels + sweep engine) =="
-  cargo bench --bench kernels -- --bench
-  cargo bench --bench sweep -- --bench
-fi
 
 echo "== mtp bench $quick =="
 cargo run --release --bin mtp -- bench $quick --json "$json_out"
