@@ -11,10 +11,9 @@
 //! bundles those arrivals with per-request prompt/decode shapes for the
 //! timing layer in `mtp-core`.
 //!
-//! Everything is deterministic by construction: the only randomness is a
-//! [SplitMix64](https://prng.di.unimi.it/splitmix64.c) stream owned by
-//! this module, so the same `(process, n, seed)` triple replays the same
-//! workload bit-for-bit on every platform — the property the serving
+//! Everything is deterministic by construction: the only randomness is
+//! the workspace's [`SplitMix64`] stream, so the same `(process, n,
+//! seed)` triple replays the same workload bit-for-bit on every platform — the property the serving
 //! lockstep suite (`tests/serving_lockstep.rs`) locks with byte-equality
 //! over CSV/JSON sweep output.
 //!
@@ -36,35 +35,7 @@
 //! ```
 
 use crate::TransformerConfig;
-
-/// SplitMix64: the tiny, seedable, platform-independent generator behind
-/// every arrival draw. Chosen over a vendored RNG dependency because the
-/// exact stream is part of the replayability contract — two builds must
-/// produce byte-identical workloads from the same seed.
-#[derive(Debug, Clone)]
-struct ArrivalRng {
-    state: u64,
-}
-
-impl ArrivalRng {
-    fn new(seed: u64) -> Self {
-        ArrivalRng { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `[0, 1)` with 53 random bits (the full f64
-    /// mantissa), so `1 - u` is never zero and `-ln(1 - u)` is finite.
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+use mtp_tensor::SplitMix64;
 
 /// How requests arrive at the fleet, as a function from `(n, seed)` to
 /// `n` non-decreasing arrival cycles.
@@ -190,7 +161,7 @@ impl ArrivalProcess {
         let mut out = Vec::with_capacity(n);
         match *self {
             ArrivalProcess::Poisson { rate_per_mcycle } => {
-                let mut rng = ArrivalRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let mut t = 0u64;
                 for _ in 0..n {
                     t += exponential_gap(&mut rng, rate_per_mcycle);
@@ -198,7 +169,7 @@ impl ArrivalProcess {
                 }
             }
             ArrivalProcess::Bursty { rate_per_mcycle, burst } => {
-                let mut rng = ArrivalRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let epoch_rate = rate_per_mcycle / burst as f64;
                 let mut t = 0u64;
                 while out.len() < n {
@@ -221,8 +192,8 @@ impl ArrivalProcess {
 
 /// One exponential inter-arrival gap in whole cycles at `rate` requests
 /// per megacycle.
-fn exponential_gap(rng: &mut ArrivalRng, rate: f64) -> u64 {
-    let u = rng.next_unit();
+fn exponential_gap(rng: &mut SplitMix64, rate: f64) -> u64 {
+    let u = rng.next_f64();
     let gap = -(1.0 - u).ln() * 1.0e6 / rate;
     // Arrivals beyond ~2^63 cycles are off any simulated horizon; the
     // saturating cast keeps pathological rates well-defined.

@@ -8,9 +8,7 @@
 //! token.
 
 use crate::TransformerConfig;
-use mtp_tensor::{Result, Shape, Tensor, TensorError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mtp_tensor::{Result, Shape, SplitMix64, Tensor, TensorError};
 
 /// A token id.
 pub type TokenId = u32;
@@ -27,9 +25,9 @@ impl Embedding {
     /// embedding width.
     #[must_use]
     pub fn seeded(cfg: &TransformerConfig, vocab: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let data: Vec<f32> =
-            (0..vocab * cfg.embed_dim).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * 0.1).collect();
+            (0..vocab * cfg.embed_dim).map(|_| (rng.next_f32() * 2.0 - 1.0) * 0.1).collect();
         let table = Tensor::from_vec(Shape::mat(vocab, cfg.embed_dim), data)
             .expect("consistent length by construction");
         Embedding { table }

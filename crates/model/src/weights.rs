@@ -1,9 +1,7 @@
 //! Seeded-random model weights with the paper's exact shapes.
 
 use crate::TransformerConfig;
-use mtp_tensor::{Shape, Tensor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mtp_tensor::{Shape, SplitMix64, Tensor};
 
 /// All learnable tensors of one Transformer block.
 ///
@@ -34,8 +32,8 @@ pub struct BlockWeights {
     pub norm2_beta: Vec<f32>,
 }
 
-fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Tensor {
-    let data: Vec<f32> = (0..rows * cols).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * std).collect();
+fn random_matrix(rng: &mut SplitMix64, rows: usize, cols: usize, std: f32) -> Tensor {
+    let data: Vec<f32> = (0..rows * cols).map(|_| (rng.next_f32() * 2.0 - 1.0) * std).collect();
     Tensor::from_vec(Shape::mat(rows, cols), data).expect("consistent length by construction")
 }
 
@@ -45,7 +43,7 @@ impl BlockWeights {
     /// numerically comfortable range).
     #[must_use]
     pub fn seeded(cfg: &TransformerConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let e = cfg.embed_dim;
         let f = cfg.ffn_dim;
         let kvw = cfg.kv_width();

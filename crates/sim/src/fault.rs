@@ -17,6 +17,8 @@
 //! the fixed-point proof rests on, so faulted workloads always run the
 //! exact full simulation. See `DESIGN.md` §14.
 
+use mtp_tensor::SplitMix64;
+
 /// One injected fault. Cycle fields are absolute cycles on the affected
 /// chip's local clock; faults take effect at instruction boundaries (the
 /// executor never preempts an instruction mid-flight).
@@ -254,7 +256,7 @@ impl FaultPlan {
                 if n_chips == 0 {
                     return Vec::new();
                 }
-                let mut rng = SplitMix64(*seed);
+                let mut rng = SplitMix64::new(*seed);
                 let dur_cap = (horizon / 20).max(1);
                 (0..*count)
                     .map(|_| {
@@ -340,20 +342,6 @@ fn parse_event(part: &str) -> Result<FaultEvent, String> {
             "unknown fault event '{part}' (expected failstop:CHIP:AT, stall:CHIP:AT:DUR, \
              slow:CHIP:FROM:DUR:PCT, flap:CHIP:FROM:DUR:PCT, or seeded:SEED:COUNT[:HORIZON])"
         )),
-    }
-}
-
-/// SplitMix64 — the same generator the arrival processes use, so seeded
-/// fault draws share their determinism argument.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
