@@ -18,6 +18,7 @@ use mtp::harness::sweep::{
 use mtp::harness::{ablation, advisor, bench, fig4, fig5, fig6, headline, table1};
 use mtp::model::{ArrivalProcess, InferenceMode, TransformerConfig};
 use mtp::sim::{ChipSpec, FaultPlan, LinkRegime, Machine};
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -154,24 +155,31 @@ COST SOURCE:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
     let result = match args.first().map(String::as_str) {
-        Some("simulate") => simulate(&args[1..]),
-        Some("sweep") => sweep_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("advise") => advise(&args[1..]),
-        Some("figures") => figures(),
-        Some("headline") => headline_cmd(),
-        Some("ablation") => ablation_cmd(),
-        Some("table1") => table1_cmd(&args[1..]),
-        Some("bench") => bench_cmd(&args[1..]),
-        Some("--help" | "-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Some("simulate") => simulate(&args[1..], &mut out),
+        Some("sweep") => sweep_cmd(&args[1..], &mut out),
+        Some("serve") => serve_cmd(&args[1..], &mut out),
+        Some("advise") => advise(&args[1..], &mut out),
+        Some("figures") => figures(&mut out),
+        Some("headline") => headline_cmd(&mut out),
+        Some("ablation") => ablation_cmd(&mut out),
+        Some("table1") => table1_cmd(&args[1..], &mut out),
+        Some("bench") => bench_cmd(&args[1..], &mut out),
+        Some("--help" | "-h") | None => write!(out, "{USAGE}").map_err(Into::into),
         Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
-    };
+    }
+    .and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed stdout early (`mtp ... | head -1`) wanted
+        // no more output: that ends the run cleanly, not as an error.
+        Err(e)
+            if e.downcast_ref::<io::Error>().is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -206,7 +214,7 @@ fn list_flag<'a>(args: &'a [String], name: &str) -> Option<Vec<&'a str>> {
     flag_value(args, name).map(|v| v.split(',').filter(|s| !s.is_empty()).collect())
 }
 
-fn simulate(args: &[String]) -> CliResult {
+fn simulate(args: &[String], out: &mut impl Write) -> CliResult {
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("ar"))?;
     let model = flag_value(args, "--model").unwrap_or("tinyllama");
     let cfg = parse_model(model, mode)?;
@@ -215,20 +223,22 @@ fn simulate(args: &[String]) -> CliResult {
 
     let sys = DistributedSystem::paper_default(cfg.clone(), chips)?;
     let report = sys.simulate_blocks(mode, blocks)?;
-    println!("{report}");
+    writeln!(out, "{report}")?;
     let b = report.breakdown();
-    println!(
+    writeln!(
+        out,
         "breakdown (critical chip): compute {} | L3<->L2 {} | L2<->L1 {} | C2C {} | idle {}",
         b.compute, b.dma_l3_l2, b.dma_l2_l1, b.c2c, b.idle
-    );
+    )?;
     if chips > 1 {
         let single =
             DistributedSystem::paper_default(cfg.clone(), 1)?.simulate_blocks(mode, blocks)?;
-        println!(
+        writeln!(
+            out,
             "vs single chip: speedup {:.1}x, EDP improvement {:.1}x",
             report.speedup_over(&single),
             report.edp_improvement_over(&single)
-        );
+        )?;
     }
     let want_text_trace = has_flag(args, "--trace");
     let chrome_path = flag_value(args, "--chrome-trace");
@@ -239,11 +249,11 @@ fn simulate(args: &[String]) -> CliResult {
         let machine = Machine::homogeneous(chip, chips);
         let (_, trace) = machine.run_traced(&programs)?;
         if want_text_trace {
-            println!("\nexecution trace (1 block):\n{}", trace.render());
+            writeln!(out, "\nexecution trace (1 block):\n{}", trace.render())?;
         }
         if let Some(path) = chrome_path {
             std::fs::write(path, trace.to_chrome_json())?;
-            println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
+            writeln!(out, "chrome trace written to {path} (open in chrome://tracing or Perfetto)")?;
         }
     }
     Ok(())
@@ -349,7 +359,7 @@ fn build_sweep_grid(args: &[String]) -> Result<SweepGrid, String> {
     Ok(grid)
 }
 
-fn sweep_cmd(args: &[String]) -> CliResult {
+fn sweep_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     let grid = build_sweep_grid(args)?;
     let engine = if has_flag(args, "--serial") {
         SweepEngine::serial()
@@ -368,20 +378,16 @@ fn sweep_cmd(args: &[String]) -> CliResult {
         let scenarios = grid.scenarios();
         let summary = if let Some(path) = flag_value(args, "--json") {
             let file = std::fs::File::create(path)?;
-            let mut out = std::io::BufWriter::new(file);
-            let summary = engine.run_streamed_json(&scenarios, &mut out)?;
-            println!("JSON streamed to {path}");
+            let summary = engine.run_streamed_json(&scenarios, &mut io::BufWriter::new(file))?;
+            writeln!(out, "JSON streamed to {path}")?;
             summary
         } else if let Some(path) = flag_value(args, "--csv") {
             let file = std::fs::File::create(path)?;
-            let mut out = std::io::BufWriter::new(file);
-            let summary = engine.run_streamed(&scenarios, &mut out)?;
-            println!("CSV streamed to {path}");
+            let summary = engine.run_streamed(&scenarios, &mut io::BufWriter::new(file))?;
+            writeln!(out, "CSV streamed to {path}")?;
             summary
         } else {
-            let stdout = std::io::stdout();
-            let mut out = std::io::BufWriter::new(stdout.lock());
-            engine.run_streamed(&scenarios, &mut out)?
+            engine.run_streamed(&scenarios, &mut io::BufWriter::new(&mut *out))?
         };
         // stderr, so `mtp sweep --stream > out.csv` stays pure CSV.
         eprintln!("{} ({} worker thread(s))", summary.summary(), engine.threads());
@@ -389,42 +395,44 @@ fn sweep_cmd(args: &[String]) -> CliResult {
     }
 
     let results = engine.run(&grid);
-    print!("{}", results.render());
+    write!(out, "{}", results.render())?;
     if !results.skipped.is_empty() {
-        println!("\nskipped scenarios:");
+        writeln!(out, "\nskipped scenarios:")?;
         for s in &results.skipped {
-            println!(
+            writeln!(
+                out,
                 "  {} {} x{} {}: {}",
                 s.scenario.config.name,
                 s.scenario.mode,
                 s.scenario.n_chips,
                 s.scenario.topology.label(),
                 s.reason
-            );
+            )?;
         }
     }
-    println!("\n{} ({} worker thread(s))", results.summary(), engine.threads());
+    writeln!(out, "\n{} ({} worker thread(s))", results.summary(), engine.threads())?;
 
     if has_flag(args, "--compare-serial") {
         // Cold engines on both sides so the cache cannot flatter either.
         let serial = SweepEngine::serial().run(&grid);
         let parallel = SweepEngine::new().run(&grid);
         let speedup = serial.elapsed.as_secs_f64() / parallel.elapsed.as_secs_f64().max(1e-9);
-        println!(
+        writeln!(
+            out,
             "serial {:.1} ms vs parallel {:.1} ms on {} thread(s): {speedup:.2}x",
             serial.elapsed.as_secs_f64() * 1e3,
             parallel.elapsed.as_secs_f64() * 1e3,
             SweepEngine::new().threads(),
-        );
+        )?;
     }
 
     if let Some(path) = flag_value(args, "--csv") {
         std::fs::write(path, results.to_csv())?;
-        println!("CSV written to {path}");
+        writeln!(out, "CSV written to {path}")?;
     }
     if let Some(path) = flag_value(args, "--json") {
         std::fs::write(path, results.to_json())?;
-        println!("JSON written to {path}");
+        writeln!(out, "JSON written to {path}")?;
     }
     Ok(())
 }
@@ -493,32 +501,33 @@ fn list_flag_semicolon<'a>(args: &'a [String], name: &str) -> Option<Vec<&'a str
     flag_value(args, name).map(|v| v.split(';').filter(|s| !s.is_empty()).collect())
 }
 
-fn serve_cmd(args: &[String]) -> CliResult {
+fn serve_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     let grid = build_serve_grid(args)?;
     let mut engine = ServeEngine::new();
     let results = engine.run(&grid);
-    print!("{}", results.render());
+    write!(out, "{}", results.render())?;
     if !results.skipped.is_empty() {
-        println!("\nskipped scenarios:");
+        writeln!(out, "\nskipped scenarios:")?;
         for s in &results.skipped {
-            println!(
+            writeln!(
+                out,
                 "  {} x{} {} {}: {}",
                 s.scenario.model.cli_name(),
                 s.scenario.n_chips,
                 s.scenario.process.label(),
                 s.scenario.policy.label(),
                 s.reason
-            );
+            )?;
         }
     }
-    println!("\n{}", results.summary());
+    writeln!(out, "\n{}", results.summary())?;
     if let Some(path) = flag_value(args, "--csv") {
         std::fs::write(path, results.to_csv())?;
-        println!("CSV written to {path}");
+        writeln!(out, "CSV written to {path}")?;
     }
     if let Some(path) = flag_value(args, "--json") {
         std::fs::write(path, results.to_json())?;
-        println!("JSON written to {path}");
+        writeln!(out, "JSON written to {path}")?;
     }
     Ok(())
 }
@@ -549,7 +558,7 @@ fn parse_bw_item(item: &str, out: &mut Vec<u32>) -> Result<(), String> {
     Ok(())
 }
 
-fn advise(args: &[String]) -> CliResult {
+fn advise(args: &[String], out: &mut impl Write) -> CliResult {
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("ar"))?;
     let model = flag_value(args, "--model").unwrap_or("tinyllama");
     let cfg = parse_model(model, mode)?;
@@ -581,51 +590,55 @@ fn advise(args: &[String]) -> CliResult {
         space.link_bw_pcts = pcts;
     }
     let advice = advisor::advise(&cfg, mode, constraints, &space)?;
-    print!("{}", advisor::render(&advice, &constraints));
+    write!(out, "{}", advisor::render(&advice, &constraints))?;
     if let Some(path) = flag_value(args, "--csv") {
         std::fs::write(path, advice.to_csv())?;
-        println!("CSV written to {path}");
+        writeln!(out, "CSV written to {path}")?;
     }
     if let Some(path) = flag_value(args, "--json") {
         std::fs::write(path, advice.to_json())?;
-        println!("JSON written to {path}");
+        writeln!(out, "JSON written to {path}")?;
     }
     Ok(())
 }
 
-fn figures() -> CliResult {
-    println!("{}", fig4::render("Fig 4(a): TinyLlama autoregressive (S=128)", &fig4::fig4a()?));
-    println!("{}", fig4::render("Fig 4(b): TinyLlama prompt (S=16)", &fig4::fig4b()?));
-    println!("{}", fig4::render("Fig 4(c): MobileBERT (S=268)", &fig4::fig4c()?));
+fn figures(out: &mut impl Write) -> CliResult {
+    writeln!(
+        out,
+        "{}",
+        fig4::render("Fig 4(a): TinyLlama autoregressive (S=128)", &fig4::fig4a()?)
+    )?;
+    writeln!(out, "{}", fig4::render("Fig 4(b): TinyLlama prompt (S=16)", &fig4::fig4b()?))?;
+    writeln!(out, "{}", fig4::render("Fig 4(c): MobileBERT (S=268)", &fig4::fig4c()?))?;
     for panel in fig5::run()? {
-        println!("{}", fig5::render(&panel));
+        writeln!(out, "{}", fig5::render(&panel))?;
     }
-    println!("{}", fig6::render(&fig6::run()?));
-    println!("{}", table1::render(&table1::run(4, InferenceMode::Autoregressive)?));
-    println!("{}", headline::render(&headline::run()?));
+    writeln!(out, "{}", fig6::render(&fig6::run()?))?;
+    writeln!(out, "{}", table1::render(&table1::run(4, InferenceMode::Autoregressive)?))?;
+    writeln!(out, "{}", headline::render(&headline::run()?))?;
     Ok(())
 }
 
-fn headline_cmd() -> CliResult {
-    println!("{}", headline::render(&headline::run()?));
+fn headline_cmd(out: &mut impl Write) -> CliResult {
+    writeln!(out, "{}", headline::render(&headline::run()?))?;
     Ok(())
 }
 
-fn ablation_cmd() -> CliResult {
-    println!("{}", ablation::render_all()?);
+fn ablation_cmd(out: &mut impl Write) -> CliResult {
+    writeln!(out, "{}", ablation::render_all()?)?;
     Ok(())
 }
 
-fn bench_cmd(args: &[String]) -> CliResult {
+fn bench_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     if has_flag(args, "--calibrate") {
-        print!("{}", bench::render_calibration(has_flag(args, "--quick")));
+        write!(out, "{}", bench::render_calibration(has_flag(args, "--quick")))?;
         return Ok(());
     }
     let report = bench::run(has_flag(args, "--quick"));
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if let Some(path) = flag_value(args, "--json") {
         std::fs::write(path, report.to_json())?;
-        println!("JSON written to {path}");
+        writeln!(out, "JSON written to {path}")?;
     }
     if let Some(path) = flag_value(args, "--compare") {
         let baseline = bench::parse_baseline(&std::fs::read_to_string(path)?)?;
@@ -633,11 +646,15 @@ fn bench_cmd(args: &[String]) -> CliResult {
         if has_flag(args, "--check") {
             let tolerance: f64 =
                 flag_value(args, "--check").ok_or("--check requires a tolerance value")?.parse()?;
-            print!("{}", comparison.render_checked(tolerance));
+            write!(out, "{}", comparison.render_checked(tolerance))?;
             comparison.check(tolerance)?;
-            println!("perf check passed (worst slowdown {:.2}x)", comparison.worst_slowdown());
+            writeln!(
+                out,
+                "perf check passed (worst slowdown {:.2}x)",
+                comparison.worst_slowdown()
+            )?;
         } else {
-            print!("{}", comparison.render());
+            write!(out, "{}", comparison.render())?;
         }
     } else if has_flag(args, "--check") {
         return Err("--check requires --compare <BENCH_N.json>".into());
@@ -645,8 +662,8 @@ fn bench_cmd(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn table1_cmd(args: &[String]) -> CliResult {
+fn table1_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     let chips: usize = flag_value(args, "--chips").unwrap_or("4").parse()?;
-    println!("{}", table1::render(&table1::run(chips, InferenceMode::Autoregressive)?));
+    writeln!(out, "{}", table1::render(&table1::run(chips, InferenceMode::Autoregressive)?))?;
     Ok(())
 }

@@ -5,7 +5,8 @@
 //! messages are part of the CLI contract — scripts grep them — so each
 //! invalid case locks the wording, not just the failure.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn mtp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mtp")).args(args).output().expect("spawn mtp")
@@ -469,4 +470,34 @@ fn faulted_serve_is_reproducible_across_processes() {
         "faulted serve CSV not reproducible across processes"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout after one line (`mtp ... | head -1`)
+/// ends the run cleanly: exit 0, and no panic on stderr.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    let pcts = (1..=100).map(|p| p.to_string()).collect::<Vec<_>>().join(",");
+    // 400 rows: the table and the streamed CSV both outgrow a pipe
+    // buffer, so the closed pipe is always hit.
+    let grid = ["--models", "tinyllama", "--modes", "ar", "--chips", "1,2,4,8", "--link-bw", &pcts];
+    let cases = [
+        vec!["simulate", "--model", "tinyllama", "--chips", "8", "--blocks", "96", "--trace"],
+        [&["sweep"][..], &grid].concat(),
+        [&["sweep", "--stream"][..], &grid].concat(),
+    ];
+    for args in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mtp"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn mtp");
+        let mut line = String::new();
+        // Dropping the reader closes the read end of the pipe.
+        BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
+        assert!(!line.is_empty(), "{args:?} printed nothing");
+        let out = child.wait_with_output().expect("wait for mtp");
+        assert!(out.status.success(), "{args:?} exited {:?}:\n{}", out.status, stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{args:?}:\n{}", stderr(&out));
+    }
 }
