@@ -56,13 +56,6 @@ impl SystemReport {
         self.stats.critical_breakdown()
     }
 
-    /// Runtime breakdown of every chip, indexed by chip id (what the
-    /// sweep engine's JSON rows emit).
-    #[must_use]
-    pub fn per_chip_breakdowns(&self) -> Vec<Breakdown> {
-        self.stats.per_chip.iter().map(mtp_sim::ChipStats::breakdown).collect()
-    }
-
     /// Speedup of this report relative to a baseline (typically the
     /// single-chip system): `baseline.makespan / self.makespan`.
     #[must_use]

@@ -611,17 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_list_one_value_per_column() {
-        let cfg = TransformerConfig::tiny_llama_42m();
-        let advice =
-            advise(&cfg, InferenceMode::Autoregressive, unconstrained(), &space(&cfg, 2)).unwrap();
-        let columns = ADVISE_CSV_HEADER.split(',').count();
-        for index in 0..advice.candidates.len() {
-            assert_eq!(record::values_listed(&AdviseRow { advice: &advice, index }), columns);
-        }
-    }
-
-    #[test]
     fn invalid_partitions_become_skips() {
         let cfg = TransformerConfig::tiny_llama_42m();
         let mut s = space(&cfg, 8);

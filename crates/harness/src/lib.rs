@@ -5,7 +5,7 @@
 //! (chip-count sweeps of [`mtp_core::SystemReport`]s) and a `print()` that
 //! renders the same rows/series the paper plots. The modules are consumed
 //! by the `examples/paper_figures.rs` binary and the `mtp` CLI, and
-//! [`bench`] times the simulations behind them.
+//! [`mod@bench`] times the simulations behind them.
 //!
 //! | Paper artefact | Module |
 //! |---|---|

@@ -1,60 +1,53 @@
-//! The one writer behind every CSV and JSON table the harness emits
-//! (sweep, serve and advise rows).
+//! The one writer behind the sweep, serve and advise CSV/JSON tables.
 //!
-//! A table is a [`Record`] type. Its [`Record::HEADER`] is the CSV
-//! header line and the table's only column list: JSON keys are the same
-//! names, split on `,`. [`Record::cells`] lists one row's values once,
-//! as typed [`Cell`]s, and the format decides how each one is spelled.
-//! [`Table`] frames rows as a CSV file or a JSON array and renders them
-//! into one reused buffer, so the materialized `to_csv`/`to_json`
-//! outputs and the streamed sinks share every byte decision.
+//! A table is a [`Record`] type. Its [`Record::HEADER`] is the table's
+//! only column list: the CSV header line, and split on `,` the JSON keys.
+//! [`Record::cells`] lists a row's values once, as typed [`Cell`]s that
+//! each format spells its own way. [`Table`] frames the rows and renders
+//! them into one reused buffer, so `to_csv`/`to_json` and the streamed
+//! sinks write the same bytes.
 
 use std::fmt::Write as _;
 use std::io;
 
-/// The two output formats of a table.
+/// A table's output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Format {
     /// Header line, then one comma-separated line per row.
     Csv,
-    /// An array with one object per row, one row per line.
+    /// An array of row objects, one per line.
     Json,
 }
 
 /// One typed value of a row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Cell<'a> {
-    /// Text: quoted in CSV only when it holds a comma, quote or newline;
-    /// always a JSON string.
+    /// Text: CSV-quoted only when it holds a comma, quote or newline.
     Str(&'a str),
-    /// An unsigned integer, written bare.
+    /// An unsigned integer.
     Int(u64),
-    /// A real, written with six decimals (`{:.6}`) in both formats.
+    /// A real, written `{:.6}`.
     Real(f64),
     /// A flag: `0`/`1` in CSV, `false`/`true` in JSON.
     Bit(bool),
-    /// An optional real: empty in CSV and `null` in JSON when absent,
-    /// written like [`Cell::Real`] otherwise.
+    /// An optional real: empty in CSV and `null` in JSON when absent.
     Maybe(Option<f64>),
 }
 
 /// A row type of one table.
 pub(crate) trait Record {
-    /// The CSV header line: the table's column list, in order.
+    /// The column list, comma-separated.
     const HEADER: &'static str;
-
-    /// `true` (the default): JSON rows are indented by two spaces and an
-    /// empty array is `[\n]\n`. `false`: rows are unindented and an
-    /// empty array keeps its blank row line, `[\n\n]\n`.
+    /// `false` leaves JSON rows unindented and writes an empty array as
+    /// `[\n\n]\n` instead of `[\n]\n` (the advise table's layout).
     const JSON_INDENTED: bool = true;
 
-    /// Lists the row's values: one [`Cells::cell`] per header column,
-    /// in header order, plus any JSON-only fields where they belong.
+    /// Lists one value per header column, in order, plus any JSON-only
+    /// fields where they belong.
     fn cells(&self, w: &mut Cells<'_>);
 }
 
-/// The sink a [`Record`] lists its values into; it spells each value
-/// for its format and appends it to the row buffer.
+/// Spells a [`Record`]'s values into the row buffer.
 pub(crate) struct Cells<'a> {
     out: &'a mut String,
     format: Format,
@@ -64,40 +57,51 @@ pub(crate) struct Cells<'a> {
 
 impl Cells<'_> {
     /// Writes the value of the next header column.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the row lists more values than its header has
-    /// columns.
     pub(crate) fn cell(&mut self, cell: Cell<'_>) {
         let key = self.keys.next().expect("a row lists one value per header column");
         self.field(key, cell);
     }
 
-    /// Writes a field that only the JSON rows carry; CSV skips it.
+    /// Writes a field only JSON rows carry.
     pub(crate) fn json_cell(&mut self, key: &str, cell: Cell<'_>) {
         if self.format == Format::Json {
             self.field(key, cell);
         }
     }
 
-    /// Writes a JSON-only field whose value is an array of nested
-    /// records, one object each; CSV skips it.
-    pub(crate) fn json_records<R: Record>(&mut self, key: &str, rows: impl IntoIterator<Item = R>) {
-        if self.format != Format::Json {
-            return;
-        }
-        self.key(key);
-        self.out.push('[');
-        for (i, row) in rows.into_iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
+    /// Writes a JSON-only field holding an array of nested records.
+    pub(crate) fn json_records<R: Record>(&mut self, key: &str, rows: impl Iterator<Item = R>) {
+        if self.format == Format::Json {
+            self.key(key);
+            self.out.push('[');
+            for (i, row) in rows.enumerate() {
+                if i > 0 {
+                    self.out.push(',');
+                }
+                write_row(&row, Format::Json, self.out);
             }
-            write_row(&row, Format::Json, self.out);
+            self.out.push(']');
         }
-        self.out.push(']');
     }
 
+    fn field(&mut self, key: &str, cell: Cell<'_>) {
+        self.key(key);
+        let out = &mut *self.out;
+        match (cell, self.format) {
+            (Cell::Str(s), Format::Csv) => push_csv_str(out, s),
+            (Cell::Str(s), Format::Json) => push_json_str(out, s),
+            (Cell::Int(n), _) => write!(out, "{n}").expect("String writes cannot fail"),
+            (Cell::Real(x) | Cell::Maybe(Some(x)), _) => {
+                write!(out, "{x:.6}").expect("String writes cannot fail");
+            }
+            (Cell::Bit(b), Format::Csv) => out.push(if b { '1' } else { '0' }),
+            (Cell::Bit(b), Format::Json) => out.push_str(if b { "true" } else { "false" }),
+            (Cell::Maybe(None), Format::Csv) => {}
+            (Cell::Maybe(None), Format::Json) => out.push_str("null"),
+        }
+    }
+
+    /// The separator before a value, and in JSON its key.
     fn key(&mut self, key: &str) {
         match self.format {
             Format::Csv if !self.first => self.out.push(','),
@@ -111,75 +115,43 @@ impl Cells<'_> {
         }
         self.first = false;
     }
-
-    fn field(&mut self, key: &str, cell: Cell<'_>) {
-        self.key(key);
-        let out = &mut *self.out;
-        match (cell, self.format) {
-            (Cell::Str(s), Format::Csv) => push_csv_str(out, s),
-            (Cell::Str(s), Format::Json) => push_json_str(out, s),
-            (Cell::Int(n), _) => push_fmt(out, format_args!("{n}")),
-            (Cell::Real(x) | Cell::Maybe(Some(x)), _) => push_fmt(out, format_args!("{x:.6}")),
-            (Cell::Bit(b), Format::Csv) => out.push(if b { '1' } else { '0' }),
-            (Cell::Bit(b), Format::Json) => out.push_str(if b { "true" } else { "false" }),
-            (Cell::Maybe(None), Format::Csv) => {}
-            (Cell::Maybe(None), Format::Json) => out.push_str("null"),
-        }
-    }
 }
 
-/// Appends formatted text to a `String`, which cannot fail.
-fn push_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
-    out.write_fmt(args).expect("writing to a String cannot fail");
-}
-
-/// Appends `s` as one CSV field: verbatim, or quoted with inner quotes
-/// doubled when it holds a comma, quote or newline.
+/// Appends `s` as a CSV field, quoted with inner quotes doubled when it
+/// holds a comma, quote or newline.
 fn push_csv_str(out: &mut String, s: &str) {
-    if !s.contains([',', '"', '\n']) {
+    if s.contains([',', '"', '\n']) {
+        write!(out, "\"{}\"", s.replace('"', "\"\"")).expect("String writes cannot fail");
+    } else {
         out.push_str(s);
-        return;
     }
-    out.push('"');
-    for (i, part) in s.split('"').enumerate() {
-        if i > 0 {
-            out.push_str("\"\"");
-        }
-        out.push_str(part);
-    }
-    out.push('"');
 }
 
-/// Appends `s` as a JSON string literal.
+/// Appends `s` as a JSON string.
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    let mut start = 0;
-    // Every byte that needs an escape is ASCII, so each match index is a
-    // char boundary.
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\t' => "\\t",
-            b'\r' => "\\r",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[start..i]);
-        if escape.is_empty() {
-            push_fmt(out, format_args!("\\u{b:04x}"));
-        } else {
-            out.push_str(escape);
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < b' ') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if c < ' ' => {
+                    write!(out, "\\u{:04x}", c as u32).expect("String writes cannot fail");
+                }
+                c => out.push(c),
+            }
         }
-        start = i + 1;
     }
-    out.push_str(&s[start..]);
     out.push('"');
 }
 
-/// Appends one row, without framing: a CSV line without its newline, or
-/// one JSON object.
+/// Appends one unframed row: a CSV line without its newline, or a JSON
+/// object.
 fn write_row<R: Record>(row: &R, format: Format, out: &mut String) {
     let mut cells = Cells { out, format, keys: R::HEADER.split(','), first: true };
     row.cells(&mut cells);
@@ -196,25 +168,9 @@ pub(crate) fn csv_line<R: Record>(row: &R) -> String {
     out
 }
 
-/// How many header columns `row` lists a value for (its JSON-only
-/// fields aside).
-///
-/// # Panics
-///
-/// Panics when `row` lists more values than its header has columns.
-#[cfg(test)]
-pub(crate) fn values_listed<R: Record>(row: &R) -> usize {
-    let mut out = String::new();
-    let mut cells =
-        Cells { out: &mut out, format: Format::Csv, keys: R::HEADER.split(','), first: true };
-    row.cells(&mut cells);
-    R::HEADER.split(',').count() - cells.keys.count()
-}
-
-/// A table being written: the framing of one format around rows of one
-/// [`Record`] type, rendered into a buffer that [`Table::drain_to`]
-/// empties into a writer (streaming) or [`Table::finish`] returns whole
-/// (materialized).
+/// A table in progress: its framing around rows of one [`Record`] type,
+/// rendered into a buffer that [`Table::drain_to`] empties into a writer
+/// and [`Table::finish`] returns.
 pub(crate) struct Table<R> {
     format: Format,
     rows: usize,
@@ -223,7 +179,7 @@ pub(crate) struct Table<R> {
 }
 
 impl<R: Record> Table<R> {
-    /// Starts a table with its CSV header line or its opening bracket.
+    /// Opens a table with its CSV header line or JSON bracket.
     pub(crate) fn new(format: Format) -> Self {
         let buf = match format {
             Format::Csv => format!("{}\n", R::HEADER),
@@ -249,20 +205,18 @@ impl<R: Record> Table<R> {
         self.rows += 1;
     }
 
-    /// Writes everything rendered so far to `out` and empties the
-    /// buffer, keeping its capacity for the next rows.
+    /// Writes the rendered bytes to `out` and empties the buffer.
     ///
     /// # Errors
     ///
     /// Propagates `out`'s I/O errors.
-    pub(crate) fn drain_to<W: io::Write + ?Sized>(&mut self, out: &mut W) -> io::Result<()> {
+    pub(crate) fn drain_to<W: io::Write>(&mut self, out: &mut W) -> io::Result<()> {
         out.write_all(self.buf.as_bytes())?;
         self.buf.clear();
         Ok(())
     }
 
-    /// Closes the table and returns what the buffer still holds (the
-    /// whole table when nothing was drained).
+    /// Closes the table and returns the bytes not yet drained.
     pub(crate) fn finish(mut self) -> String {
         if self.format == Format::Json {
             if self.rows > 0 || !R::JSON_INDENTED {
@@ -286,8 +240,7 @@ pub(crate) fn render<'r, R: Record + 'r>(
     table.finish()
 }
 
-/// The per-chip runtime breakdown that sweep JSON rows nest under
-/// `per_chip`.
+/// A chip's runtime breakdown, nested under `per_chip` in sweep JSON.
 impl Record for mtp_sim::Breakdown {
     const HEADER: &'static str = "compute,dma_l3_l2,dma_l2_l1,c2c,idle";
 
@@ -302,116 +255,49 @@ impl Record for mtp_sim::Breakdown {
 mod tests {
     use super::*;
 
-    /// One text column.
-    struct Text(&'static str);
+    struct Row(&'static str, bool, Option<f64>);
 
-    impl Record for Text {
-        const HEADER: &'static str = "text";
+    impl Record for Row {
+        const HEADER: &'static str = "text,bit,maybe";
 
         fn cells(&self, w: &mut Cells<'_>) {
             w.cell(Cell::Str(self.0));
+            w.cell(Cell::Bit(self.1));
+            w.json_cell("n", Cell::Int(7));
+            w.cell(Cell::Maybe(self.2));
         }
     }
 
-    /// One column per cell kind.
-    struct Kinds {
-        bit: bool,
-        maybe: Option<f64>,
-    }
-
-    impl Record for Kinds {
-        const HEADER: &'static str = "int,real,bit,maybe";
-
-        fn cells(&self, w: &mut Cells<'_>) {
-            w.cell(Cell::Int(7));
-            w.cell(Cell::Real(0.5));
-            w.cell(Cell::Bit(self.bit));
-            w.json_cell("json_only", Cell::Int(1));
-            w.cell(Cell::Maybe(self.maybe));
-        }
-    }
-
-    fn json(row: &impl Record) -> String {
+    fn escaped(push: fn(&mut String, &str), s: &str) -> String {
         let mut out = String::new();
-        write_row(row, Format::Json, &mut out);
+        push(&mut out, s);
         out
     }
 
     #[test]
-    fn csv_quotes_only_commas_quotes_and_newlines() {
-        assert_eq!(csv_line(&Text("plain")), "plain");
-        assert_eq!(csv_line(&Text("a,b")), "\"a,b\"");
-        assert_eq!(csv_line(&Text("say \"hi\"")), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_line(&Text("two\nlines")), "\"two\nlines\"");
-        assert_eq!(csv_line(&Text("back\\slash")), "back\\slash");
-        assert_eq!(csv_line(&Text("tab\tcr\r\u{1}")), "tab\tcr\r\u{1}");
-    }
-
-    #[test]
-    fn json_escapes_quotes_backslashes_and_control_characters() {
-        assert_eq!(json(&Text("plain")), "{\"text\":\"plain\"}");
-        assert_eq!(json(&Text("a,b")), "{\"text\":\"a,b\"}");
-        assert_eq!(json(&Text("say \"hi\"")), "{\"text\":\"say \\\"hi\\\"\"}");
-        assert_eq!(json(&Text("two\nlines")), "{\"text\":\"two\\nlines\"}");
-        assert_eq!(json(&Text("back\\slash")), "{\"text\":\"back\\\\slash\"}");
-        assert_eq!(json(&Text("tab\tcr\r\u{1}\u{1f}")), "{\"text\":\"tab\\tcr\\r\\u0001\\u001f\"}");
-        assert_eq!(json(&Text("µs→")), "{\"text\":\"µs→\"}");
+    fn csv_and_json_escapes() {
+        for (raw, csv, json) in [
+            ("plain µs", "plain µs", "\"plain µs\""),
+            ("a,b", "\"a,b\"", "\"a,b\""),
+            ("say \"hi\"", "\"say \"\"hi\"\"\"", "\"say \\\"hi\\\"\""),
+            ("two\nlines", "\"two\nlines\"", "\"two\\nlines\""),
+            ("back\\slash", "back\\slash", "\"back\\\\slash\""),
+            ("tab\tcr\r\u{1}\u{1f}", "tab\tcr\r\u{1}\u{1f}", "\"tab\\tcr\\r\\u0001\\u001f\""),
+        ] {
+            assert_eq!(escaped(push_csv_str, raw), csv);
+            assert_eq!(escaped(push_json_str, raw), json);
+        }
     }
 
     #[test]
     fn bit_and_maybe_render_per_format() {
-        let set = Kinds { bit: true, maybe: Some(1.0) };
-        let unset = Kinds { bit: false, maybe: None };
-        assert_eq!(csv_line(&set), "7,0.500000,1,1.000000");
-        assert_eq!(csv_line(&unset), "7,0.500000,0,");
+        let rows = [Row("a", true, Some(0.5)), Row("b", false, None)];
+        assert_eq!(render(Format::Csv, &rows), "text,bit,maybe\na,1,0.500000\nb,0,\n");
         assert_eq!(
-            json(&set),
-            "{\"int\":7,\"real\":0.500000,\"bit\":true,\"json_only\":1,\"maybe\":1.000000}"
+            render(Format::Json, &rows),
+            "[\n  {\"text\":\"a\",\"bit\":true,\"n\":7,\"maybe\":0.500000},\n  \
+             {\"text\":\"b\",\"bit\":false,\"n\":7,\"maybe\":null}\n]\n"
         );
-        assert_eq!(
-            json(&unset),
-            "{\"int\":7,\"real\":0.500000,\"bit\":false,\"json_only\":1,\"maybe\":null}"
-        );
-    }
-
-    #[test]
-    fn framing_streams_the_same_bytes_it_materializes() {
-        let rows = [Text("a"), Text("b")];
-        assert_eq!(render(Format::Csv, &rows), "text\na\nb\n");
-        assert_eq!(render(Format::Json, &rows), "[\n  {\"text\":\"a\"},\n  {\"text\":\"b\"}\n]\n");
-        assert_eq!(render::<Text>(Format::Csv, []), "text\n");
-        assert_eq!(render::<Text>(Format::Json, []), "[\n]\n");
-        let mut streamed = Vec::new();
-        let mut table = Table::new(Format::Json);
-        for row in &rows {
-            table.push(row);
-            table.drain_to(&mut streamed).unwrap();
-        }
-        streamed.extend_from_slice(table.finish().as_bytes());
-        assert_eq!(streamed, render(Format::Json, &rows).into_bytes());
-    }
-
-    #[test]
-    fn breakdown_nests_as_json_objects_only() {
-        let b = mtp_sim::Breakdown { compute: 1, dma_l3_l2: 2, dma_l2_l1: 3, c2c: 4, idle: 5 };
-        assert_eq!(csv_line(&b), "1,2,3,4,5");
-        assert_eq!(
-            json(&b),
-            "{\"compute\":1,\"dma_l3_l2\":2,\"dma_l2_l1\":3,\"c2c\":4,\"idle\":5}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per header column")]
-    fn extra_values_panic() {
-        struct Two;
-        impl Record for Two {
-            const HEADER: &'static str = "one";
-            fn cells(&self, w: &mut Cells<'_>) {
-                w.cell(Cell::Int(1));
-                w.cell(Cell::Int(2));
-            }
-        }
-        let _ = csv_line(&Two);
+        assert_eq!(render::<Row>(Format::Json, []), "[\n]\n");
     }
 }

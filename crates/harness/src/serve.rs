@@ -618,20 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_list_one_value_per_column() {
-        let grid = tiny_grid().with_faults(vec![
-            FaultProfile::none(),
-            FaultProfile::parse("fail:300:1:0:4").unwrap(),
-        ]);
-        let results = ServeEngine::new().run(&grid);
-        assert_eq!(results.rows.len(), 2);
-        let columns = SERVE_CSV_HEADER.split(',').count();
-        for row in &results.rows {
-            assert_eq!(record::values_listed(row), columns);
-        }
-    }
-
-    #[test]
     fn percentile_is_nearest_rank() {
         let s = [10u64, 20, 30, 40];
         assert_eq!(percentile(&s, 50), 20);

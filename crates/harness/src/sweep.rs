@@ -2195,21 +2195,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_list_one_value_per_column() {
-        let grid = small_grid()
-            .with_link_regimes(vec![LinkRegime::Affine, LinkRegime::parse("lossy:5").unwrap()])
-            .with_batch_sizes(vec![1, 4])
-            .with_fault_plans(vec![FaultPlan::none(), FaultPlan::parse("failstop:0:2000").unwrap()])
-            .with_fail_policy(FailPolicy::SpareChip);
-        let results = SweepEngine::new().run(&grid);
-        assert!(results.rows.iter().any(|r| !r.scenario.faults.is_empty()));
-        let columns = CSV_HEADER.split(',').count();
-        for row in &results.rows {
-            assert_eq!(record::values_listed(row), columns);
-        }
-    }
-
-    #[test]
     fn link_regime_axis_enumerates_labels_and_serializes() {
         // The buffer holds the full reduce fan-in (3 x 64 KiB messages
         // at 4 chips), so the finite-buffer run completes; an undersized

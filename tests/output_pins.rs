@@ -10,7 +10,8 @@
 //!    candidate at all.
 //!
 //! Every checksum is FNV-1a 64 over the exact bytes. An intentional
-//! change to any table must recompute the constants and say so.
+//! change to any table must recompute the constants and say so. Each
+//! pinned CSV also carries one value per header column on every line.
 
 use mtp::core::{BatchPolicy, Billing, FailPolicy, FaultProfile};
 use mtp::harness::advisor::{advise, Constraints, DesignSpace, ADVISE_CSV_HEADER};
@@ -28,6 +29,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+fn assert_one_value_per_column(csv: &str) {
+    let columns = csv.lines().next().unwrap().split(',').count();
+    assert!(csv.lines().all(|line| line.split(',').count() == columns), "{csv}");
 }
 
 fn regime_batch_fault_grid() -> SweepGrid {
@@ -61,6 +67,7 @@ fn regime_batch_fault_sweep_bytes_are_pinned() {
     assert!(json.contains("\"link_bw_pct\":\"100@loss5n500\""));
     assert!(json.contains("@b4"));
     assert!(json.contains("\"fail_policy\":\"spare\""));
+    assert_one_value_per_column(&results.to_csv());
     assert_eq!(fnv1a64(results.to_csv().as_bytes()), SWEEP_CSV_FNV64);
     assert_eq!(fnv1a64(json.as_bytes()), SWEEP_JSON_FNV64);
 
@@ -89,6 +96,7 @@ fn faulted_per_request_serve_bytes_are_pinned() {
         .with_faults(vec![FaultProfile::none(), FaultProfile::parse("fail:300:1:0:4").unwrap()]);
     let results = ServeEngine::new().run(&grid);
     assert_eq!(results.rows.len(), 4);
+    assert_one_value_per_column(&results.to_csv());
     assert_eq!(fnv1a64(results.to_csv().as_bytes()), SERVE_CSV_FNV64);
     assert_eq!(fnv1a64(results.to_json().as_bytes()), SERVE_JSON_FNV64);
 }
@@ -108,6 +116,7 @@ fn dense_bandwidth_advise_bytes_are_pinned() {
     let constraints = Constraints { max_latency_ms: Some(5.0), max_energy_mj: None };
     let advice = advise(&cfg, InferenceMode::Autoregressive, constraints, &space).unwrap();
     assert!(advice.recommended.is_some());
+    assert_one_value_per_column(&advice.to_csv());
     assert_eq!(fnv1a64(advice.to_csv().as_bytes()), ADVISE_CSV_FNV64);
     assert_eq!(fnv1a64(advice.to_json().as_bytes()), ADVISE_JSON_FNV64);
 }
