@@ -103,7 +103,7 @@ impl CompiledSchedule {
             return self.simulate(chip, n_blocks);
         }
         let machine = Machine::homogeneous(*chip, self.n_chips()).with_faults(faults.clone());
-        match machine.run_periodic(self.template(), n_blocks) {
+        match machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks) {
             Ok(stats) => Ok(self.faulted_report(chip, n_blocks, stats)),
             Err(SimError::ChipFailed { chip: failed, at }) => {
                 self.fail_over(chip, n_blocks, policy, failed.0, at)
@@ -122,12 +122,13 @@ impl CompiledSchedule {
         at: u64,
     ) -> Result<SystemReport> {
         let healthy = Machine::homogeneous(*chip, self.n_chips());
+        let template = self.lowered_for(&healthy)?;
         match policy {
             FailPolicy::Abort => {
                 Err(CoreError::Sim(SimError::ChipFailed { chip: mtp_sim::ChipId(failed), at }))
             }
             FailPolicy::Restart => {
-                let mut stats = healthy.run_periodic(self.template(), n_blocks)?;
+                let mut stats = healthy.run_periodic_lowered(&template, n_blocks)?;
                 for c in &mut stats.per_chip {
                     c.finish_cycles += at;
                 }
@@ -141,12 +142,12 @@ impl CompiledSchedule {
                 // can only stretch the timeline, so this never counts a
                 // block the fleet had not finished *starting*; the
                 // block in flight is lost either way).
-                let per_block = healthy.run_periodic(self.template(), 1)?.makespan.max(1);
+                let per_block = healthy.run_periodic_lowered(&template, 1)?.makespan.max(1);
                 let completed =
                     usize::try_from(at / per_block).unwrap_or(usize::MAX).min(n_blocks - 1);
                 let remaining = n_blocks - completed;
                 let mut stats = if completed > 0 {
-                    healthy.run_periodic(self.template(), completed)?
+                    healthy.run_periodic_lowered(&template, completed)?
                 } else {
                     RunStats {
                         makespan: 0,
@@ -154,7 +155,7 @@ impl CompiledSchedule {
                         sync_phases: 0,
                     }
                 };
-                let replay = healthy.run_periodic(self.template(), remaining)?;
+                let replay = healthy.run_periodic_lowered(&template, remaining)?;
                 for (into, from) in stats.per_chip.iter_mut().zip(&replay.per_chip) {
                     into.accumulate(from);
                     into.finish_cycles = at + from.finish_cycles;

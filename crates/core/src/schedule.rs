@@ -21,7 +21,9 @@ use crate::{CoreError, MemoryPlan, PartitionSpec, Result, WeightResidency};
 use mtp_kernels::Kernel;
 use mtp_link::Topology;
 use mtp_model::{AttentionKind, BatchWorkload, InferenceMode, NormKind, TransformerConfig};
-use mtp_sim::{ChipId, ChipSpec, DmaTag, Instr, Machine, MemPath, MsgId, Program};
+use mtp_sim::{ChipId, ChipSpec, DmaTag, Instr, Lowered, Machine, MemPath, MsgId, Program};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// The batch structure of a workload as the scheduler sees it.
 ///
@@ -482,7 +484,10 @@ impl Scheduler {
 
 /// A one-block schedule compiled once and reusable across every scenario
 /// that shares its structure: the per-chip instruction template plus the
-/// residency regime and mode it was lowered for.
+/// residency regime and mode it was lowered for, and the template's
+/// pre-costed executor form ([`mtp_sim::Lowered`]), built on the first
+/// simulation and replayed by every later one. The sweep engine's and
+/// the advisor's schedule caches therefore hold the lowered form too.
 ///
 /// Depth variants (different `n_layers`) simulate through
 /// [`mtp_sim::Machine::run_periodic`] on the same template, and
@@ -513,6 +518,8 @@ pub struct CompiledSchedule {
     residency: WeightResidency,
     mode: InferenceMode,
     n_chips: usize,
+    /// The template lowered for the first machine that simulated it.
+    lowered: OnceLock<Lowered>,
 }
 
 impl CompiledSchedule {
@@ -536,7 +543,7 @@ impl CompiledSchedule {
         }
         let residency = scheduler.plan().residency;
         let template = scheduler.block_programs(mode);
-        Ok(CompiledSchedule { template, residency, mode, n_chips })
+        Ok(CompiledSchedule { template, residency, mode, n_chips, lowered: OnceLock::new() })
     }
 
     /// The per-chip one-block instruction template.
@@ -563,6 +570,27 @@ impl CompiledSchedule {
         self.n_chips
     }
 
+    /// The template lowered for `machine`: the cached form when `machine`
+    /// prices kernels and DMA like the machine that first asked (link
+    /// bandwidth, regime and faults never matter), a fresh lowering
+    /// otherwise (a calibrated cost model on a schedule first simulated
+    /// with the analytic one, or the other way round).
+    ///
+    /// # Errors
+    ///
+    /// [`mtp_sim::SimError::ProgramCountMismatch`] when `machine` does
+    /// not span the template's chip count.
+    pub fn lowered_for(&self, machine: &Machine) -> Result<Cow<'_, Lowered>> {
+        if let Some(cached) = self.lowered.get() {
+            if cached.priced_for(machine) {
+                return Ok(Cow::Borrowed(cached));
+            }
+            return Ok(Cow::Owned(machine.lower(&self.template)?));
+        }
+        let form = machine.lower(&self.template)?;
+        Ok(Cow::Borrowed(self.lowered.get_or_init(|| form)))
+    }
+
     /// Simulates `n_blocks` consecutive blocks on a machine of `chip`s
     /// through the periodic steady-state engine.
     ///
@@ -578,7 +606,7 @@ impl CompiledSchedule {
             return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
         }
         let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_periodic(&self.template, n_blocks)?;
+        let stats = machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks)?;
         Ok(crate::report::from_stats(
             chip,
             self.n_chips,
@@ -609,7 +637,7 @@ impl CompiledSchedule {
     /// falls back to.
     pub fn warmup(&self, chip: &ChipSpec) -> Result<mtp_sim::WarmupCheckpoint> {
         let machine = Machine::homogeneous(*chip, self.n_chips);
-        Ok(machine.warmup(&self.template)?)
+        Ok(machine.warmup_lowered(&*self.lowered_for(&machine)?)?)
     }
 
     /// [`CompiledSchedule::simulate`], answered from a checkpoint taken
@@ -667,7 +695,7 @@ impl CompiledSchedule {
             CoreError::InvalidConfig("batched block count overflows usize".into())
         })?;
         let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_batched(&self.template, n_blocks, n_requests)?;
+        let stats = machine.run_periodic_lowered(&*self.lowered_for(&machine)?, total)?;
         Ok(crate::report::from_stats(chip, self.n_chips, self.mode, total, self.residency, stats))
     }
 

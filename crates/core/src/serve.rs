@@ -43,6 +43,7 @@ use std::collections::HashMap;
 use crate::schedule::CompiledSchedule;
 use crate::{CoreError, DistributedSystem, Result};
 use mtp_model::{InferenceMode, ServeWorkload};
+use mtp_sim::Lowered;
 
 /// How arriving requests are admitted into the fleet's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -687,8 +688,10 @@ impl DistributedSystem {
     }
 
     /// Pass makespan for a slot-shape vector, memoized: uniform shapes
-    /// run through the periodic batched path, mixed shapes through one
-    /// interleaved block ([`DistributedSystem::run_interleaved`]).
+    /// run one slot's lowered template `n_layers x slots` times through
+    /// the periodic engine (the batched path), mixed shapes one
+    /// interleaved block of the slots' lowered templates
+    /// ([`DistributedSystem::run_interleaved`]).
     fn pass_makespan(
         &self,
         shapes: &[(InferenceMode, usize)],
@@ -697,58 +700,50 @@ impl DistributedSystem {
         if let Some(&cycles) = caches.passes.get(shapes) {
             return Ok(cycles);
         }
+        for &(mode, seq) in shapes {
+            caches.lower(self, mode, seq)?;
+        }
         let uniform = shapes.iter().all(|s| s == &shapes[0]);
         let cycles = if uniform {
-            let (mode, seq) = shapes[0];
-            let compiled = caches.template(self, mode, seq)?;
-            compiled
-                .simulate_batched(self.chip(), self.config().n_layers, shapes.len())?
-                .stats
-                .makespan
+            let blocks = self.config().n_layers.checked_mul(shapes.len()).ok_or_else(|| {
+                CoreError::InvalidConfig("batched block count overflows usize".into())
+            })?;
+            self.machine().run_periodic_lowered(&caches.slots[&shapes[0]], blocks)?.makespan
         } else {
-            for &(mode, seq) in shapes {
-                caches.template(self, mode, seq)?;
-            }
-            self.run_interleaved(shapes.iter().map(|shape| &caches.templates[shape]))?.makespan
+            self.run_interleaved(shapes.iter().map(|shape| &caches.slots[shape]))?.makespan
         };
         caches.passes.insert(shapes.to_vec(), cycles);
         Ok(cycles)
     }
 }
 
-/// Within-run memoization: compiled templates per `(mode, billed
-/// context)`, shared by uniform and mixed passes, and pass makespans per
-/// ordered slot-shape vector. A serving run re-executes the same pass
-/// shapes thousands of times; both caches make its cost scale with the
-/// number of *distinct* shapes.
+/// Within-run memoization: each slot's one-block template per `(mode,
+/// billed context)`, compiled and lowered once and shared by uniform and
+/// mixed passes, and pass makespans per ordered slot-shape vector. A
+/// serving run re-executes the same pass shapes thousands of times; both
+/// caches make its cost scale with the number of *distinct* shapes. Only
+/// the lowered form is kept: a pass needs nothing else from the
+/// compiled schedule.
 #[derive(Default)]
 struct PassCaches {
-    templates: HashMap<(InferenceMode, usize), CompiledSchedule>,
+    slots: HashMap<(InferenceMode, usize), Lowered>,
     passes: HashMap<Vec<(InferenceMode, usize)>, u64>,
 }
 
 impl PassCaches {
-    fn template(
-        &mut self,
-        sys: &DistributedSystem,
-        mode: InferenceMode,
-        seq: usize,
-    ) -> Result<&CompiledSchedule> {
-        use std::collections::hash_map::Entry;
-        match self.templates.entry((mode, seq)) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let cfg = sys.config().clone().with_seq_len(seq);
-                let compiled = CompiledSchedule::compile(
-                    &cfg,
-                    sys.n_chips(),
-                    sys.chip(),
-                    sys.topology().cloned(),
-                    mode,
-                )?;
-                Ok(e.insert(compiled))
-            }
+    fn lower(&mut self, sys: &DistributedSystem, mode: InferenceMode, seq: usize) -> Result<()> {
+        if let std::collections::hash_map::Entry::Vacant(e) = self.slots.entry((mode, seq)) {
+            let cfg = sys.config().clone().with_seq_len(seq);
+            let compiled = CompiledSchedule::compile(
+                &cfg,
+                sys.n_chips(),
+                sys.chip(),
+                sys.topology().cloned(),
+                mode,
+            )?;
+            e.insert(sys.machine().lower(compiled.template())?);
         }
+        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@ use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport};
 use mtp_energy::EnergyParams;
 use mtp_link::Topology;
 use mtp_model::{BatchWorkload, InferenceMode, TransformerConfig};
-use mtp_sim::{id_span, ChipSpec, Machine, Program, RunStats};
+use mtp_sim::{ChipSpec, Lowered, Machine, RunStats};
 
 /// A system of `N` Siracusa-class chips running one partitioned
 /// Transformer model.
@@ -233,7 +233,10 @@ impl DistributedSystem {
                 )
             })
             .collect::<Result<Vec<_>>>()?;
-        let stats = self.run_interleaved(&slots)?;
+        let machine = self.machine();
+        let forms =
+            slots.iter().map(|slot| slot.lowered_for(&machine)).collect::<Result<Vec<_>>>()?;
+        let stats = self.run_interleaved(forms.iter().map(|form| &**form))?;
         // The report's residency regime is the first request's plan;
         // per-request plans can differ across a mixed batch (longer
         // prompts enlarge the KV working set), and each slot stages
@@ -248,29 +251,26 @@ impl DistributedSystem {
         ))
     }
 
-    /// One model pass over heterogeneous request slots. The slots'
-    /// one-block templates are concatenated on every chip into one
-    /// interleaved block, each slot's message and sync ids shifted past
-    /// the spans of the slots before it. The pass is `n_layers`
-    /// repetitions of that block, so it runs through
-    /// [`Machine::run_periodic`], which proves the fixed point or falls
-    /// back to the exact full run by itself (`DESIGN.md` §10).
+    /// A machine of this system's chips, with no fault plan.
+    pub(crate) fn machine(&self) -> Machine {
+        Machine::homogeneous(self.chip, self.n_chips)
+    }
+
+    /// One model pass over heterogeneous request slots, each lowered for
+    /// [`DistributedSystem::machine`]. The slots' lowered one-block
+    /// templates are concatenated on every chip into one interleaved
+    /// block ([`Lowered::concat`]), each slot's message and sync ids
+    /// shifted past the spans of the slots before it; no program is
+    /// rebuilt. The pass is `n_layers` repetitions of that block, so it
+    /// runs through [`Machine::run_periodic_lowered`], which proves the
+    /// fixed point or falls back to the exact full run by itself
+    /// (`DESIGN.md` §10).
     pub(crate) fn run_interleaved<'a>(
         &self,
-        slots: impl IntoIterator<Item = &'a CompiledSchedule>,
+        slots: impl IntoIterator<Item = &'a Lowered>,
     ) -> Result<RunStats> {
-        let mut block = vec![Program::new(); self.n_chips];
-        let (mut msg, mut sync) = (0u64, 0u32);
-        for slot in slots {
-            for (out, body) in block.iter_mut().zip(slot.template()) {
-                out.extend_shifted(body, msg, sync);
-            }
-            let (dm, ds) = id_span(slot.template());
-            msg += dm;
-            sync += ds;
-        }
-        let machine = Machine::homogeneous(self.chip, self.n_chips);
-        Ok(machine.run_periodic(&block, self.cfg.n_layers)?)
+        let block = Lowered::concat(slots);
+        Ok(self.machine().run_periodic_lowered(&block, self.cfg.n_layers)?)
     }
 }
 

@@ -34,7 +34,7 @@ use crate::table::TextTable;
 use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, SystemReport};
 use mtp_model::{InferenceMode, TransformerConfig};
-use mtp_sim::SymbolicPlane;
+use mtp_sim::{Machine, SymbolicPlane};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -291,12 +291,11 @@ pub fn advise(
                     },
                 };
                 let n_blocks = base.n_blocks();
-                let plane = SymbolicPlane::derive(
-                    &base.chip(),
-                    n_chips,
-                    compiled.template(),
-                    &link_bw_pcts,
-                )?;
+                let chip = base.chip();
+                // Lowering never prices the link, so one form serves
+                // every bandwidth of the plane.
+                let form = compiled.lowered_for(&Machine::homogeneous(chip, n_chips))?;
+                let plane = SymbolicPlane::derive_lowered(&chip, &form, &link_bw_pcts)?;
                 warmups += plane.warmups();
                 for &link_bw_pct in &link_bw_pcts {
                     let point = DesignPoint { topology, placement, n_chips, link_bw_pct };

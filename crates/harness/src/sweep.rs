@@ -44,7 +44,7 @@ use mtp_core::{
 use mtp_kernels::CalibratedCostModel;
 use mtp_link::Topology;
 use mtp_model::{InferenceMode, TransformerConfig};
-use mtp_sim::{ChipSpec, ChipStats, FaultPlan, LinkRegime};
+use mtp_sim::{ChipSpec, ChipStats, FaultPlan, LinkRegime, SimError};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1040,6 +1040,11 @@ pub struct SkippedScenario {
     pub scenario: Scenario,
     /// Human-readable reason (the underlying error's message).
     pub reason: String,
+    /// `true` when the point did simulate but its cycle or byte counters
+    /// left `u64` ([`mtp_sim::SimError::CounterOverflow`] or
+    /// [`mtp_sim::SimError::CycleOverflow`]): unlike an invalid point,
+    /// the grid asked for a number no row can hold.
+    pub overflow: bool,
 }
 
 /// Everything one engine run produced.
@@ -1198,8 +1203,19 @@ impl SweepResults {
 }
 
 /// Outcome of one simulated grid point, shared across scenarios that
-/// provably produce the same report.
-type SimOutcome = Result<Arc<SystemReport>, String>;
+/// provably produce the same report; a failure keeps its message and
+/// whether it was a counter overflow.
+type SimOutcome = Result<Arc<SystemReport>, (String, bool)>;
+
+fn outcome(result: Result<SystemReport, CoreError>) -> SimOutcome {
+    result.map(Arc::new).map_err(|e| {
+        let overflow = matches!(
+            e,
+            CoreError::Sim(SimError::CounterOverflow { .. } | SimError::CycleOverflow { .. })
+        );
+        (e.to_string(), overflow)
+    })
+}
 
 /// Scenarios per bounded batch of [`SweepEngine::run_streamed`]: large
 /// enough to keep the workers saturated and the template reuse warm,
@@ -1519,14 +1535,14 @@ impl SweepEngine {
                                         None => compiled.simulate(&chip, scenario.n_blocks()),
                                     }
                                 };
-                                report.map(Arc::new).map_err(|e| e.to_string())
+                                outcome(report)
                             }
-                            None => scenario.run().map(Arc::new).map_err(|e| e.to_string()),
+                            None => outcome(scenario.run()),
                         }
                     })
                     .clone(),
                 // No valid partition: report the scenario's own error.
-                _ => scenario.run().map(Arc::new).map_err(|e| e.to_string()),
+                _ => outcome(scenario.run()),
             };
             *slots[i].lock().expect("sweep slot poisoned") = Some(outcome);
         };
@@ -1559,7 +1575,7 @@ impl SweepEngine {
         // prior run's report or a within-run duplicate). Failed points
         // are skipped wherever they occur, so `unique_simulated +
         // cache_hits == rows.len()` always holds.
-        let mut failures: HashMap<&Scenario, String> = HashMap::new();
+        let mut failures: HashMap<&Scenario, (String, bool)> = HashMap::new();
         let mut fresh: HashSet<&Scenario> = HashSet::new();
         let mut rows = Vec::new();
         let mut skipped = Vec::new();
@@ -1572,8 +1588,8 @@ impl SweepEngine {
                         cache.insert(scenario.clone(), report);
                         fresh.insert(scenario);
                     }
-                    Some(Err(reason)) => {
-                        failures.insert(scenario, reason);
+                    Some(Err(failure)) => {
+                        failures.insert(scenario, failure);
                     }
                     None => unreachable!("worker exited without filling its slot"),
                 }
@@ -1585,9 +1601,11 @@ impl SweepEngine {
                     }
                     rows.push(SweepRow { scenario: s.clone(), report: Arc::clone(report) });
                 } else {
-                    let reason =
-                        failures.get(s).cloned().unwrap_or_else(|| "unknown failure".to_owned());
-                    skipped.push(SkippedScenario { scenario: s.clone(), reason });
+                    let (reason, overflow) = failures
+                        .get(s)
+                        .cloned()
+                        .unwrap_or_else(|| ("unknown failure".to_owned(), false));
+                    skipped.push(SkippedScenario { scenario: s.clone(), reason, overflow });
                 }
             }
         }

@@ -35,7 +35,7 @@ mod regime;
 mod topology;
 
 pub use collective::CommStep;
-pub use mipi::LinkPortSpec;
+pub use mipi::{payload_cycles, LinkPortSpec};
 pub use regime::{
     go_back_n_overhead, GoBackNOutcome, LinkRegime, QueueDiscipline, GO_BACK_N_WINDOW,
     LOSSY_MAX_ATTEMPTS, LOSSY_MTU_BYTES,

@@ -25,10 +25,8 @@ impl DmaSpec {
 
     /// Cycles to move `bytes` in a single transfer.
     ///
-    /// Zero-byte transfers are free (no descriptor is issued). Integral
-    /// bandwidths take an exact `div_ceil` path; the historical
-    /// `as f64 … ceil()` round-trip loses precision above 2^53 bytes and
-    /// is kept only for fractional bandwidths.
+    /// Zero-byte transfers are free (no descriptor is issued); the
+    /// bandwidth term is [`mtp_link::payload_cycles`].
     #[must_use]
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         debug_assert!(
@@ -39,12 +37,7 @@ impl DmaSpec {
         if bytes == 0 {
             return 0;
         }
-        let payload = if self.bytes_per_cycle >= 1.0 && self.bytes_per_cycle.fract() == 0.0 {
-            bytes.div_ceil(self.bytes_per_cycle as u64)
-        } else {
-            (bytes as f64 / self.bytes_per_cycle).ceil() as u64
-        };
-        self.setup_cycles.saturating_add(payload)
+        self.setup_cycles.saturating_add(mtp_link::payload_cycles(bytes, self.bytes_per_cycle))
     }
 
     /// Effective bandwidth (bytes/cycle) achieved when moving `bytes` per

@@ -71,6 +71,13 @@ pub enum SimError {
         /// The block count whose counters overflow.
         n_blocks: usize,
     },
+    /// A chip's clock, a transfer's end time or a byte counter left
+    /// `u64` while the executor ran (a huge transfer, stall or fault
+    /// window), instead of wrapping to a wrong answer.
+    CounterOverflow {
+        /// The chip whose counter overflowed.
+        chip: ChipId,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -102,6 +109,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::CycleOverflow { n_blocks } => {
                 write!(f, "cycle counters overflow u64 at {n_blocks} blocks")
+            }
+            SimError::CounterOverflow { chip } => {
+                write!(f, "{chip} cycle or byte counters overflow u64")
             }
         }
     }

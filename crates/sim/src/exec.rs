@@ -1,170 +1,55 @@
-//! Discrete-event execution of per-chip programs on a multi-chip machine.
+//! Discrete-event execution of lowered per-chip programs on a multi-chip
+//! machine.
 //!
 //! The executor advances chips in global-time order (a conservative
 //! discrete-event scheme): at every step the chip with the smallest local
-//! clock executes its next instruction. Sends occupy the sender's TX port
-//! and the receiver's RX port first-come-first-served, receives block until
-//! the matching message has fully arrived, and asynchronous DMA transfers
-//! overlap compute until the matching [`Instr::DmaWait`]. A blocking
-//! weight stream ([`Instr::DmaStream`]) advances by whole runs of equal
-//! tiles, stopping only at tile boundaries where a fault event ripens.
+//! clock executes its next op. Sends occupy the sender's TX port and the
+//! receiver's RX port first-come-first-served, receives block until the
+//! matching message has fully arrived, and asynchronous DMA transfers
+//! overlap compute until the matching wait. A blocking weight stream
+//! advances by whole runs of equal tiles, stopping only at tile
+//! boundaries where a fault event ripens.
+//!
+//! It runs only the [`Lowered`] form: kernels and DMA transfers arrive
+//! priced, and message ids index a plain vector. [`Machine::run`] lowers
+//! and runs in one call; callers that replay one template many times
+//! (walk segments, serving passes, sweep depths) lower it once. The
+//! steady-state walk rewinds one executor per segment instead of
+//! building a new one. Every clock advance, transfer end and byte
+//! counter goes through one checked addition ([`add`]), so a run whose
+//! counters leave `u64` is [`SimError::CounterOverflow`].
 //!
 //! The executor is generic over a [`TraceSink`]; the aggregate-only entry
 //! point ([`Machine::run`]) instantiates it with [`MakespanOnly`], which
 //! compiles event recording — including event-label formatting — down to
-//! nothing. Hot-path state uses a dense per-chip layout plus
-//! multiply-hashed message maps; the per-chip in-flight DMA set is a small
-//! vector drained in deterministic completion order.
+//! nothing.
 
 use crate::{
     gantt::TraceKind,
+    lower::{Lowered, Op, StreamOp},
     periodic::{MachineState, SegmentRun},
     sink::{MakespanOnly, TraceCollector, TraceSink},
     trace::ChipStats,
-    ChipId, ChipSpec, DmaTag, FaultEvent, FaultPlan, Instr, MemPath, MsgId, Program, Result,
-    RunStats, SimError, Trace,
+    ChipId, ChipSpec, DmaTag, FaultEvent, FaultPlan, Instr, MemPath, Program, Result, RunStats,
+    SimError, Trace,
 };
-use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 use mtp_link::{go_back_n_overhead, LinkRegime, QueueDiscipline, LOSSY_MTU_BYTES};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// A multiply-rotate hasher (FxHash-style) for the small integer keys the
-/// executor indexes by. The default SipHash is DoS-resistant but costs a
-/// significant fraction of per-instruction time in the event loop; message
-/// ids come from the schedule builder, not from untrusted input.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Message state: sends seen and receivers parked, keyed by [`MsgId`].
+/// `a + b` for a clock, transfer end or counter of `chip`: the checked
+/// step every executor advance goes through.
 ///
-/// Schedule builders allocate message ids sequentially, so the common
-/// case is a dense id range — stored as flat vectors indexed by id and
-/// grown on demand (no hashing and no program pre-scan on the send/recv
-/// path). Ids beyond a sanity cap (4x the total instruction count, which
-/// only hand-written programs with arbitrary id spaces exceed) go to
-/// hashed overflow storage instead, so a wild id cannot balloon the
-/// dense vectors.
-struct MsgTable {
-    /// id -> (sender, delivery time, bytes); `None` until sent. Dense ids
-    /// only. Bytes ride along so queued regimes can return buffer credit
-    /// at consumption time.
-    messages: Vec<Option<(ChipId, u64, u64)>>,
-    /// id -> parked chip (`usize::MAX` when nobody waits). Dense ids only.
-    waiting: Vec<usize>,
-    /// First id handled by the overflow maps instead of the vectors.
-    dense_cap: u64,
-    /// Sparse-id sends.
-    over_messages: FxHashMap<MsgId, (ChipId, u64, u64)>,
-    /// Sparse-id parks.
-    over_waiting: FxHashMap<MsgId, usize>,
+/// # Errors
+///
+/// [`SimError::CounterOverflow`] when the sum does not fit in `u64`.
+#[inline]
+fn add(a: u64, b: u64, chip: usize) -> Result<u64> {
+    a.checked_add(b).ok_or(SimError::CounterOverflow { chip: ChipId(chip) })
 }
 
-impl MsgTable {
-    /// An empty table whose dense range is sized to the programs' total
-    /// instruction count (an upper bound on distinct message ids any
-    /// schedule builder emits).
-    fn for_programs(programs: &[Program]) -> Self {
-        let total: usize = programs.iter().map(Program::len).sum();
-        MsgTable {
-            messages: Vec::new(),
-            waiting: Vec::new(),
-            dense_cap: 4 * total as u64 + 64,
-            over_messages: FxHashMap::default(),
-            over_waiting: FxHashMap::default(),
-        }
-    }
-
-    /// Grows the dense vectors to cover `idx` (amortized doubling).
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.messages.len() {
-            self.messages.resize(idx + 1, None);
-            self.waiting.resize(idx + 1, usize::MAX);
-        }
-    }
-
-    /// Records a send; returns `false` when the id was already used.
-    fn insert(&mut self, msg: MsgId, sender: ChipId, delivery: u64, bytes: u64) -> bool {
-        if msg.0 < self.dense_cap {
-            self.ensure(msg.0 as usize);
-            let slot = &mut self.messages[msg.0 as usize];
-            if slot.is_some() {
-                return false;
-            }
-            *slot = Some((sender, delivery, bytes));
-            true
-        } else {
-            self.over_messages.insert(msg, (sender, delivery, bytes)).is_none()
-        }
-    }
-
-    fn get(&self, msg: MsgId) -> Option<(ChipId, u64, u64)> {
-        if msg.0 < self.dense_cap {
-            self.messages.get(msg.0 as usize).copied().flatten()
-        } else {
-            self.over_messages.get(&msg).copied()
-        }
-    }
-
-    /// Parks `chip` on `msg` until the matching send arrives.
-    fn park(&mut self, msg: MsgId, chip: usize) {
-        if msg.0 < self.dense_cap {
-            self.ensure(msg.0 as usize);
-            self.waiting[msg.0 as usize] = chip;
-        } else {
-            self.over_waiting.insert(msg, chip);
-        }
-    }
-
-    /// Removes and returns the chip parked on `msg`, if any.
-    fn take_waiter(&mut self, msg: MsgId) -> Option<usize> {
-        if msg.0 < self.dense_cap {
-            let slot = self.waiting.get_mut(msg.0 as usize)?;
-            let chip = std::mem::replace(slot, usize::MAX);
-            (chip != usize::MAX).then_some(chip)
-        } else {
-            self.over_waiting.remove(&msg)
-        }
-    }
+/// `a * b` for a run of equal transfers of `chip`, checked like [`add`].
+#[inline]
+fn mul(a: u64, b: u64, chip: usize) -> Result<u64> {
+    a.checked_mul(b).ok_or(SimError::CounterOverflow { chip: ChipId(chip) })
 }
 
 /// A multi-chip machine: a set of chips plus the (implicit, fully-connected
@@ -228,6 +113,28 @@ impl Machine {
         self.chips.is_empty()
     }
 
+    /// Lowers one program per chip into the pre-costed form the executor
+    /// runs ([`Lowered`]), priced with each chip's kernel cost model and
+    /// DMA engines. The form replays on any machine whose chips price
+    /// the same way, whatever their link bandwidth, regime or faults.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProgramCountMismatch`] when `programs.len()` differs
+    /// from the chip count.
+    pub fn lower(&self, programs: &[Program]) -> Result<Lowered> {
+        self.check_count(programs.len())?;
+        Ok(Lowered::new(&self.chips, programs))
+    }
+
+    fn check_count(&self, programs: usize) -> Result<()> {
+        if programs == self.chips.len() {
+            Ok(())
+        } else {
+            Err(SimError::ProgramCountMismatch { chips: self.chips.len(), programs })
+        }
+    }
+
     /// Executes one program per chip to completion, reporting aggregates
     /// only (the [`MakespanOnly`] sink: no trace event is materialized).
     ///
@@ -240,6 +147,9 @@ impl Machine {
     /// - [`SimError::DuplicateMessage`], [`SimError::InvalidChip`],
     ///   [`SimError::SenderMismatch`], [`SimError::UnknownDmaTag`] on
     ///   malformed programs.
+    /// - [`SimError::ChipFailed`] when a fail-stop fault stops a chip
+    ///   with work left, and [`SimError::CounterOverflow`] when a chip's
+    ///   clock or byte counters do not fit in `u64`.
     pub fn run(&self, programs: &[Program]) -> Result<RunStats> {
         self.run_with_sink(programs, MakespanOnly).map(|(stats, _)| stats)
     }
@@ -272,46 +182,21 @@ impl Machine {
         programs: &[Program],
         sink: S,
     ) -> Result<(RunStats, S)> {
-        if programs.len() != self.chips.len() {
-            return Err(SimError::ProgramCountMismatch {
-                chips: self.chips.len(),
-                programs: programs.len(),
-            });
-        }
-        Executor::new(self, programs, sink).run()
+        let form = self.lower(programs)?;
+        let mut executor = Executor::new(self, &form, sink);
+        executor.source = programs;
+        executor.run()
     }
 
-    /// Executes one repetition of `template` starting from the carried
-    /// machine state, without the end-of-program DMA drain, and reports
-    /// the boundary state plus the segment metadata the periodic engine's
-    /// fixed-point detection needs. See [`crate::periodic`].
-    pub(crate) fn run_segment(
-        &self,
-        template: &[Program],
-        carry: &MachineState,
-    ) -> Result<SegmentRun> {
-        let mut ex = Executor::for_segment(self, template, MakespanOnly, carry);
-        ex.run_loop()?;
-        let clean = ex.state.iter().all(|s| s.done && s.dma_tags.is_empty())
-            && ex.rx_occ.iter().all(|&occ| occ == 0);
-        ex.fold_link_stats();
-        ex.sync_ids.sort_unstable();
-        ex.sync_ids.dedup();
-        let send_issue = (ex.send_issue_min <= ex.send_issue_max)
-            .then_some((ex.send_issue_min, ex.send_issue_max));
-        Ok(SegmentRun {
-            state: MachineState {
-                t: ex.state.iter().map(|s| s.t).collect(),
-                tx_free: ex.state.iter().map(|s| s.tx_free).collect(),
-                io_dma_free: ex.state.iter().map(|s| s.io_dma_free).collect(),
-                cluster_dma_free: ex.state.iter().map(|s| s.cluster_dma_free).collect(),
-                rx_free: ex.rx_free,
-            },
-            stats: ex.state.into_iter().map(|s| s.stats).collect(),
-            send_issue,
-            distinct_syncs: ex.sync_ids.len(),
-            clean,
-        })
+    /// [`Machine::run`] on an already lowered form.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProgramCountMismatch`] when the form spans a different
+    /// chip count; otherwise the same conditions as [`Machine::run`].
+    pub fn run_lowered(&self, form: &Lowered) -> Result<RunStats> {
+        self.check_count(form.n_chips())?;
+        Executor::new(self, form, MakespanOnly).run().map(|(stats, _)| stats)
     }
 }
 
@@ -334,6 +219,31 @@ struct ChipFaults {
 }
 
 impl ChipFaults {
+    /// Applies ripe fault events to the chip at an op boundary: consumes
+    /// every transient stall whose start has been reached (freezing the
+    /// clock for its duration), then checks fail-stop.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ChipFailed`] when the chip's clock has reached its
+    /// fail-stop cycle while an op remains to execute, and
+    /// [`SimError::CounterOverflow`] when a stall pushes the clock past
+    /// `u64`.
+    fn apply(&mut self, st: &mut ChipState, chip: usize) -> Result<()> {
+        while let Some(&(at, cycles)) = self.stalls.get(self.next_stall) {
+            if at > st.t {
+                break;
+            }
+            self.next_stall += 1;
+            st.t = add(st.t, cycles, chip)?;
+            st.stats.fault_stall_cycles += cycles;
+        }
+        match self.fail_at {
+            Some(at) if st.t >= at => Err(SimError::ChipFailed { chip: ChipId(chip), at }),
+            _ => Ok(()),
+        }
+    }
+
     /// The cycle of this chip's next boundary event (an unconsumed stall
     /// or the fail-stop), if any.
     fn next_event(&self) -> Option<u64> {
@@ -372,12 +282,12 @@ struct Windows {
 
 impl Windows {
     /// Sum of degrade-window surcharges for an action of `base` cycles
-    /// issued at local time `t` (non-decreasing across calls). The scan
-    /// starts past the closed prefix and stops at the first window
-    /// opening after `t`. Factors at or below 100 percent contribute
-    /// nothing (the parser rejects them; programmatic events are clamped
-    /// here).
-    fn extra(&mut self, t: u64, base: u64) -> u64 {
+    /// issued at local time `t` (non-decreasing across calls), or `None`
+    /// when it does not fit in `u64`. The scan starts past the closed
+    /// prefix and stops at the first window opening after `t`. Factors
+    /// at or below 100 percent contribute nothing (the parser rejects
+    /// them; programmatic events are clamped here).
+    fn extra(&mut self, t: u64, base: u64) -> Option<u64> {
         while self.list.get(self.closed).is_some_and(|&(_, until, _)| until <= t) {
             self.closed += 1;
         }
@@ -387,10 +297,11 @@ impl Windows {
                 break;
             }
             if t < until {
-                extra += base * u64::from(pct).saturating_sub(100) / 100;
+                let surcharge = u128::from(base) * u128::from(pct.saturating_sub(100)) / 100;
+                extra = extra.checked_add(u64::try_from(surcharge).ok()?)?;
             }
         }
-        extra
+        Some(extra)
     }
 }
 
@@ -424,89 +335,155 @@ fn expand_faults(plan: &FaultPlan, n: usize) -> Option<Vec<ChipFaults>> {
     Some(per_chip)
 }
 
-/// Per-chip mutable execution state.
-#[derive(Debug)]
+/// Charges a DMA transfer's bytes and exposed cycles to `stats`. Exposed
+/// cycles are part of a clock advance that already passed [`add`], so
+/// only the byte counter needs checking.
+fn charge_dma(
+    stats: &mut ChipStats,
+    path: MemPath,
+    bytes: u64,
+    exposed: u64,
+    chip: usize,
+) -> Result<()> {
+    if path.is_off_chip() {
+        stats.dma_l3_l2_bytes = add(stats.dma_l3_l2_bytes, bytes, chip)?;
+        stats.dma_l3_l2_exposed_cycles += exposed;
+    } else {
+        stats.dma_l2_l1_bytes = add(stats.dma_l2_l1_bytes, bytes, chip)?;
+        stats.dma_l2_l1_exposed_cycles += exposed;
+    }
+    Ok(())
+}
+
+/// Per-chip mutable execution state: the chip's program counter, clock
+/// and engines, the RX port and ingress buffer it owns, and its
+/// queued-regime bookkeeping as a sender. One vector of these keeps a
+/// run's set-up to a handful of allocations.
+#[derive(Debug, Default)]
 struct ChipState {
+    /// Index of the next op in the form's flat op list.
     pc: usize,
+    /// One past this chip's last op.
+    end: usize,
     t: u64,
     tx_free: u64,
     io_dma_free: u64,
     cluster_dma_free: u64,
-    /// In-flight async DMA transfers: `(tag, completion time, path)`.
-    /// Small (the schedule keeps at most a few transfers in flight), so a
-    /// linear-scanned vector beats a hash map and — unlike one — has a
-    /// deterministic drain order.
-    dma_tags: Vec<(DmaTag, u64, MemPath)>,
+    rx_free: u64,
+    /// Ingress-buffer occupancy in bytes (queued regimes; stays zero
+    /// under affine).
+    rx_occ: u64,
+    /// Peak ingress occupancy, folded into
+    /// [`ChipStats::c2c_peak_queue_bytes`] at run end.
+    rx_peak: u64,
+    /// FIFO of senders parked on this chip's buffer credit.
+    credit_waiters: Vec<usize>,
+    /// Earliest next transmit time a credit wake granted this chip as a
+    /// sender (reset to 0 once its send executes).
+    send_floor: u64,
+    /// Credit parks since this chip's last successful send (drop-tail
+    /// accounting: one park = one dropped+NACKed attempt).
+    stall_parks: u32,
     stats: ChipStats,
     done: bool,
 }
 
-impl ChipState {
-    fn new() -> Self {
-        ChipState {
-            pc: 0,
-            t: 0,
-            tx_free: 0,
-            io_dma_free: 0,
-            cluster_dma_free: 0,
-            dma_tags: Vec::new(),
-            stats: ChipStats::default(),
-            done: false,
-        }
+/// One in-flight asynchronous DMA transfer.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    chip: usize,
+    tag: DmaTag,
+    done: u64,
+    path: MemPath,
+}
+
+/// One slot of the dense message table.
+#[derive(Debug, Clone, Copy)]
+struct Msg {
+    /// The sending chip, [`NOBODY`] until sent.
+    sender: usize,
+    delivery: u64,
+    /// Rides along so queued regimes can return buffer credit at
+    /// consumption time.
+    bytes: u64,
+    /// The chip parked on this message, [`NOBODY`] when none.
+    waiter: usize,
+}
+
+/// The runnable chips, as a bit set.
+///
+/// A chip is inserted when it becomes runnable (at the start, after each
+/// send, when a send it yields to is due, and when a message or buffer
+/// credit it waits on arrives) and removed when it runs, so it is never
+/// in the set twice and waits there at the clock it left with. Taking
+/// the runnable chip with the smallest `(clock, index)` is therefore
+/// exactly the pop order of a `(time, chip)` min-heap of those entries,
+/// with no sift per wake-up: a chip-count scan over set bits, and the
+/// set rarely holds more than a few chips.
+#[derive(Debug)]
+struct Ready(Vec<u64>);
+
+impl Ready {
+    fn new(n: usize) -> Self {
+        Ready(vec![0; n.div_ceil(64)])
     }
 
-    /// Retires every in-flight async DMA at program end in deterministic
-    /// completion order (ties broken by tag), so exposed-stall attribution
-    /// per memory path never depends on container iteration order.
-    fn drain_pending_dma(&mut self) {
-        self.dma_tags.sort_unstable_by_key(|&(tag, done, _)| (done, tag.0));
-        for i in 0..self.dma_tags.len() {
-            let (_, done, path) = self.dma_tags[i];
-            if done > self.t {
-                self.stats.add_dma(path, 0, done - self.t);
-                self.t = done;
+    fn insert(&mut self, chip: usize) {
+        let (word, bit) = (chip / 64, 1u64 << (chip % 64));
+        debug_assert!(self.0[word] & bit == 0, "chip{chip} queued twice");
+        self.0[word] |= bit;
+    }
+
+    /// Removes and returns the runnable chip with the smallest
+    /// `(clock, index)`.
+    fn pop_min(&mut self, state: &[ChipState]) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let chip = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let t = state[chip].t;
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, chip));
+                }
             }
         }
-        self.dma_tags.clear();
+        let (_, chip) = best?;
+        self.0[chip / 64] &= !(1u64 << (chip % 64));
+        Some(chip)
     }
 }
 
-struct Executor<'a, S: TraceSink> {
+/// No chip: an unsent message's sender, an unwatched message's waiter.
+const NOBODY: usize = usize::MAX;
+
+const UNSENT: Msg = Msg { sender: NOBODY, delivery: 0, bytes: 0, waiter: NOBODY };
+
+pub(crate) struct Executor<'a, S: TraceSink> {
     machine: &'a Machine,
-    programs: &'a [Program],
+    form: &'a Lowered,
+    /// The programs `form` was lowered from, where a recording sink reads
+    /// kernel labels (op `i` of a chip lowers its instruction `i`); empty
+    /// for forms that only ever run aggregate-only.
+    source: &'a [Program],
     state: Vec<ChipState>,
-    rx_free: Vec<u64>,
-    /// Per-receiver ingress-buffer occupancy in bytes (queued regimes;
-    /// stays zero under affine).
-    rx_occ: Vec<u64>,
-    /// Per-receiver peak ingress occupancy, folded into
-    /// [`ChipStats::c2c_peak_queue_bytes`] at run end.
-    rx_peak: Vec<u64>,
-    /// Per-receiver FIFO of senders parked on buffer credit.
-    credit_waiters: Vec<Vec<usize>>,
-    /// Per-sender earliest next transmit time granted by a credit wake
-    /// (reset to 0 once the send executes).
-    send_floor: Vec<u64>,
-    /// Per-sender count of credit parks since its last successful send
-    /// (drop-tail accounting: one park = one dropped+NACKed attempt).
-    stall_parks: Vec<u32>,
     /// `true` when any chip uses a queued regime — gates all ingress
     /// bookkeeping so the affine hot path stays untouched.
     queued_any: bool,
-    msgs: MsgTable,
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-    sync_ids: Vec<u32>,
-    /// Chip -> index of its cost-model equivalence class (homogeneous
-    /// machines have exactly one class).
-    cost_class: Vec<u32>,
-    /// Direct-mapped kernel-cost memo per (cost class, kernel): schedules
-    /// repeat the same few kernel shapes across chips and blocks, so the
-    /// cost model's float evaluation (several long-latency divides) runs
-    /// once per distinct shape. Collisions simply recompute.
-    cycle_memo: Box<[Option<(u32, Kernel, u64)>; CYCLE_MEMO_SLOTS]>,
+    /// Indexed by dense message id.
+    msgs: Vec<Msg>,
+    /// In-flight async DMA of every chip. Small (the schedule keeps at
+    /// most a few transfers in flight), so a linear-scanned vector beats
+    /// a map and — unlike one — has a deterministic drain order.
+    in_flight: Vec<InFlight>,
+    /// Bit set of the runnable chips: those neither parked nor done.
+    /// Each waits at its own clock, so the next chip to run is the
+    /// runnable one with the smallest `(t, chip)` (see [`Ready`]).
+    ready: Ready,
     /// Whether in-flight async DMA is retired when a program ends (true
-    /// for complete runs; false for periodic-engine segments, which
-    /// instead require the boundary to be DMA-clean).
+    /// for complete runs; false for walk segments, which instead require
+    /// the boundary to be DMA-clean).
     drain_at_end: bool,
     /// Smallest send issue time observed (chip-local clock at the moment
     /// the send executed); `u64::MAX` when no send ran.
@@ -514,79 +491,35 @@ struct Executor<'a, S: TraceSink> {
     /// Largest send issue time observed; 0 when no send ran.
     send_issue_max: u64,
     /// Per-chip fault schedules; `None` when the machine's plan is empty
-    /// (the common case — one pointer-sized check per instruction).
+    /// (the common case — one pointer-sized check per op).
     faults: Option<Vec<ChipFaults>>,
     sink: S,
 }
 
-/// Size of the executor's direct-mapped kernel-cost memo (power of two;
-/// real schedules use a few dozen distinct kernel shapes).
-const CYCLE_MEMO_SLOTS: usize = 128;
-
-/// A cheap structural fingerprint of a kernel (variant + dimensions),
-/// used to index the cost memo. Quality only affects the collision rate.
-#[inline]
-fn kernel_fingerprint(kernel: &Kernel, class: u32) -> usize {
-    let (d, a, b, c) = match *kernel {
-        Kernel::Gemm { m, k, n } => (1usize, m, k, n),
-        Kernel::Gemv { k, n } => (2, 1, k, n),
-        Kernel::Softmax { rows, cols } => (3, rows, cols, 0),
-        Kernel::LayerNorm { rows, cols } => (4, rows, cols, 0),
-        Kernel::RmsNorm { rows, cols } => (5, rows, cols, 0),
-        Kernel::Gelu { n } => (6, n, 0, 0),
-        Kernel::Silu { n } => (7, n, 0, 0),
-        Kernel::Rope { seq, dim } => (8, seq, dim, 0),
-        Kernel::Add { n } => (9, n, 0, 0),
-        Kernel::Requant { n } => (10, n, 0, 0),
-    };
-    let mix = (d ^ (class as usize) << 4)
-        .wrapping_mul(0x9e37_79b9)
-        .wrapping_add(a.wrapping_mul(0x85eb_ca6b))
-        .wrapping_add(b.wrapping_mul(0xc2b2_ae35))
-        .wrapping_add(c.wrapping_mul(0x27d4_eb2f));
-    (mix ^ (mix >> 15)) & (CYCLE_MEMO_SLOTS - 1)
-}
-
 impl<'a, S: TraceSink> Executor<'a, S> {
-    fn new(machine: &'a Machine, programs: &'a [Program], sink: S) -> Self {
+    /// An executor at the zero state, ready to run `form` to completion.
+    fn new(machine: &'a Machine, form: &'a Lowered, sink: S) -> Self {
+        debug_assert!(form.priced_for(machine), "form lowered for other chips");
         let n = machine.len();
-        let mut ready = BinaryHeap::with_capacity(n + 1);
-        for i in 0..n {
-            ready.push(Reverse((0, i)));
-        }
-        let mut classes: Vec<(ClusterCostModel, Option<CalibratedCostModel>)> = Vec::new();
-        let cost_class = machine
-            .chips()
-            .iter()
-            .map(|c| {
-                let key = (c.cost_model, c.cost_override);
-                match classes.iter().position(|m| *m == key) {
-                    Some(i) => i as u32,
-                    None => {
-                        classes.push(key);
-                        (classes.len() - 1) as u32
-                    }
-                }
-            })
-            .collect();
+        let mut ready = Ready::new(n);
+        (0..n).for_each(|c| ready.insert(c));
         let queued_any =
             machine.chips().iter().any(|c| matches!(c.link_regime, LinkRegime::Queued { .. }));
         Executor {
             machine,
-            programs,
-            state: (0..n).map(|_| ChipState::new()).collect(),
-            rx_free: vec![0; n],
-            rx_occ: vec![0; n],
-            rx_peak: vec![0; n],
-            credit_waiters: vec![Vec::new(); n],
-            send_floor: vec![0; n],
-            stall_parks: vec![0; n],
+            form,
+            source: &[],
+            state: (0..n)
+                .map(|c| ChipState {
+                    pc: form.starts[c],
+                    end: form.starts[c + 1],
+                    ..ChipState::default()
+                })
+                .collect(),
             queued_any,
-            msgs: MsgTable::for_programs(programs),
+            msgs: vec![UNSENT; form.msg_ids.len()],
+            in_flight: Vec::with_capacity(2 * n),
             ready,
-            sync_ids: Vec::new(),
-            cost_class,
-            cycle_memo: Box::new([None; CYCLE_MEMO_SLOTS]),
             drain_at_end: true,
             send_issue_min: u64::MAX,
             send_issue_max: 0,
@@ -595,112 +528,63 @@ impl<'a, S: TraceSink> Executor<'a, S> {
         }
     }
 
-    /// An executor resuming from a carried machine state (the periodic
-    /// engine's segment mode): chip clocks, port frees, and DMA-engine
-    /// frees are seeded from `carry`, the ready heap is re-seeded with the
-    /// carried clocks, and the end-of-program DMA drain is disabled.
-    fn for_segment(
-        machine: &'a Machine,
-        programs: &'a [Program],
-        sink: S,
-        carry: &MachineState,
-    ) -> Self {
-        let mut ex = Executor::new(machine, programs, sink);
-        ex.drain_at_end = false;
-        ex.ready.clear();
-        for (i, st) in ex.state.iter_mut().enumerate() {
-            st.t = carry.t[i];
-            st.tx_free = carry.tx_free[i];
-            st.io_dma_free = carry.io_dma_free[i];
-            st.cluster_dma_free = carry.cluster_dma_free[i];
-            ex.ready.push(Reverse((st.t, i)));
-        }
-        ex.rx_free.copy_from_slice(&carry.rx_free);
-        ex
-    }
-
     /// Drives the ready heap until every chip is done or parked.
     fn run_loop(&mut self) -> Result<()> {
-        while let Some(Reverse((t_pop, chip))) = self.ready.pop() {
-            if self.state[chip].done {
-                continue;
-            }
-            self.run_chip(chip, t_pop)?;
+        while let Some(chip) = self.ready.pop_min(&self.state) {
+            self.run_chip(chip, self.state[chip].t)?;
         }
         Ok(())
     }
 
-    /// Folds the executor-level ingress-queue peaks into the per-chip
-    /// stats (a no-op under affine regimes, where the peaks stay zero).
+    /// Folds the ingress-queue peaks into the per-chip stats (a no-op
+    /// under affine regimes, where the peaks stay zero).
     fn fold_link_stats(&mut self) {
-        for (st, &peak) in self.state.iter_mut().zip(&self.rx_peak) {
-            st.stats.c2c_peak_queue_bytes = st.stats.c2c_peak_queue_bytes.max(peak);
+        for st in &mut self.state {
+            st.stats.c2c_peak_queue_bytes = st.stats.c2c_peak_queue_bytes.max(st.rx_peak);
         }
     }
 
     fn run(mut self) -> Result<(RunStats, S)> {
         self.run_loop()?;
-        if let Some(blocked) = self.deadlocked() {
+        if self.state.iter().any(|s| !s.done) {
+            let blocked =
+                (0..self.state.len()).filter(|&c| !self.state[c].done).map(ChipId).collect();
             return Err(SimError::Deadlock { blocked });
         }
         self.fold_link_stats();
-        let mut per_chip = Vec::with_capacity(self.state.len());
-        for st in &mut self.state {
-            st.stats.finish_cycles = st.t;
-            per_chip.push(st.stats.clone());
-        }
-        self.sync_ids.sort_unstable();
-        self.sync_ids.dedup();
-        Ok((RunStats::new(per_chip, self.sync_ids.len()), self.sink))
-    }
-
-    fn deadlocked(&self) -> Option<Vec<ChipId>> {
-        let blocked: Vec<ChipId> = self
+        let per_chip = self
             .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.done)
-            .map(|(i, _)| ChipId(i))
+            .into_iter()
+            .map(|st| ChipStats { finish_cycles: st.t, ..st.stats })
             .collect();
-        if blocked.is_empty() {
-            None
-        } else {
-            Some(blocked)
+        Ok((RunStats::new(per_chip, self.form.distinct_syncs), self.sink))
+    }
+
+    /// Retires `chip`'s in-flight async DMA at program end in
+    /// deterministic completion order (ties broken by tag), so
+    /// exposed-stall attribution per memory path never depends on issue
+    /// order.
+    fn drain_pending_dma(&mut self, chip: usize) {
+        self.in_flight.sort_unstable_by_key(|f| (f.chip != chip, f.done, f.tag.0));
+        let mine = self.in_flight.iter().take_while(|f| f.chip == chip).count();
+        let st = &mut self.state[chip];
+        for f in self.in_flight.drain(..mine) {
+            if f.done > st.t {
+                let exposed = f.done - st.t;
+                if f.path.is_off_chip() {
+                    st.stats.dma_l3_l2_exposed_cycles += exposed;
+                } else {
+                    st.stats.dma_l2_l1_exposed_cycles += exposed;
+                }
+                st.t = f.done;
+            }
         }
     }
 
-    /// Applies ripe fault events for `chip` at an instruction boundary:
-    /// consumes every transient stall whose start has been reached
-    /// (freezing the clock for its duration), then checks fail-stop.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ChipFailed`] when the chip's clock has reached its
-    /// fail-stop cycle while an instruction remains to execute.
-    fn apply_chip_faults(&mut self, chip: usize) -> Result<()> {
-        let Some(faults) = &mut self.faults else { return Ok(()) };
-        let f = &mut faults[chip];
-        while let Some(&(at, cycles)) = f.stalls.get(f.next_stall) {
-            if at > self.state[chip].t {
-                break;
-            }
-            f.next_stall += 1;
-            let st = &mut self.state[chip];
-            st.stats.fault_stall_cycles += cycles;
-            st.t += cycles;
-        }
-        if let Some(at) = f.fail_at {
-            if self.state[chip].t >= at {
-                return Err(SimError::ChipFailed { chip: ChipId(chip), at });
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes an [`Instr::DmaStream`] exactly as the run of per-tile
-    /// blocking [`Instr::Dma`]s it stands for, in O(1) without a fault
-    /// plan: the full tiles and the remainder tile each fold into one
-    /// step (`start = max(t, engine_free)`, `done = start + k·tc(tile)`).
+    /// Executes a stream exactly as the run of per-tile blocking
+    /// transfers it stands for, in O(1) without a fault plan: the full
+    /// tiles and the remainder tile each fold into one step
+    /// (`start = max(t, engine_free)`, `done = start + k·tc(tile)`).
     ///
     /// Faults apply at tile boundaries, before each tile, as they would
     /// before each expanded instruction. A step folds only the tiles that
@@ -711,44 +595,38 @@ impl<'a, S: TraceSink> Executor<'a, S> {
     /// # Errors
     ///
     /// [`SimError::ChipFailed`] when a tile boundary reaches the chip's
-    /// fail-stop cycle.
-    fn run_stream(
-        &mut self,
-        chip: usize,
-        spec: &ChipSpec,
-        path: MemPath,
-        bytes: u64,
-        tile: u64,
-    ) -> Result<()> {
-        let tile = tile.max(1);
-        let dma = if path.is_off_chip() { &spec.io_dma } else { &spec.cluster_dma };
-        let rest = bytes % tile;
+    /// fail-stop cycle; [`SimError::CounterOverflow`] as in [`add`].
+    fn run_stream(&mut self, chip: usize, stream: &StreamOp) -> Result<()> {
+        let path = stream.path;
         let groups = [
-            (bytes / tile, tile, dma.transfer_cycles(tile)),
-            (u64::from(rest > 0), rest, dma.transfer_cycles(rest)),
+            (stream.tiles, stream.tile, stream.tile_cycles),
+            (u64::from(stream.rest > 0), stream.rest, stream.rest_cycles),
         ];
+        let st = &mut self.state[chip];
+        let mut faults = self.faults.as_mut().map(|f| &mut f[chip]);
         for (mut left, size, cycles) in groups {
             while left > 0 {
-                self.apply_chip_faults(chip)?;
-                let st = &mut self.state[chip];
+                if let Some(f) = faults.as_deref_mut() {
+                    f.apply(st, chip)?;
+                }
                 let engine_free =
                     if path.is_off_chip() { &mut st.io_dma_free } else { &mut st.cluster_dma_free };
                 let start = st.t.max(*engine_free);
-                let n = match &self.faults {
-                    Some(faults) => faults[chip].tiles_before_event(start, cycles, left),
+                let n = match faults.as_deref() {
+                    Some(f) => f.tiles_before_event(start, cycles, left),
                     None => left,
                 };
-                let done = start.saturating_add(cycles.saturating_mul(n));
+                let done = add(start, mul(cycles, n, chip)?, chip)?;
                 if S::RECORDS {
                     let mut issue = st.t;
                     for k in 1..=n {
-                        let end = start.saturating_add(k.saturating_mul(cycles));
+                        let end = start + k * cycles;
                         self.sink.record(chip, issue, end, || TraceKind::Dma { path, bytes: size });
                         issue = end;
                     }
                 }
                 *engine_free = done;
-                st.stats.add_dma(path, size * n, done - st.t);
+                charge_dma(&mut st.stats, path, size * n, done - st.t, chip)?;
                 st.t = done;
                 left -= n;
             }
@@ -757,281 +635,344 @@ impl<'a, S: TraceSink> Executor<'a, S> {
     }
 
     /// Runs `chip` from its current pc until it parks on a missing
-    /// message, must yield before a [`Instr::Send`], or finishes.
+    /// message, must yield before a send, or finishes.
     ///
-    /// Chip-local instructions (compute, DMA, sync marks) only touch the
-    /// chip's own state, so they execute back to back without going
-    /// through the ready heap. Only sends interact across chips — TX/RX
-    /// port arbitration is first-come-first-served by chip-local time —
-    /// so a send executes only while the chip holds the globally minimal
-    /// clock `t_pop`; once local work has advanced past it, the chip
-    /// re-queues and the send runs when its turn comes. This preserves
-    /// the strict interleaved scheme's send order (and therefore its
-    /// exact timing) while skipping two heap operations per local
-    /// instruction.
+    /// Chip-local ops (compute, DMA, sync marks) only touch the chip's
+    /// own state, so they execute back to back without going through the
+    /// ready set, on borrowed fields the compiler can keep in registers.
+    /// Only sends interact across chips — TX/RX port arbitration is
+    /// first-come-first-served by chip-local time — so a send executes
+    /// only while the chip holds the globally minimal clock `t_pop`; once
+    /// local work has advanced past it, the chip re-queues and the send
+    /// runs when its turn comes. This preserves the strict interleaved
+    /// scheme's send order (and therefore its exact timing) while
+    /// skipping the ready set for every local op.
     fn run_chip(&mut self, chip: usize, t_pop: u64) -> Result<()> {
-        // Borrow the spec through the machine reference (not `self`) so
-        // the hot loop never copies the full ChipSpec per instruction.
-        let machine = self.machine;
-        let spec = &machine.chips[chip];
-        let program = &self.programs[chip];
-        let instrs = program.instrs();
+        let form = self.form;
         loop {
-            let Some(&instr) = instrs.get(self.state[chip].pc) else {
-                let st = &mut self.state[chip];
-                // Account for async DMA still in flight at program end
-                // (segments leave it to the boundary cleanliness check).
-                if self.drain_at_end {
-                    st.drain_pending_dma();
+            let Executor { state, in_flight, faults, sink, source, .. } = self;
+            let st = &mut state[chip];
+            let mut faults = faults.as_mut().map(|f| &mut f[chip]);
+            let next = loop {
+                if st.pc == st.end {
+                    break None;
                 }
-                st.done = true;
-                return Ok(());
-            };
-            // Faults apply at instruction boundaries, before the fetched
-            // instruction executes: ripe stalls freeze the clock, and a
-            // chip at or past its fail-stop cycle with work remaining
-            // surfaces as a typed error (never a hang). A chip that
-            // issues its final instruction before the fail cycle
-            // completes it and survives. A stream applies them itself,
-            // before each of its tiles.
-            if self.faults.is_some() && !matches!(instr, Instr::DmaStream { .. }) {
-                self.apply_chip_faults(chip)?;
-            }
-            match instr {
-                Instr::Compute(kernel) => {
-                    let class = self.cost_class[chip];
-                    let slot = &mut self.cycle_memo[kernel_fingerprint(&kernel, class)];
-                    let cycles = match slot {
-                        Some((c, k, cycles)) if *c == class && *k == kernel => *cycles,
-                        _ => {
-                            let cycles = spec.kernel_cycles(&kernel);
-                            *slot = Some((class, kernel, cycles));
-                            cycles
-                        }
-                    };
-                    // Slowdown windows stretch kernels issued inside them;
-                    // the surcharge stays outside the memo (the memo is
-                    // time-independent).
-                    let extra = match &mut self.faults {
-                        Some(faults) => faults[chip].slows.extra(self.state[chip].t, cycles),
-                        None => 0,
-                    };
-                    let st = &mut self.state[chip];
-                    let start = st.t;
-                    st.stats.compute_cycles += cycles + extra;
-                    st.stats.fault_slow_cycles += extra;
-                    st.t += cycles + extra;
-                    self.sink.record(chip, start, start + cycles + extra, || TraceKind::Compute {
-                        kernel: kernel.to_string(),
-                    });
-                }
-                Instr::Dma { path, bytes } => {
-                    let st = &mut self.state[chip];
-                    let (engine_free, dma) = if path.is_off_chip() {
-                        (&mut st.io_dma_free, &spec.io_dma)
-                    } else {
-                        (&mut st.cluster_dma_free, &spec.cluster_dma)
-                    };
-                    let start = st.t.max(*engine_free);
-                    let done = start + dma.transfer_cycles(bytes);
-                    *engine_free = done;
-                    let exposed = done - st.t;
-                    st.stats.add_dma(path, bytes, exposed);
-                    let issue = st.t;
-                    st.t = done;
-                    self.sink.record(chip, issue, done, || TraceKind::Dma { path, bytes });
-                }
-                Instr::DmaStream { path, bytes, tile } => {
-                    self.run_stream(chip, spec, path, bytes, tile)?;
-                }
-                Instr::DmaAsync { path, bytes, tag } => {
-                    let st = &mut self.state[chip];
-                    let (engine_free, dma) = if path.is_off_chip() {
-                        (&mut st.io_dma_free, &spec.io_dma)
-                    } else {
-                        (&mut st.cluster_dma_free, &spec.cluster_dma)
-                    };
-                    let start = st.t.max(*engine_free);
-                    let done = start + dma.transfer_cycles(bytes);
-                    *engine_free = done;
-                    match st.dma_tags.iter_mut().find(|(t, _, _)| *t == tag) {
-                        Some(slot) => *slot = (tag, done, path),
-                        None => st.dma_tags.push((tag, done, path)),
+                let op = form.ops[st.pc];
+                // Faults apply at op boundaries, before the fetched op
+                // executes: ripe stalls freeze the clock, and a chip at or
+                // past its fail-stop cycle with work remaining surfaces as
+                // a typed error (never a hang). A chip that issues its
+                // final op before the fail cycle completes it and
+                // survives. A stream applies them itself, before each of
+                // its tiles.
+                if let Some(f) = faults.as_deref_mut() {
+                    if !matches!(op, Op::Stream(_)) {
+                        f.apply(st, chip)?;
                     }
-                    // Bytes are counted at issue; only the stall at
-                    // DmaWait is exposed time.
-                    st.stats.add_dma(path, bytes, 0);
                 }
-                Instr::DmaWait(tag) => {
-                    let st = &mut self.state[chip];
-                    let Some(pos) = st.dma_tags.iter().position(|(t, _, _)| *t == tag) else {
-                        return Err(SimError::UnknownDmaTag { chip: ChipId(chip), tag });
-                    };
-                    let (_, done, path) = st.dma_tags.remove(pos);
-                    if done > st.t {
+                match op {
+                    Op::Compute { cycles } => {
+                        // Slowdown windows stretch kernels issued inside
+                        // them.
+                        let extra = match faults.as_deref_mut() {
+                            Some(f) => f
+                                .slows
+                                .extra(st.t, cycles)
+                                .ok_or(SimError::CounterOverflow { chip: ChipId(chip) })?,
+                            None => 0,
+                        };
+                        let busy = add(cycles, extra, chip)?;
                         let start = st.t;
-                        st.stats.add_dma(path, 0, done - st.t);
-                        st.t = done;
-                        self.sink.record(chip, start, done, || TraceKind::Dma { path, bytes: 0 });
+                        st.t = add(start, busy, chip)?;
+                        st.stats.compute_cycles += busy;
+                        st.stats.fault_slow_cycles += extra;
+                        let (source, at) = (*source, st.pc - form.starts[chip]);
+                        sink.record(chip, start, start + busy, || {
+                            let Instr::Compute(kernel) = source[chip].instrs()[at] else {
+                                unreachable!("a compute op lowers a compute instruction")
+                            };
+                            TraceKind::Compute { kernel: kernel.to_string() }
+                        });
                     }
+                    Op::Dma { cycles, bytes, path } => {
+                        let engine_free = if path.is_off_chip() {
+                            &mut st.io_dma_free
+                        } else {
+                            &mut st.cluster_dma_free
+                        };
+                        let start = st.t.max(*engine_free);
+                        let done = add(start, cycles, chip)?;
+                        *engine_free = done;
+                        let issue = st.t;
+                        charge_dma(&mut st.stats, path, bytes, done - issue, chip)?;
+                        st.t = done;
+                        sink.record(chip, issue, done, || TraceKind::Dma { path, bytes });
+                    }
+                    Op::DmaAsync { cycles, bytes, tag, path } => {
+                        let engine_free = if path.is_off_chip() {
+                            &mut st.io_dma_free
+                        } else {
+                            &mut st.cluster_dma_free
+                        };
+                        let start = st.t.max(*engine_free);
+                        let done = add(start, cycles, chip)?;
+                        *engine_free = done;
+                        // Bytes are counted at issue; only the stall at
+                        // the wait is exposed time.
+                        charge_dma(&mut st.stats, path, bytes, 0, chip)?;
+                        let entry = InFlight { chip, tag, done, path };
+                        match in_flight.iter_mut().find(|f| f.chip == chip && f.tag == tag) {
+                            Some(f) => *f = entry,
+                            None => in_flight.push(entry),
+                        }
+                    }
+                    Op::DmaWait(tag) => {
+                        let Some(pos) =
+                            in_flight.iter().position(|f| f.chip == chip && f.tag == tag)
+                        else {
+                            return Err(SimError::UnknownDmaTag { chip: ChipId(chip), tag });
+                        };
+                        let InFlight { done, path, .. } = in_flight.remove(pos);
+                        if done > st.t {
+                            let start = st.t;
+                            charge_dma(&mut st.stats, path, 0, done - start, chip)?;
+                            st.t = done;
+                            sink.record(chip, start, done, || TraceKind::Dma { path, bytes: 0 });
+                        }
+                    }
+                    Op::Sync => st.stats.sync_marks += 1,
+                    Op::Stream(_) | Op::Send { .. } | Op::Recv { .. } => break Some(op),
                 }
-                Instr::Send { to, msg, bytes } => {
-                    if self.state[chip].t > t_pop {
-                        // The local clock ran ahead of the pop priority:
-                        // another chip may now hold an earlier send to the
-                        // same port. Re-queue and retry in global order.
-                        self.ready.push(Reverse((self.state[chip].t, chip)));
-                        return Ok(());
+                st.pc += 1;
+            };
+            match next {
+                None => {
+                    // Account for async DMA still in flight at program
+                    // end (segments leave it to the boundary cleanliness
+                    // check).
+                    st.done = true;
+                    if self.drain_at_end && !self.in_flight.is_empty() {
+                        self.drain_pending_dma(chip);
                     }
-                    if to.0 >= machine.len() {
-                        return Err(SimError::InvalidChip { chip: to, chips: machine.len() });
-                    }
-                    let t = self.state[chip].t;
-                    // Queued regimes: a message that does not fit in the
-                    // receiver's ingress buffer parks the sender until a
-                    // receive returns credit. An oversized message is
-                    // admitted alone (occupancy 0) so a single flow can
-                    // never wedge itself.
-                    if let LinkRegime::Queued { buffer_bytes, .. } = spec.link_regime {
-                        let occ = self.rx_occ[to.0];
-                        if occ > 0 && occ.saturating_add(bytes) > buffer_bytes {
-                            self.credit_waiters[to.0].push(chip);
-                            self.stall_parks[chip] += 1;
-                            return Ok(());
-                        }
-                    }
-                    self.send_issue_min = self.send_issue_min.min(t);
-                    self.send_issue_max = self.send_issue_max.max(t);
-                    let start = t
-                        .max(self.state[chip].tx_free)
-                        .max(self.rx_free[to.0])
-                        .max(self.send_floor[chip]);
-                    let mut done = start + spec.link.transfer_cycles(bytes);
-                    // Link-degrade windows stretch transfers issued inside
-                    // them (before any regime surcharge, which compounds
-                    // on top of the degraded transfer time).
-                    if let Some(faults) = &mut self.faults {
-                        let extra = faults[chip].flaps.extra(start, done - start);
-                        if extra > 0 {
-                            done += extra;
-                            let st = &mut self.state[chip].stats;
-                            st.fault_link_cycles += extra;
-                            st.fault_transfers_affected += 1;
-                        }
-                    }
-                    match spec.link_regime {
-                        LinkRegime::Affine => {}
-                        LinkRegime::Queued { discipline, .. } => {
-                            let parks = u64::from(std::mem::take(&mut self.stall_parks[chip]));
-                            self.send_floor[chip] = 0;
-                            let occ = self.rx_occ[to.0] + bytes;
-                            self.rx_occ[to.0] = occ;
-                            self.rx_peak[to.0] = self.rx_peak[to.0].max(occ);
-                            let ready_at = t.max(self.state[chip].tx_free);
-                            let st = &mut self.state[chip].stats;
-                            st.c2c_queue_cycles += start - ready_at;
-                            if let QueueDiscipline::DropTail { nack_cycles } = discipline {
-                                // Each park was a dropped attempt: the
-                                // retransmission pays one NACK round-trip
-                                // on top of the wait for buffer credit.
-                                done = done.saturating_add(nack_cycles.saturating_mul(parks));
-                                st.c2c_drops += parks;
-                                st.c2c_retransmits += parks;
-                            }
-                        }
-                        LinkRegime::Lossy { drop_per_mille, nack_cycles } => {
-                            let packet_cycles = spec.link.payload_cycles(LOSSY_MTU_BYTES);
-                            let loss = go_back_n_overhead(
-                                msg.0,
-                                bytes,
-                                packet_cycles,
-                                drop_per_mille,
-                                nack_cycles,
-                            );
-                            done = done.saturating_add(loss.extra_cycles);
-                            let st = &mut self.state[chip].stats;
-                            st.c2c_drops += loss.drops;
-                            st.c2c_retransmits += loss.retransmits;
-                            st.c2c_gave_up += loss.gave_up;
-                        }
-                    }
-                    if !self.msgs.insert(msg, ChipId(chip), done, bytes) {
-                        return Err(SimError::DuplicateMessage { msg });
-                    }
-                    self.rx_free[to.0] = done;
-                    {
-                        let st = &mut self.state[chip];
-                        st.tx_free = done;
-                        st.stats.c2c_bytes_sent += bytes;
-                        st.stats.c2c_exposed_cycles += done - t;
-                        st.t = done;
-                    }
-                    self.sink.record(chip, t, done, || TraceKind::Send { to: to.0, bytes });
-                    if let Some(waiter) = self.msgs.take_waiter(msg) {
-                        let wt = self.state[waiter].t;
-                        self.ready.push(Reverse((wt, waiter)));
-                    }
-                    // Yield after every send, even a zero-cycle one: a
-                    // woken (or same-time) lower-index chip must get the
-                    // next port slot exactly as under the strict
-                    // per-instruction heap's (time, chip) tie-break.
-                    self.state[chip].pc += 1;
-                    self.ready.push(Reverse((self.state[chip].t, chip)));
                     return Ok(());
                 }
-                Instr::Recv { from, msg } => {
-                    match self.msgs.get(msg) {
-                        Some((sender, delivery, bytes)) => {
-                            if sender != from {
-                                return Err(SimError::SenderMismatch {
-                                    msg,
-                                    expected: from,
-                                    actual: sender,
-                                });
-                            }
-                            let st = &mut self.state[chip];
-                            if delivery > st.t {
-                                let start = st.t;
-                                st.stats.c2c_exposed_cycles += delivery - st.t;
-                                st.t = delivery;
-                                self.sink.record(chip, start, delivery, || TraceKind::RecvWait {
-                                    from: from.0,
-                                });
-                            }
-                            if self.queued_any {
-                                // Consuming the message returns its bytes
-                                // to this chip's ingress buffer; senders
-                                // parked on credit re-contend from their
-                                // own clocks, floored at the consumption
-                                // instant (heap order keeps this
-                                // deterministic and FIFO by arrival time).
-                                let consume_t = self.state[chip].t;
-                                self.rx_occ[chip] = self.rx_occ[chip].saturating_sub(bytes);
-                                if !self.credit_waiters[chip].is_empty() {
-                                    let waiters = std::mem::take(&mut self.credit_waiters[chip]);
-                                    for w in waiters {
-                                        self.send_floor[w] = self.send_floor[w].max(consume_t);
-                                        self.ready.push(Reverse((self.state[w].t, w)));
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            // Park; the matching send will wake us. pc is
-                            // not advanced, so the Recv re-executes on
-                            // wake-up.
-                            self.msgs.park(msg, chip);
-                            return Ok(());
-                        }
+                Some(Op::Stream(stream)) => {
+                    self.run_stream(chip, &form.streams[stream as usize])?
+                }
+                Some(Op::Send { bytes, to, msg }) => return self.send(chip, t_pop, to, msg, bytes),
+                Some(Op::Recv { from, msg }) => {
+                    if !self.recv(chip, from, msg)? {
+                        return Ok(());
                     }
                 }
-                Instr::Sync(id) => {
-                    self.sync_ids.push(id);
-                    self.state[chip].stats.sync_marks += 1;
-                }
+                Some(_) => unreachable!("chip-local ops run above"),
             }
             self.state[chip].pc += 1;
         }
+    }
+
+    /// Executes `chip`'s receive of dense message `msg` from `from`;
+    /// `false` when the message has not been sent yet and the chip parks
+    /// on it (its pc stays, so the receive re-executes on wake-up).
+    fn recv(&mut self, chip: usize, from: usize, msg: u32) -> Result<bool> {
+        let m = &mut self.msgs[msg as usize];
+        if m.sender == NOBODY {
+            m.waiter = chip;
+            return Ok(false);
+        }
+        let Msg { sender, delivery, bytes, .. } = *m;
+        if sender != from {
+            return Err(SimError::SenderMismatch {
+                msg: self.form.msg_ids[msg as usize],
+                expected: ChipId(from),
+                actual: ChipId(sender),
+            });
+        }
+        let st = &mut self.state[chip];
+        if delivery > st.t {
+            let start = st.t;
+            st.stats.c2c_exposed_cycles += delivery - start;
+            st.t = delivery;
+            self.sink.record(chip, start, delivery, || TraceKind::RecvWait { from });
+        }
+        if self.queued_any {
+            // Consuming the message returns its bytes to this chip's
+            // ingress buffer; senders parked on credit re-contend from
+            // their own clocks, floored at the consumption instant (the
+            // ready set's clock order keeps this deterministic and FIFO
+            // by arrival time).
+            let st = &mut self.state[chip];
+            let consume_t = st.t;
+            st.rx_occ = st.rx_occ.saturating_sub(bytes);
+            for w in std::mem::take(&mut st.credit_waiters) {
+                let waiter = &mut self.state[w];
+                waiter.send_floor = waiter.send_floor.max(consume_t);
+                self.ready.insert(w);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Executes `chip`'s send of dense message `msg` (or re-queues or
+    /// parks the chip when it may not send yet), then yields.
+    fn send(&mut self, chip: usize, t_pop: u64, to: usize, msg: u32, bytes: u64) -> Result<()> {
+        let spec = &self.machine.chips[chip];
+        let t = self.state[chip].t;
+        if t > t_pop {
+            // The local clock ran ahead of the pop priority: another chip
+            // may now hold an earlier send to the same port. Re-queue and
+            // retry in global order.
+            self.ready.insert(chip);
+            return Ok(());
+        }
+        if to >= self.state.len() {
+            return Err(SimError::InvalidChip { chip: ChipId(to), chips: self.state.len() });
+        }
+        // Queued regimes: a message that does not fit in the receiver's
+        // ingress buffer parks the sender until a receive returns credit.
+        // An oversized message is admitted alone (occupancy 0) so a
+        // single flow can never wedge itself.
+        if let LinkRegime::Queued { buffer_bytes, .. } = spec.link_regime {
+            let occ = self.state[to].rx_occ;
+            if occ > 0 && occ.saturating_add(bytes) > buffer_bytes {
+                self.state[to].credit_waiters.push(chip);
+                self.state[chip].stall_parks += 1;
+                return Ok(());
+            }
+        }
+        self.send_issue_min = self.send_issue_min.min(t);
+        self.send_issue_max = self.send_issue_max.max(t);
+        let (tx_free, floor) = (self.state[chip].tx_free, self.state[chip].send_floor);
+        let start = t.max(tx_free).max(self.state[to].rx_free).max(floor);
+        let mut done = add(start, spec.link.transfer_cycles(bytes), chip)?;
+        // Link-degrade windows stretch transfers issued inside them
+        // (before any regime surcharge, which compounds on top of the
+        // degraded transfer time).
+        if let Some(faults) = &mut self.faults {
+            let extra = faults[chip]
+                .flaps
+                .extra(start, done - start)
+                .ok_or(SimError::CounterOverflow { chip: ChipId(chip) })?;
+            if extra > 0 {
+                done = add(done, extra, chip)?;
+                let st = &mut self.state[chip].stats;
+                st.fault_link_cycles += extra;
+                st.fault_transfers_affected += 1;
+            }
+        }
+        match spec.link_regime {
+            LinkRegime::Affine => {}
+            LinkRegime::Queued { discipline, .. } => {
+                let receiver = &mut self.state[to];
+                receiver.rx_occ += bytes;
+                receiver.rx_peak = receiver.rx_peak.max(receiver.rx_occ);
+                let st = &mut self.state[chip];
+                let parks = u64::from(std::mem::take(&mut st.stall_parks));
+                st.send_floor = 0;
+                st.stats.c2c_queue_cycles += start - t.max(tx_free);
+                if let QueueDiscipline::DropTail { nack_cycles } = discipline {
+                    // Each park was a dropped attempt: the retransmission
+                    // pays one NACK round-trip on top of the wait for
+                    // buffer credit.
+                    done = add(done, mul(nack_cycles, parks, chip)?, chip)?;
+                    st.stats.c2c_drops += parks;
+                    st.stats.c2c_retransmits += parks;
+                }
+            }
+            LinkRegime::Lossy { drop_per_mille, nack_cycles } => {
+                // The drop pattern is seeded by the original message id,
+                // which lowering keeps next to the dense one.
+                let loss = go_back_n_overhead(
+                    self.form.msg_ids[msg as usize].0,
+                    bytes,
+                    spec.link.payload_cycles(LOSSY_MTU_BYTES),
+                    drop_per_mille,
+                    nack_cycles,
+                );
+                done = add(done, loss.extra_cycles, chip)?;
+                let st = &mut self.state[chip].stats;
+                st.c2c_drops += loss.drops;
+                st.c2c_retransmits += loss.retransmits;
+                st.c2c_gave_up += loss.gave_up;
+            }
+        }
+        let m = &mut self.msgs[msg as usize];
+        if m.sender != NOBODY {
+            return Err(SimError::DuplicateMessage { msg: self.form.msg_ids[msg as usize] });
+        }
+        m.sender = chip;
+        m.delivery = done;
+        m.bytes = bytes;
+        let waiter = std::mem::replace(&mut m.waiter, NOBODY);
+        self.state[to].rx_free = done;
+        let st = &mut self.state[chip];
+        st.stats.c2c_bytes_sent = add(st.stats.c2c_bytes_sent, bytes, chip)?;
+        st.stats.c2c_exposed_cycles += done - t;
+        st.tx_free = done;
+        st.t = done;
+        // Yield after every send, even a zero-cycle one: a woken (or
+        // same-time) lower-index chip must get the next port slot exactly
+        // as under the strict per-instruction heap's (time, chip)
+        // tie-break.
+        st.pc += 1;
+        self.sink.record(chip, t, done, || TraceKind::Send { to, bytes });
+        if waiter != NOBODY {
+            self.ready.insert(waiter);
+        }
+        self.ready.insert(chip);
+        Ok(())
+    }
+}
+
+impl<'a> Executor<'a, MakespanOnly> {
+    /// An executor for the steady-state walk: it starts at the zero
+    /// state and leaves in-flight DMA to the boundary cleanliness check.
+    pub(crate) fn for_walk(machine: &'a Machine, form: &'a Lowered) -> Self {
+        let mut ex = Executor::new(machine, form, MakespanOnly);
+        ex.drain_at_end = false;
+        ex
+    }
+
+    /// Runs one more repetition of the form from the machine state the
+    /// previous one left (chip clocks, port and DMA-engine frees carry
+    /// over; everything else starts afresh), and reports the boundary.
+    pub(crate) fn run_segment(&mut self) -> Result<SegmentRun> {
+        debug_assert!(self.faults.is_none(), "walks never run fault plans");
+        self.ready.0.fill(0);
+        for (c, st) in self.state.iter_mut().enumerate() {
+            st.pc = self.form.starts[c];
+            st.done = false;
+            st.rx_occ = 0;
+            st.rx_peak = 0;
+            st.credit_waiters.clear();
+            st.send_floor = 0;
+            st.stall_parks = 0;
+            st.stats = ChipStats::default();
+            self.ready.insert(c);
+        }
+        self.msgs.fill(UNSENT);
+        self.in_flight.clear();
+        self.send_issue_min = u64::MAX;
+        self.send_issue_max = 0;
+
+        self.run_loop()?;
+        let clean = self.in_flight.is_empty() && self.state.iter().all(|s| s.done && s.rx_occ == 0);
+        self.fold_link_stats();
+        let send_issue = (self.send_issue_min <= self.send_issue_max)
+            .then_some((self.send_issue_min, self.send_issue_max));
+        let field = |f: fn(&ChipState) -> u64| self.state.iter().map(f).collect();
+        Ok(SegmentRun {
+            state: MachineState {
+                t: field(|s| s.t),
+                tx_free: field(|s| s.tx_free),
+                io_dma_free: field(|s| s.io_dma_free),
+                cluster_dma_free: field(|s| s.cluster_dma_free),
+                rx_free: field(|s| s.rx_free),
+            },
+            stats: self.state.iter().map(|s| s.stats.clone()).collect(),
+            send_issue,
+            clean,
+        })
     }
 }
 
@@ -1621,5 +1562,71 @@ mod tests {
         assert!(a.total_retransmits() >= a.total_drops());
         assert!(a.makespan > affine.makespan, "retransmissions extend the transfer");
         assert_eq!(a.total_queueing_cycles(), 0, "lossy keeps affine port arbitration");
+    }
+
+    fn overflow(chip: usize) -> SimError {
+        SimError::CounterOverflow { chip: ChipId(chip) }
+    }
+
+    #[test]
+    fn checked_add_is_the_only_way_a_counter_advances() {
+        assert_eq!(add(u64::MAX - 1, 1, 0), Ok(u64::MAX));
+        assert_eq!(add(u64::MAX, 1, 3), Err(overflow(3)));
+        assert_eq!(mul(u64::MAX / 2, 2, 0), Ok(u64::MAX - 1));
+        assert_eq!(mul(u64::MAX / 2, 3, 1), Err(overflow(1)));
+    }
+
+    #[test]
+    fn huge_transfers_overflow_instead_of_wrapping() {
+        // Forty blocking transfers of u64::MAX bytes used to wrap the
+        // clock to a small, plausible makespan.
+        let dma = Instr::Dma { path: MemPath::L3ToL2, bytes: u64::MAX };
+        let p = Program::from_instrs(vec![dma; 40]);
+        assert_eq!(machine(1).run(&[p]), Err(overflow(0)));
+        // The byte counter overflows first on the fast on-chip engine.
+        let half = 1u64 << 63;
+        let onchip = Instr::Dma { path: MemPath::L2ToL1, bytes: half };
+        let p = Program::from_instrs([onchip, onchip]);
+        assert_eq!(machine(1).run(&[p]), Err(overflow(0)));
+        // Async transfers and streams go through the same check.
+        let tag = DmaTag(0);
+        let asyncs = Instr::DmaAsync { path: MemPath::L2ToL1, bytes: half, tag };
+        let p = Program::from_instrs([asyncs, Instr::DmaWait(tag), asyncs, Instr::DmaWait(tag)]);
+        assert_eq!(machine(1).run(&[p]), Err(overflow(0)));
+        let stream = Instr::DmaStream { path: MemPath::L3ToL2, bytes: u64::MAX, tile: 1 };
+        assert_eq!(machine(1).run(&[Program::from_instrs([stream])]), Err(overflow(0)));
+        // So do sends: chip 1's clock and byte counter.
+        let sends = Program::from_instrs([Instr::send(0, 0, half), Instr::send(0, 1, half)]);
+        let recvs = Program::from_instrs([Instr::recv(1, 0), Instr::recv(1, 1)]);
+        let mut wide = ChipSpec::siracusa();
+        wide.link.bytes_per_cycle = 4.0;
+        assert_eq!(Machine::homogeneous(wide, 2).run(&[recvs, sends]), Err(overflow(1)));
+    }
+
+    #[test]
+    fn fault_windows_overflow_instead_of_wrapping() {
+        let work = Program::from_instrs([
+            Instr::compute(Kernel::gemv(256, 256)),
+            Instr::compute(Kernel::gemv(256, 256)),
+        ]);
+        // A stall that carries the clock past u64 (the fault-free answer
+        // used to come back).
+        let stall = machine_with_faults(1, "stall:0:1:18446744073709551000");
+        assert_eq!(stall.run(std::slice::from_ref(&work)), Err(overflow(0)));
+        // A slowdown whose surcharge does not fit.
+        let slow = machine_with_faults(1, &format!("slow:0:0:100:{}", u32::MAX));
+        let long = Program::from_instrs(vec![Instr::compute(Kernel::gemm(4096, 4096, 4096)); 4096]);
+        assert_eq!(slow.run(std::slice::from_ref(&long)), Err(overflow(0)));
+        // A surcharge whose u64 product would wrap but whose value fits
+        // is exact.
+        let base = 1u64 << 62;
+        let mut w = Windows { list: vec![(0, u64::MAX, 300)], closed: 0 };
+        assert_eq!(w.extra(0, base), Some(2 * base));
+        assert_eq!(w.extra(0, u64::MAX), None);
+        // A link flap whose stretched transfer leaves u64.
+        let p0 = Program::from_instrs([Instr::send(1, 0, 1 << 62)]);
+        let p1 = Program::from_instrs([Instr::recv(0, 0)]);
+        let flap = machine_with_faults(2, "flap:0:0:100:500");
+        assert_eq!(flap.run(&[p0, p1]), Err(overflow(0)));
     }
 }

@@ -134,7 +134,7 @@ enum PlanKind {
 /// | `stall:CHIP:AT:DUR` | chip freezes for `DUR` cycles at `AT` |
 /// | `slow:CHIP:FROM:DUR:PCT` | kernels run at `PCT`% duration in window |
 /// | `flap:CHIP:FROM:DUR:PCT` | sends take `PCT`% duration in window |
-/// | `seeded:SEED:COUNT[:HORIZON]` | `COUNT` seeded transient events |
+/// | `seeded:SEED:COUNT[:HORIZON]` | `COUNT` (at most [`MAX_SEEDED_FAULTS`]) seeded transient events |
 ///
 /// Explicit events join with `+` (`failstop:2:40000+stall:0:0:5000`);
 /// `seeded` stands alone.
@@ -146,6 +146,11 @@ pub struct FaultPlan {
 /// Default horizon (in cycles) for `seeded:SEED:COUNT` spellings that
 /// omit one: 2 ms at the Siracusa clock.
 pub const DEFAULT_SEEDED_HORIZON: u64 = 1_000_000;
+
+/// Most events a `seeded:SEED:COUNT` spelling may ask for. Every
+/// simulation under the plan materializes and scans its events, so the
+/// budget bounds the time and memory one spelling can cost.
+pub const MAX_SEEDED_FAULTS: u32 = 10_000;
 
 impl FaultPlan {
     /// The empty plan (also [`FaultPlan::default`]).
@@ -203,7 +208,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown spellings, zero
-    /// durations, or slowdown factors at or below 100 percent.
+    /// durations, slowdown factors at or below 100 percent, or a seeded
+    /// COUNT above [`MAX_SEEDED_FAULTS`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         if spec == "none" {
             return Ok(FaultPlan::none());
@@ -220,6 +226,12 @@ impl FaultPlan {
             };
             let seed = num(seed_s, "seeded SEED")?;
             let count = num::<u32>(count_s, "seeded COUNT")?;
+            if count > MAX_SEEDED_FAULTS {
+                return Err(format!(
+                    "seeded COUNT {count} exceeds the budget of {MAX_SEEDED_FAULTS} events \
+                     (MAX_SEEDED_FAULTS)"
+                ));
+            }
             let horizon = match horizon_s {
                 Some(h) => {
                     let h = num(h, "seeded HORIZON")?;
@@ -348,6 +360,16 @@ fn parse_event(part: &str) -> Result<FaultEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeded_count_has_a_budget() {
+        let at_budget = FaultPlan::parse(&format!("seeded:1:{MAX_SEEDED_FAULTS}")).unwrap();
+        assert_eq!(at_budget.events_for(2).len(), MAX_SEEDED_FAULTS as usize);
+        assert_eq!(
+            FaultPlan::parse("seeded:1:10001"),
+            Err("seeded COUNT 10001 exceeds the budget of 10000 events (MAX_SEEDED_FAULTS)".into())
+        );
+    }
 
     #[test]
     fn default_is_empty_and_labeled_none() {

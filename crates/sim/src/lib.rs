@@ -42,6 +42,7 @@ mod error;
 mod exec;
 mod fault;
 mod gantt;
+mod lower;
 mod memory;
 mod periodic;
 mod program;
@@ -53,8 +54,9 @@ pub use chip::{ChipSpec, LinkPortSpec, LinkRegime, QueueDiscipline};
 pub use dma::DmaSpec;
 pub use error::{Result, SimError};
 pub use exec::Machine;
-pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON};
+pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON, MAX_SEEDED_FAULTS};
 pub use gantt::{Trace, TraceEvent, TraceKind};
+pub use lower::Lowered;
 pub use memory::{MemPath, MemorySpec};
 pub use periodic::WarmupCheckpoint;
 pub use program::{id_span, ChipId, DmaTag, Instr, MsgId, Program};

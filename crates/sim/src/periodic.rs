@@ -40,7 +40,7 @@
 //!    selected by any `max` again, so it behaves as minus infinity).
 
 use crate::symbolic::{walk, Walk};
-use crate::{trace::ChipStats, Machine, Program, Result, RunStats, SymbolicMakespan};
+use crate::{trace::ChipStats, Lowered, Machine, Program, Result, RunStats, SymbolicMakespan};
 
 /// Snapshot of the machine's time-like state at a segment boundary, also
 /// used as the carried starting state of the next segment.
@@ -97,9 +97,8 @@ pub(crate) struct SegmentRun {
     /// `(min, max)` send issue times, `None` when the segment sent
     /// nothing.
     pub(crate) send_issue: Option<(u64, u64)>,
-    /// Distinct sync ids the segment observed.
-    pub(crate) distinct_syncs: usize,
-    /// `true` when every chip finished with no async DMA in flight.
+    /// `true` when every chip finished with no async DMA in flight and
+    /// no ingress buffer holds an unconsumed message.
     pub(crate) clean: bool,
 }
 
@@ -172,6 +171,8 @@ impl WarmupCheckpoint {
 /// against: `n_blocks` copies of the template with per-block message and
 /// sync identifier shifts (stride = the template's [`crate::id_span`]),
 /// exactly the id-disjoint instantiation a schedule builder would emit.
+/// The tests' oracle for `Lowered::repeat`, which the engine runs.
+#[cfg(test)]
 pub(crate) fn concat_shifted(template: &[Program], n_blocks: usize) -> Vec<Program> {
     let (msg_stride, sync_stride) = crate::id_span(template);
     let mut out: Vec<Program> = (0..template.len()).map(|_| Program::new()).collect();
@@ -226,19 +227,27 @@ impl Machine {
     /// malformed-program errors; plus [`crate::SimError::CycleOverflow`]
     /// when an extrapolated counter does not fit in `u64`.
     pub fn run_periodic(&self, template: &[Program], n_blocks: usize) -> Result<RunStats> {
-        if template.len() != self.len() {
+        self.run_periodic_lowered(&self.lower(template)?, n_blocks)
+    }
+
+    /// [`Machine::run_periodic`] on an already lowered template: the
+    /// walk and the full-run fallback both replay `template` without
+    /// re-lowering it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Machine::run_periodic`].
+    pub fn run_periodic_lowered(&self, template: &Lowered, n_blocks: usize) -> Result<RunStats> {
+        if template.n_chips() != self.len() {
             return Err(crate::SimError::ProgramCountMismatch {
                 chips: self.len(),
-                programs: template.len(),
+                programs: template.n_chips(),
             });
-        }
-        if n_blocks == 0 {
-            return self.run(&vec![Program::new(); self.len()]);
         }
         if n_blocks == 1 {
             // One repetition needs no id shifting: the template runs
             // as-is (this is every block-span scenario of a sweep).
-            return self.run(template);
+            return self.run_lowered(template);
         }
         if n_blocks > FULL_RUN_THRESHOLD {
             match walk(self, template, n_blocks) {
@@ -249,7 +258,7 @@ impl Machine {
                 Walk::Refused => {}
             }
         }
-        self.run(&concat_shifted(template, n_blocks))
+        self.run_lowered(&template.repeat(n_blocks))
     }
 
     /// Runs the steady-state walk of [`Machine::run_periodic`] once —
@@ -276,7 +285,16 @@ impl Machine {
     /// provide one program per chip. Every other template problem yields
     /// a non-converged checkpoint; simulating exactly then reports it.
     pub fn warmup(&self, template: &[Program]) -> Result<WarmupCheckpoint> {
-        SymbolicMakespan::derive(self, template).map(WarmupCheckpoint)
+        self.warmup_lowered(&self.lower(template)?)
+    }
+
+    /// [`Machine::warmup`] on an already lowered template.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Machine::warmup`].
+    pub fn warmup_lowered(&self, template: &Lowered) -> Result<WarmupCheckpoint> {
+        SymbolicMakespan::derive_lowered(self, template).map(WarmupCheckpoint)
     }
 
     /// Executes `n_blocks` Transformer blocks each serving a uniform

@@ -34,9 +34,10 @@
 //! piecewise function of bandwidth whose knee is the compute-bound /
 //! link-bound crossover.
 
+use crate::exec::Executor;
 use crate::periodic::{uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
 use crate::trace::ChipStats;
-use crate::{ChipSpec, Instr, LinkRegime, Machine, Program, Result, RunStats, SimError};
+use crate::{ChipSpec, LinkRegime, Lowered, Machine, Program, Result, RunStats, SimError};
 
 /// How a [`walk`] ended.
 #[derive(Debug)]
@@ -52,10 +53,11 @@ pub(crate) enum Walk {
 
 /// Runs `template` segment by segment on `machine` for at most `limit`
 /// segments (and never more than [`MAX_WARMUP_SEGMENTS`]), checking the
-/// proof obligations at every boundary. Each segment's counters and
-/// boundary clocks are moved into the result, never cloned: this loop is
-/// the serving hot path.
-pub(crate) fn walk(machine: &Machine, template: &[Program], limit: usize) -> Walk {
+/// proof obligations at every boundary. One executor runs every segment,
+/// rewound in place between them, and each segment's counters and
+/// boundary clocks are moved into the result: this loop is the serving
+/// hot path.
+pub(crate) fn walk(machine: &Machine, template: &Lowered, limit: usize) -> Walk {
     // Non-affine link timing voids the shift-invariance proof: a finite
     // ingress buffer couples segments through occupancy carried across
     // boundaries, and the lossy drop pattern depends on the per-block
@@ -75,8 +77,9 @@ pub(crate) fn walk(machine: &Machine, template: &[Program], limit: usize) -> Wal
     let mut segments: Vec<Vec<ChipStats>> = Vec::with_capacity(bound);
     let mut clocks: Vec<Vec<u64>> = Vec::with_capacity(bound + 1);
     let mut prev_send: Option<(u64, u64)> = None;
+    let mut executor = Executor::for_walk(machine, template);
     for seg in 1..=bound {
-        let Ok(run) = machine.run_segment(template, &carry) else {
+        let Ok(run) = executor.run_segment() else {
             return Walk::Refused;
         };
         if !run.clean {
@@ -112,14 +115,14 @@ pub(crate) fn walk(machine: &Machine, template: &[Program], limit: usize) -> Wal
                 clocks,
                 totals,
                 delta,
-                distinct_syncs: run.distinct_syncs,
+                distinct_syncs: template.distinct_syncs,
             });
         }
         if seg == limit {
             for (chip, &t) in totals.iter_mut().zip(&run.state.t) {
                 chip.finish_cycles = t;
             }
-            return Walk::Exact(RunStats::new(totals, run.distinct_syncs * seg));
+            return Walk::Exact(RunStats::new(totals, template.distinct_syncs * seg));
         }
         segments.push(run.stats);
         prev_send = run.send_issue;
@@ -218,10 +221,19 @@ impl SymbolicMakespan {
     /// provide one program per chip; every other template problem yields
     /// `Ok(None)` so the caller's exact fallback reports it.
     pub fn derive(machine: &Machine, template: &[Program]) -> Result<Option<Self>> {
-        if template.len() != machine.len() {
+        Self::derive_lowered(machine, &machine.lower(template)?)
+    }
+
+    /// [`SymbolicMakespan::derive`] on an already lowered template.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SymbolicMakespan::derive`].
+    pub fn derive_lowered(machine: &Machine, template: &Lowered) -> Result<Option<Self>> {
+        if template.n_chips() != machine.len() {
             return Err(SimError::ProgramCountMismatch {
                 chips: machine.len(),
-                programs: template.len(),
+                programs: template.n_chips(),
             });
         }
         Ok(match walk(machine, template, MAX_WARMUP_SEGMENTS) {
@@ -376,19 +388,11 @@ fn scale_link_bw(base: &ChipSpec, pct: u32) -> ChipSpec {
     chip
 }
 
-/// The priced cost of every `Send` in the template, in instruction order
-/// — the complete link-timing signature of a bandwidth setting under the
+/// The priced cost of every send in the template, in program order —
+/// the complete link-timing signature of a bandwidth setting under the
 /// affine regime.
-fn pricing_signature(chip: &ChipSpec, template: &[Program]) -> Vec<u64> {
-    let mut sig = Vec::new();
-    for p in template {
-        for i in p.instrs() {
-            if let Instr::Send { bytes, .. } = *i {
-                sig.push(chip.link.transfer_cycles(bytes));
-            }
-        }
-    }
-    sig
+fn pricing_signature(chip: &ChipSpec, template: &Lowered) -> Vec<u64> {
+    template.send_bytes().map(|bytes| chip.link.transfer_cycles(bytes)).collect()
 }
 
 impl SymbolicPlane {
@@ -415,12 +419,24 @@ impl SymbolicPlane {
         template: &[Program],
         pcts: &[u32],
     ) -> Result<Self> {
-        if template.len() != n_chips {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: n_chips,
-                programs: template.len(),
-            });
-        }
+        let lowered = Machine::homogeneous(*base, n_chips).lower(template)?;
+        Self::derive_lowered(base, &lowered, pcts)
+    }
+
+    /// [`SymbolicPlane::derive`] on a template already lowered for
+    /// `base` chips (at any bandwidth: lowering never prices the link),
+    /// spanning the form's chip count. Every pricing class replays the
+    /// same lowered form.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`SymbolicPlane::derive`].
+    ///
+    /// # Errors
+    ///
+    /// None today; the signature matches [`SymbolicPlane::derive`].
+    pub fn derive_lowered(base: &ChipSpec, template: &Lowered, pcts: &[u32]) -> Result<Self> {
+        let n_chips = template.n_chips();
         let mut sorted: Vec<u32> = pcts.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -441,7 +457,7 @@ impl SymbolicPlane {
         for (_, members) in classes {
             let chip = scale_link_bw(base, members[0]);
             let machine = Machine::homogeneous(chip, n_chips);
-            let model = SymbolicMakespan::derive(&machine, template)?;
+            let model = SymbolicMakespan::derive_lowered(&machine, template)?;
             warmups += 1;
             cells.push(PlaneCell { pcts: members, model });
         }
@@ -534,6 +550,7 @@ impl SymbolicPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Instr;
     use mtp_kernels::Kernel;
 
     fn machine(n: usize) -> Machine {
@@ -591,7 +608,8 @@ mod tests {
     fn walk_proves_the_fixed_point() {
         let m = machine(2);
         let template = ping_pong_template();
-        let Walk::Proven(model) = walk(&m, &template, MAX_WARMUP_SEGMENTS) else {
+        let Walk::Proven(model) = walk(&m, &m.lower(&template).unwrap(), MAX_WARMUP_SEGMENTS)
+        else {
             panic!("the ping-pong template is periodic");
         };
         assert_eq!(model.warm_blocks(), derive_warm(&m, &template));
@@ -614,7 +632,7 @@ mod tests {
         let warm = derive_warm(&m, &template);
         assert!(warm >= 2, "the template needs a warmup longer than one segment");
         for limit in 1..warm {
-            let Walk::Exact(stats) = walk(&m, &template, limit) else {
+            let Walk::Exact(stats) = walk(&m, &m.lower(&template).unwrap(), limit) else {
                 panic!("limit {limit} < warm {warm} must stop exact");
             };
             assert_eq!(stats, full(&m, &template, limit), "limit={limit}");
@@ -629,27 +647,46 @@ mod tests {
             Instr::DmaAsync { path: crate::MemPath::L3ToL2, bytes: 1 << 20, tag: crate::DmaTag(0) },
             Instr::compute(Kernel::Add { n: 64 }),
         ])];
-        assert!(matches!(walk(&one, &in_flight, MAX_WARMUP_SEGMENTS), Walk::Refused));
+        assert!(matches!(
+            walk(&one, &one.lower(&in_flight).unwrap(), MAX_WARMUP_SEGMENTS),
+            Walk::Refused
+        ));
         // Send overlap between consecutive segments.
         let three = machine(3);
         let overlap = overlapping_sends_template();
-        assert!(matches!(walk(&three, &overlap, 1), Walk::Exact(_)), "one segment is clean");
-        assert!(matches!(walk(&three, &overlap, MAX_WARMUP_SEGMENTS), Walk::Refused));
+        assert!(
+            matches!(walk(&three, &three.lower(&overlap).unwrap(), 1), Walk::Exact(_)),
+            "one segment is clean"
+        );
+        assert!(matches!(
+            walk(&three, &three.lower(&overlap).unwrap(), MAX_WARMUP_SEGMENTS),
+            Walk::Refused
+        ));
         assert_eq!(three.run_periodic(&overlap, 9).unwrap(), full(&three, &overlap, 9));
         // A contention-bearing link regime.
         let template = ping_pong_template();
         let mut spec = ChipSpec::siracusa();
         spec.link_regime = LinkRegime::Lossy { drop_per_mille: 100, nack_cycles: 500 };
         let lossy = Machine::homogeneous(spec, 2);
-        assert!(matches!(walk(&lossy, &template, MAX_WARMUP_SEGMENTS), Walk::Refused));
+        assert!(matches!(
+            walk(&lossy, &lossy.lower(&template).unwrap(), MAX_WARMUP_SEGMENTS),
+            Walk::Refused
+        ));
         // A fault plan.
         let plan = crate::FaultPlan::parse("stall:0:5000:2000").unwrap();
         let faulted = machine(2).with_faults(plan);
-        assert!(matches!(walk(&faulted, &template, MAX_WARMUP_SEGMENTS), Walk::Refused));
+        assert!(matches!(
+            walk(&faulted, &faulted.lower(&template).unwrap(), MAX_WARMUP_SEGMENTS),
+            Walk::Refused
+        ));
         // A segment error (a receive nobody sends).
         let deadlock =
             [Program::from_instrs([Instr::recv(1, 99)]), Program::from_instrs([Instr::Sync(0)])];
-        assert!(matches!(walk(&machine(2), &deadlock, MAX_WARMUP_SEGMENTS), Walk::Refused));
+        let two = machine(2);
+        assert!(matches!(
+            walk(&two, &two.lower(&deadlock).unwrap(), MAX_WARMUP_SEGMENTS),
+            Walk::Refused
+        ));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Run statistics: makespan, per-chip breakdowns, byte counters.
 
-use crate::MemPath;
-
 /// Per-chip counters accumulated by the executor.
 ///
 /// *Exposed* cycles are time on the chip's critical path (blocking
@@ -71,16 +69,6 @@ pub struct ChipStats {
 }
 
 impl ChipStats {
-    pub(crate) fn add_dma(&mut self, path: MemPath, bytes: u64, exposed: u64) {
-        if path.is_off_chip() {
-            self.dma_l3_l2_bytes += bytes;
-            self.dma_l3_l2_exposed_cycles += exposed;
-        } else {
-            self.dma_l2_l1_bytes += bytes;
-            self.dma_l2_l1_exposed_cycles += exposed;
-        }
-    }
-
     /// Adds another run's counters for the same chip into this one —
     /// the merge used when two runs of the same machine compose
     /// sequentially (periodic extrapolation, failover replay).

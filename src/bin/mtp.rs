@@ -395,6 +395,11 @@ fn sweep_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     }
 
     let results = engine.run(&grid);
+    // An overflowing point has an answer no row can hold: fail with the
+    // typed error instead of listing it among the invalid points.
+    if let Some(s) = results.skipped.iter().find(|s| s.overflow) {
+        return Err(format!("scenario {}: {}", s.scenario.key(), s.reason).into());
+    }
     write!(out, "{}", results.render())?;
     if !results.skipped.is_empty() {
         writeln!(out, "\nskipped scenarios:")?;
@@ -532,8 +537,15 @@ fn serve_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     Ok(())
 }
 
+/// Most bandwidth points one `--link-bw` list may expand to: each point
+/// is scored in every design group, so the budget bounds the search's
+/// time and memory.
+const MAX_LINK_BW_POINTS: u64 = 10_000;
+
 /// Parses one `--link-bw` item: either a plain percent (`75`) or an
 /// inclusive range `LO..HI[:STEP]` (`50..100:5`, step defaults to 1).
+/// The list's points, `out` included, must stay within
+/// [`MAX_LINK_BW_POINTS`].
 fn parse_bw_item(item: &str, out: &mut Vec<u32>) -> Result<(), String> {
     let bad = || format!("bad link bandwidth `{item}` (want PCT or LO..HI[:STEP])");
     if let Some((range, step)) =
@@ -547,6 +559,13 @@ fn parse_bw_item(item: &str, out: &mut Vec<u32>) -> Result<(), String> {
         let step: u32 = step.parse().map_err(|_| bad())?;
         if lo == 0 || hi < lo || step == 0 {
             return Err(bad());
+        }
+        let points = u64::from((hi - lo) / step) + 1;
+        if out.len() as u64 + points > MAX_LINK_BW_POINTS {
+            return Err(format!(
+                "--link-bw `{item}` expands to {points} points; the list may hold at most \
+                 {MAX_LINK_BW_POINTS} (MAX_LINK_BW_POINTS)"
+            ));
         }
         out.extend((lo..=hi).step_by(step as usize));
     } else {

@@ -185,6 +185,77 @@ fn simulate_past_u64_cycles_is_a_typed_overflow() {
     assert!(stdout(&out).is_empty(), "no report may be printed");
 }
 
+/// A stall long enough to push a chip's clock past `u64` is the
+/// executor's typed overflow: the sweep fails instead of printing the
+/// wrapped (fault-free-looking) cycle count.
+#[test]
+fn sweep_past_u64_cycles_is_a_typed_overflow() {
+    let grid = [
+        "sweep",
+        "--models",
+        "tinyllama",
+        "--modes",
+        "ar",
+        "--chips",
+        "8",
+        "--link-bw",
+        "100",
+        "--placements",
+        "auto",
+        "--topologies",
+        "hier4",
+    ];
+    let out = mtp(&[&grid[..], &["--faults", "stall:0:1:18446744073709551000"]].concat());
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("simulation failed: chip0 cycle or byte counters overflow u64"), "{err}");
+    assert!(stdout(&out).is_empty(), "no table may be printed");
+    // A stall that fits is simulated and printed as before.
+    let out = mtp(&[&grid[..], &["--faults", "stall:0:1:1000000"]].concat());
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("1,114,079"));
+}
+
+/// Spec grammars whose size the input chooses have explicit budgets:
+/// over-budget input is rejected up front, naming the budget, instead of
+/// running without bound.
+#[test]
+fn over_budget_specs_are_rejected_naming_the_budget() {
+    let out = mtp(&[
+        "sweep",
+        "--models",
+        "tinyllama",
+        "--modes",
+        "ar",
+        "--chips",
+        "8",
+        "--faults",
+        "seeded:1:100000000",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains(
+            "seeded COUNT 100000000 exceeds the budget of 10000 events (MAX_SEEDED_FAULTS)"
+        ),
+        "{}",
+        stderr(&out)
+    );
+    let out = mtp(&["advise", "--link-bw", "1..100000000:1"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains(
+            "--link-bw `1..100000000:1` expands to 100000000 points; the list may hold at most \
+             10000 (MAX_LINK_BW_POINTS)"
+        ),
+        "{}",
+        stderr(&out)
+    );
+    // The budget counts the whole list, not each item alone.
+    let out = mtp(&["advise", "--link-bw", "1..6000,1..6000"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("`1..6000` expands to 6000 points"), "{}", stderr(&out));
+}
+
 // ---------------------------------------------------------------------
 // Accepted spellings: exit 0 and the expected output shape.
 // ---------------------------------------------------------------------
