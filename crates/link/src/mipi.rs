@@ -36,7 +36,13 @@ pub fn payload_cycles(bytes: u64, bytes_per_cycle: f64) -> u64 {
     }
     let whole = bytes_per_cycle as u64;
     if bytes_per_cycle >= 1.0 && whole as f64 == bytes_per_cycle {
-        bytes.div_ceil(whole)
+        if whole.is_power_of_two() {
+            // The common rates (1, 2 and 16 bytes per cycle) divide by a
+            // shift.
+            (bytes >> whole.trailing_zeros()) + u64::from(bytes & (whole - 1) != 0)
+        } else {
+            bytes.div_ceil(whole)
+        }
     } else {
         let exact = bytes as f64 / bytes_per_cycle;
         let floor = exact as u64;
@@ -104,7 +110,23 @@ mod tests {
                 (bytes as f64 / rate).ceil() as u64
             }
         };
-        let rates = [0.1, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 16.0, 0.999_999, 1e-9, 7.3, 1e30];
+        let rates = [
+            0.1,
+            0.3,
+            0.5,
+            0.75,
+            1.0,
+            1.5,
+            2.0,
+            3.0,
+            16.0,
+            0.999_999,
+            1e-9,
+            7.3,
+            1e30,
+            64.0,
+            2f64.powi(63),
+        ];
         let sizes =
             [0, 1, 2, 3, 7, 100, 4096, 65_537, 1 << 53, (1 << 53) + 1, u64::MAX / 3, u64::MAX];
         for &rate in &rates {
@@ -117,7 +139,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let rate = (x % 4000) as f64 / 1000.0 + 0.001;
+            let rate = match x % 3 {
+                0 => (x % 4000) as f64 / 1000.0 + 0.001,
+                1 => (1u64 << (x % 64)) as f64,
+                _ => (x % 1000 + 1) as f64,
+            };
             let bytes = x >> (x % 64);
             assert_eq!(payload_cycles(bytes, rate), reference(bytes, rate), "{bytes} @ {rate}");
         }

@@ -169,8 +169,9 @@ pub struct Lowered {
     span: (u64, u32),
     /// Distinct sync ids across all chips.
     pub(crate) distinct_syncs: usize,
-    /// What each chip was priced with.
-    pricing: Vec<Pricing>,
+    /// The cost classes the form was priced with, and each chip's class.
+    classes: Vec<Pricing>,
+    class_of: Vec<usize>,
 }
 
 impl Lowered {
@@ -178,18 +179,23 @@ impl Lowered {
     /// counts match.
     pub(crate) fn new(chips: &[ChipSpec], programs: &[Program]) -> Self {
         debug_assert_eq!(chips.len(), programs.len());
-        let pricing: Vec<Pricing> = chips.iter().map(Pricing::of).collect();
+        let mut classes: Vec<Pricing> = Vec::with_capacity(1);
+        let mut class_of = Vec::with_capacity(chips.len());
         let mut kernel_prices = PriceMemo::new();
         let mut dma_prices = PriceMemo::new();
         let mut starts = Vec::with_capacity(chips.len() + 1);
         let mut ops = Vec::with_capacity(programs.iter().map(Program::len).sum());
         let mut streams = Vec::new();
-        let mut sync_ids = Vec::new();
+        let mut sync_ids = Vec::with_capacity(2 * chips.len());
         let (mut max_id, mut refs) = (0u64, 0usize);
-        for (chip, (spec, program)) in chips.iter().zip(programs).enumerate() {
+        for (spec, program) in chips.iter().zip(programs) {
             starts.push(ops.len());
-            // A chip's cost class is the first chip priced the same way.
-            let class = pricing[..chip].iter().position(|p| *p == pricing[chip]).unwrap_or(chip);
+            let pricing = Pricing::of(spec);
+            let class = classes.iter().position(|p| *p == pricing).unwrap_or_else(|| {
+                classes.push(pricing);
+                classes.len() - 1
+            });
+            class_of.push(class);
             let mut transfer = |path: MemPath, bytes: u64| {
                 let off_chip = path.is_off_chip();
                 let hash = (bytes as usize).wrapping_mul(0x9e37_79b9) ^ class << 1;
@@ -278,7 +284,8 @@ impl Lowered {
             if refs > 0 { max_id.wrapping_add(1) } else { 0 },
             sync_ids.last().map_or(0, |&s| s.wrapping_add(1)),
         );
-        Lowered { starts, ops, streams, msg_ids, span, distinct_syncs: sync_ids.len(), pricing }
+        let distinct_syncs = sync_ids.len();
+        Lowered { starts, ops, streams, msg_ids, span, distinct_syncs, classes, class_of }
     }
 
     /// Concatenates lowered forms chip by chip into one: each part's
@@ -296,7 +303,7 @@ impl Lowered {
         let parts: Vec<&Lowered> = parts.into_iter().collect();
         let first = parts.first().expect("concatenating no lowered forms");
         assert!(
-            parts.iter().all(|p| p.pricing == first.pricing),
+            parts.iter().all(|p| p.classes == first.classes && p.class_of == first.class_of),
             "concatenated parts must be priced for the same chips"
         );
         let n = first.n_chips();
@@ -307,7 +314,8 @@ impl Lowered {
             msg_ids: Vec::with_capacity(parts.iter().map(|p| p.msg_ids.len()).sum()),
             span: (0, 0),
             distinct_syncs: 0,
-            pricing: first.pricing.clone(),
+            classes: first.classes.clone(),
+            class_of: first.class_of.clone(),
         };
         // Per-part offsets into the concatenated tables.
         let mut offsets = Vec::with_capacity(parts.len());
@@ -358,8 +366,12 @@ impl Lowered {
     #[must_use]
     pub fn priced_for(&self, machine: &crate::Machine) -> bool {
         let chips = machine.chips();
-        self.pricing.len() == chips.len()
-            && self.pricing.iter().zip(chips).all(|(p, c)| *p == Pricing::of(c))
+        self.class_of.len() == chips.len()
+            && self
+                .class_of
+                .iter()
+                .zip(chips)
+                .all(|(&c, chip)| self.classes[c] == Pricing::of(chip))
     }
 
     /// Number of chips the form spans.
