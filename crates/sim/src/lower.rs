@@ -380,18 +380,6 @@ impl Lowered {
         self.starts.len() - 1
     }
 
-    /// Total number of ops across all chips.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` when no chip has an op.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// The bytes every send of the form transfers, chip by chip in
     /// program order: the form's whole dependence on link bandwidth.
     pub(crate) fn send_bytes(&self) -> impl Iterator<Item = u64> + '_ {
@@ -492,7 +480,7 @@ mod tests {
         assert_eq!(lowered.repeat(2), direct);
         assert_eq!(lowered.repeat(1), lowered);
         let empty = lowered.repeat(0);
-        assert!(empty.is_empty());
+        assert!(empty.ops.is_empty());
         assert_eq!(empty.n_chips(), 2);
         assert_eq!(empty, m.lower(&[Program::new(), Program::new()]).unwrap());
     }
