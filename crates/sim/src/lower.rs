@@ -348,14 +348,16 @@ impl Lowered {
     /// chains steady-state blocks (`n = 0` is the empty form).
     pub(crate) fn repeat(&self, n: usize) -> Lowered {
         if n == 0 {
-            let mut empty = Lowered::concat([self]);
-            empty.ops.clear();
-            empty.starts.iter_mut().for_each(|s| *s = 0);
-            empty.streams.clear();
-            empty.msg_ids.clear();
-            empty.span = (0, 0);
-            empty.distinct_syncs = 0;
-            return empty;
+            return Lowered {
+                starts: vec![0; self.starts.len()],
+                ops: Vec::new(),
+                streams: Vec::new(),
+                msg_ids: Vec::new(),
+                span: (0, 0),
+                distinct_syncs: 0,
+                classes: self.classes.clone(),
+                class_of: self.class_of.clone(),
+            };
         }
         Lowered::concat(std::iter::repeat_n(self, n))
     }
