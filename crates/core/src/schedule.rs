@@ -588,7 +588,20 @@ impl CompiledSchedule {
             return Ok(Cow::Owned(machine.lower(&self.template)?));
         }
         let form = machine.lower(&self.template)?;
-        Ok(Cow::Borrowed(self.lowered.get_or_init(|| form)))
+        match self.lowered.set(form) {
+            Ok(()) => Ok(Cow::Borrowed(self.lowered.get().expect("just set"))),
+            // Another thread cached its form first, possibly for a
+            // machine that prices differently: use ours unless it is
+            // the same pricing.
+            Err(form) => {
+                let cached = self.lowered.get().expect("set failed because a form is cached");
+                Ok(if cached.priced_for(machine) {
+                    Cow::Borrowed(cached)
+                } else {
+                    Cow::Owned(form)
+                })
+            }
+        }
     }
 
     /// Simulates `n_blocks` consecutive blocks on a machine of `chip`s

@@ -1235,6 +1235,11 @@ pub struct StreamSummary {
     pub cache_hits: usize,
     /// Scenarios actually simulated.
     pub unique_simulated: usize,
+    /// The first skipped scenario whose counters overflowed
+    /// ([`SkippedScenario::overflow`]), if any: counted among the
+    /// skipped, but an answer no row can hold rather than an invalid
+    /// point.
+    pub first_overflow: Option<SkippedScenario>,
     /// Wall-clock time of the whole streamed run.
     pub elapsed: Duration,
 }
@@ -1709,6 +1714,7 @@ impl SweepEngine {
             skipped: 0,
             cache_hits: 0,
             unique_simulated: 0,
+            first_overflow: None,
             elapsed: Duration::ZERO,
         };
         for chunk in scenarios.chunks(STREAM_CHUNK) {
@@ -1720,6 +1726,9 @@ impl SweepEngine {
             summary.skipped += results.skipped.len();
             summary.cache_hits += results.cache_hits;
             summary.unique_simulated += results.unique_simulated;
+            if summary.first_overflow.is_none() {
+                summary.first_overflow = results.skipped.into_iter().find(|s| s.overflow);
+            }
             // Keep memory flat: this chunk's reports leave the
             // persistent cache once their rows are written.
             let mut cache = self.cache.lock().expect("sweep cache poisoned");

@@ -25,28 +25,16 @@ pub struct LinkPortSpec {
 ///
 /// Integral rates take an exact `div_ceil` path; the historical
 /// `as f64 … ceil()` round-trip loses precision above 2^53 bytes and is
-/// kept only for fractional rates. Both the integrality test and the
-/// rounding are written with casts rather than `f64::fract`/`f64::ceil`:
-/// on baseline x86-64 those are libm calls, and the simulator prices
-/// every transfer it executes. The results are identical.
+/// kept only for fractional rates.
 #[must_use]
 pub fn payload_cycles(bytes: u64, bytes_per_cycle: f64) -> u64 {
     if bytes == 0 {
         return 0;
     }
-    let whole = bytes_per_cycle as u64;
-    if bytes_per_cycle >= 1.0 && whole as f64 == bytes_per_cycle {
-        if whole.is_power_of_two() {
-            // The common rates (1, 2 and 16 bytes per cycle) divide by a
-            // shift.
-            (bytes >> whole.trailing_zeros()) + u64::from(bytes & (whole - 1) != 0)
-        } else {
-            bytes.div_ceil(whole)
-        }
+    if bytes_per_cycle >= 1.0 && bytes_per_cycle.fract() == 0.0 {
+        bytes.div_ceil(bytes_per_cycle as u64)
     } else {
-        let exact = bytes as f64 / bytes_per_cycle;
-        let floor = exact as u64;
-        floor.saturating_add(u64::from((floor as f64) < exact))
+        (bytes as f64 / bytes_per_cycle).ceil() as u64
     }
 }
 
@@ -98,56 +86,6 @@ impl Default for LinkPortSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_cycles_match_the_libm_formula() {
-        let reference = |bytes: u64, rate: f64| -> u64 {
-            if bytes == 0 {
-                0
-            } else if rate >= 1.0 && rate.fract() == 0.0 {
-                bytes.div_ceil(rate as u64)
-            } else {
-                (bytes as f64 / rate).ceil() as u64
-            }
-        };
-        let rates = [
-            0.1,
-            0.3,
-            0.5,
-            0.75,
-            1.0,
-            1.5,
-            2.0,
-            3.0,
-            16.0,
-            0.999_999,
-            1e-9,
-            7.3,
-            1e30,
-            64.0,
-            2f64.powi(63),
-        ];
-        let sizes =
-            [0, 1, 2, 3, 7, 100, 4096, 65_537, 1 << 53, (1 << 53) + 1, u64::MAX / 3, u64::MAX];
-        for &rate in &rates {
-            for &bytes in &sizes {
-                assert_eq!(payload_cycles(bytes, rate), reference(bytes, rate), "{bytes} @ {rate}");
-            }
-        }
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..10_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let rate = match x % 3 {
-                0 => (x % 4000) as f64 / 1000.0 + 0.001,
-                1 => (1u64 << (x % 64)) as f64,
-                _ => (x % 1000 + 1) as f64,
-            };
-            let bytes = x >> (x % 64);
-            assert_eq!(payload_cycles(bytes, rate), reference(bytes, rate), "{bytes} @ {rate}");
-        }
-    }
 
     #[test]
     fn mipi_constants_match_paper() {

@@ -78,6 +78,12 @@ pub enum SimError {
         /// The chip whose counter overflowed.
         chip: ChipId,
     },
+    /// A lowered form was replayed on a machine whose chip prices
+    /// kernels or DMA differently from the chip it was lowered for.
+    FormPricingMismatch {
+        /// The first chip whose pricing differs.
+        chip: ChipId,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -112,6 +118,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::CounterOverflow { chip } => {
                 write!(f, "{chip} cycle or byte counters overflow u64")
+            }
+            SimError::FormPricingMismatch { chip } => {
+                write!(f, "{chip} prices kernels or DMA differently from the lowered form")
             }
         }
     }

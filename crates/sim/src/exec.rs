@@ -193,10 +193,26 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::ProgramCountMismatch`] when the form spans a different
-    /// chip count; otherwise the same conditions as [`Machine::run`].
+    /// chip count, [`SimError::FormPricingMismatch`] when it was priced
+    /// for other chips; otherwise the same conditions as [`Machine::run`].
     pub fn run_lowered(&self, form: &Lowered) -> Result<RunStats> {
-        self.check_count(form.n_chips())?;
+        self.check_form(form)?;
         Executor::new(self, form, MakespanOnly).run().map(|(stats, _)| stats)
+    }
+
+    /// Checks that `form` may run on this machine: one chip per lowered
+    /// program, each pricing kernels and DMA as the form was priced.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProgramCountMismatch`] or
+    /// [`SimError::FormPricingMismatch`].
+    pub(crate) fn check_form(&self, form: &Lowered) -> Result<()> {
+        self.check_count(form.n_chips())?;
+        match form.mispriced_chip(self) {
+            Some(chip) => Err(SimError::FormPricingMismatch { chip: ChipId(chip) }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -499,7 +515,6 @@ pub(crate) struct Executor<'a, S: TraceSink> {
 impl<'a, S: TraceSink> Executor<'a, S> {
     /// An executor at the zero state, ready to run `form` to completion.
     fn new(machine: &'a Machine, form: &'a Lowered, sink: S) -> Self {
-        debug_assert!(form.priced_for(machine), "form lowered for other chips");
         let n = machine.len();
         let mut ready = Ready::new(n);
         (0..n).for_each(|c| ready.insert(c));
@@ -998,6 +1013,42 @@ mod tests {
         assert!(matches!(
             m.run(&[Program::new()]),
             Err(SimError::ProgramCountMismatch { chips: 2, programs: 1 })
+        ));
+    }
+
+    #[test]
+    fn forms_priced_for_other_chips_are_refused() {
+        let fast = ChipSpec::siracusa();
+        let mut slow = fast;
+        slow.cost_model = mtp_kernels::ClusterCostModel::new(mtp_kernels::CostParams {
+            cores: 2,
+            ..mtp_kernels::CostParams::siracusa()
+        });
+        let block = Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))]);
+        let programs = vec![block; 2];
+        let form = Machine::homogeneous(fast, 2).lower(&programs).unwrap();
+        let other = Machine::new(vec![fast, slow]);
+        let refused = Err(SimError::FormPricingMismatch { chip: ChipId(1) });
+        assert_eq!(other.run_lowered(&form), refused);
+        assert_eq!(other.run_periodic_lowered(&form, 1), refused);
+        assert_eq!(other.run_periodic_lowered(&form, 64), refused);
+        assert_eq!(other.warmup_lowered(&form).map(|_| ()), refused.clone().map(|_| ()));
+        assert_eq!(
+            crate::SymbolicMakespan::derive_lowered(&other, &form).map(|_| ()),
+            refused.clone().map(|_| ())
+        );
+        assert!(matches!(
+            crate::SymbolicPlane::derive_lowered(&slow, &form, &[100]),
+            Err(SimError::FormPricingMismatch { chip: ChipId(0) })
+        ));
+        // Link bandwidth is priced per run, so a faster link still fits.
+        let mut wide = fast;
+        wide.link.bytes_per_cycle *= 4.0;
+        let wide = Machine::homogeneous(wide, 2);
+        assert_eq!(wide.run_lowered(&form), wide.run(&programs));
+        assert!(matches!(
+            machine(1).run_lowered(&form),
+            Err(SimError::ProgramCountMismatch { chips: 1, programs: 2 })
         ));
     }
 

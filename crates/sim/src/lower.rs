@@ -367,13 +367,16 @@ impl Lowered {
     /// the form was lowered with. Only then may it run there.
     #[must_use]
     pub fn priced_for(&self, machine: &crate::Machine) -> bool {
-        let chips = machine.chips();
-        self.class_of.len() == chips.len()
-            && self
-                .class_of
-                .iter()
-                .zip(chips)
-                .all(|(&c, chip)| self.classes[c] == Pricing::of(chip))
+        self.class_of.len() == machine.len() && self.mispriced_chip(machine).is_none()
+    }
+
+    /// The first chip of `machine` (of those the form spans) that prices
+    /// kernels or DMA differently from the form.
+    pub(crate) fn mispriced_chip(&self, machine: &crate::Machine) -> Option<usize> {
+        self.class_of
+            .iter()
+            .zip(machine.chips())
+            .position(|(&c, chip)| self.classes[c] != Pricing::of(chip))
     }
 
     /// Number of chips the form spans.

@@ -236,14 +236,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::run_periodic`].
+    /// Same conditions as [`Machine::run_periodic`], plus
+    /// [`crate::SimError::FormPricingMismatch`] when `template` was
+    /// priced for other chips.
     pub fn run_periodic_lowered(&self, template: &Lowered, n_blocks: usize) -> Result<RunStats> {
-        if template.n_chips() != self.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: self.len(),
-                programs: template.n_chips(),
-            });
-        }
+        self.check_form(template)?;
         if n_blocks == 1 {
             // One repetition needs no id shifting: the template runs
             // as-is (this is every block-span scenario of a sweep).
@@ -292,7 +289,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::warmup`].
+    /// Same conditions as [`Machine::warmup`], plus
+    /// [`crate::SimError::FormPricingMismatch`] when `template` was
+    /// priced for other chips.
     pub fn warmup_lowered(&self, template: &Lowered) -> Result<WarmupCheckpoint> {
         SymbolicMakespan::derive_lowered(self, template).map(WarmupCheckpoint)
     }

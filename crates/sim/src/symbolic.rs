@@ -228,14 +228,11 @@ impl SymbolicMakespan {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SymbolicMakespan::derive`].
+    /// Same conditions as [`SymbolicMakespan::derive`], plus
+    /// [`SimError::FormPricingMismatch`] when `template` was priced for
+    /// other chips.
     pub fn derive_lowered(machine: &Machine, template: &Lowered) -> Result<Option<Self>> {
-        if template.n_chips() != machine.len() {
-            return Err(SimError::ProgramCountMismatch {
-                chips: machine.len(),
-                programs: template.n_chips(),
-            });
-        }
+        machine.check_form(template)?;
         Ok(match walk(machine, template, MAX_WARMUP_SEGMENTS) {
             Walk::Proven(model) => Some(model),
             Walk::Exact(_) | Walk::Refused => None,
@@ -434,9 +431,11 @@ impl SymbolicPlane {
     ///
     /// # Errors
     ///
-    /// None today; the signature matches [`SymbolicPlane::derive`].
+    /// [`SimError::FormPricingMismatch`] when `template` was not priced
+    /// for `base` chips.
     pub fn derive_lowered(base: &ChipSpec, template: &Lowered, pcts: &[u32]) -> Result<Self> {
         let n_chips = template.n_chips();
+        Machine::homogeneous(*base, n_chips).check_form(template)?;
         let mut sorted: Vec<u32> = pcts.to_vec();
         sorted.sort_unstable();
         sorted.dedup();

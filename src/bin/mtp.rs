@@ -13,7 +13,8 @@ use mtp::core::{schedule::Scheduler, DistributedSystem};
 use mtp::core::{BatchPolicy, Billing, FailPolicy, FaultProfile};
 use mtp::harness::serve::{ServeEngine, ServeGrid};
 use mtp::harness::sweep::{
-    CostSourceKind, ModelPreset, PlacementPolicy, Span, SweepEngine, SweepGrid, TopologySpec,
+    CostSourceKind, ModelPreset, PlacementPolicy, SkippedScenario, Span, SweepEngine, SweepGrid,
+    TopologySpec,
 };
 use mtp::harness::{ablation, advisor, bench, fig4, fig5, fig6, headline, table1};
 use mtp::model::{ArrivalProcess, InferenceMode, TransformerConfig};
@@ -359,6 +360,11 @@ fn build_sweep_grid(args: &[String]) -> Result<SweepGrid, String> {
     Ok(grid)
 }
 
+/// The typed error of a sweep point whose counters overflowed.
+fn overflow_error(s: &SkippedScenario) -> Box<dyn std::error::Error> {
+    format!("scenario {}: {}", s.scenario.key(), s.reason).into()
+}
+
 fn sweep_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     let grid = build_sweep_grid(args)?;
     let engine = if has_flag(args, "--serial") {
@@ -391,14 +397,17 @@ fn sweep_cmd(args: &[String], out: &mut impl Write) -> CliResult {
         };
         // stderr, so `mtp sweep --stream > out.csv` stays pure CSV.
         eprintln!("{} ({} worker thread(s))", summary.summary(), engine.threads());
-        return Ok(());
+        return match summary.first_overflow {
+            Some(s) => Err(overflow_error(&s)),
+            None => Ok(()),
+        };
     }
 
     let results = engine.run(&grid);
     // An overflowing point has an answer no row can hold: fail with the
     // typed error instead of listing it among the invalid points.
     if let Some(s) = results.skipped.iter().find(|s| s.overflow) {
-        return Err(format!("scenario {}: {}", s.scenario.key(), s.reason).into());
+        return Err(overflow_error(s));
     }
     write!(out, "{}", results.render())?;
     if !results.skipped.is_empty() {

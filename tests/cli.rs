@@ -210,6 +210,13 @@ fn sweep_past_u64_cycles_is_a_typed_overflow() {
     let err = stderr(&out);
     assert!(err.contains("simulation failed: chip0 cycle or byte counters overflow u64"), "{err}");
     assert!(stdout(&out).is_empty(), "no table may be printed");
+    // Streamed rows fail the same way once the stream ends.
+    let out =
+        mtp(&[&grid[..], &["--stream", "--faults", "stall:0:1:18446744073709551000"]].concat());
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("simulation failed: chip0 cycle or byte counters overflow u64"), "{err}");
+    assert!(!stdout(&out).contains("tinyllama"), "no row may be written");
     // A stall that fits is simulated and printed as before.
     let out = mtp(&[&grid[..], &["--faults", "stall:0:1:1000000"]].concat());
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));

@@ -14,7 +14,8 @@
 
 use mtp::core::{DistributedSystem, MemoryPlan, PartitionSpec, WeightResidency};
 use mtp::harness::sweep::{
-    ModelPreset, PlacementPolicy, Scenario, Span, SweepEngine, SweepGrid, TopologySpec, CSV_HEADER,
+    CostSourceKind, ModelPreset, PlacementPolicy, Scenario, Span, SweepEngine, SweepGrid,
+    TopologySpec, CSV_HEADER,
 };
 use mtp::harness::{fig4, fig5, fig6, headline, table1};
 use mtp::model::{InferenceMode, TransformerConfig};
@@ -123,6 +124,43 @@ fn serial_and_parallel_engines_agree() {
     let parallel = SweepEngine::with_threads(8).run(&grid);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());
+}
+
+/// Analytic and calibrated scenarios share one compiled schedule, which
+/// caches one lowered form. Workers that lower it at the same time for
+/// the two cost models must each still simulate on their own pricing:
+/// every row of a many-thread two-source sweep equals the row of a
+/// serial single-source sweep (the calibrated model is measured once per
+/// process, so both runs price with the same one).
+#[test]
+fn mixed_cost_sources_on_many_threads_match_serial_single_source_runs() {
+    let grid = |sources| {
+        SweepGrid::new(
+            vec![
+                (TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive),
+                (TransformerConfig::tiny_llama_42m().with_seq_len(16), InferenceMode::Prompt),
+            ],
+            vec![1, 2, 4, 8],
+        )
+        .with_link_bw_pcts(vec![100, 50, 25])
+        .with_cost_sources(sources)
+    };
+    let both = grid(vec![CostSourceKind::Analytic, CostSourceKind::Calibrated]);
+    // Fresh engines start with empty schedule caches, so every round
+    // races the first lowering of each schedule again.
+    for _ in 0..4 {
+        let mixed = SweepEngine::with_threads(8).run(&both);
+        for source in [CostSourceKind::Analytic, CostSourceKind::Calibrated] {
+            let serial = SweepEngine::serial().run(&grid(vec![source]));
+            let rows: Vec<_> =
+                mixed.rows.iter().filter(|r| r.scenario.cost_source == source).collect();
+            assert_eq!(rows.len(), serial.rows.len());
+            for (got, want) in rows.iter().zip(&serial.rows) {
+                assert_eq!(got.scenario, want.scenario);
+                assert_eq!(format!("{:?}", got.report), format!("{:?}", want.report));
+            }
+        }
+    }
 }
 
 /// The pre-refactor fig4/fig5/fig6 harness simulated each point as
