@@ -26,7 +26,7 @@
 
 use crate::{
     gantt::TraceKind,
-    lower::{Lowered, Op, StreamOp},
+    lower::{Lowered, Op, SendOp, StreamOp, Xfer},
     periodic::{MachineState, SegmentRun},
     sink::{MakespanOnly, TraceCollector, TraceSink},
     trace::ChipStats,
@@ -400,6 +400,10 @@ struct ChipState {
     /// Credit parks since this chip's last successful send (drop-tail
     /// accounting: one park = one dropped+NACKed attempt).
     stall_parks: u32,
+    /// This chip's asynchronous transfers not yet waited on, one per
+    /// tag. Small (the schedule keeps at most a few transfers in
+    /// flight), so a linear-scanned vector beats a map.
+    in_flight: Vec<InFlight>,
     stats: ChipStats,
     done: bool,
 }
@@ -407,7 +411,6 @@ struct ChipState {
 /// One in-flight asynchronous DMA transfer.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    chip: usize,
     tag: DmaTag,
     done: u64,
     path: MemPath,
@@ -489,10 +492,6 @@ pub(crate) struct Executor<'a, S: TraceSink> {
     queued_any: bool,
     /// Indexed by dense message id.
     msgs: Vec<Msg>,
-    /// In-flight async DMA of every chip. Small (the schedule keeps at
-    /// most a few transfers in flight), so a linear-scanned vector beats
-    /// a map and — unlike one — has a deterministic drain order.
-    in_flight: Vec<InFlight>,
     /// Bit set of the runnable chips: those neither parked nor done.
     /// Each waits at its own clock, so the next chip to run is the
     /// runnable one with the smallest `(t, chip)` (see [`Ready`]).
@@ -533,7 +532,6 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                 .collect(),
             queued_any,
             msgs: vec![UNSENT; form.msg_ids.len()],
-            in_flight: Vec::with_capacity(2 * n),
             ready,
             drain_at_end: true,
             send_issue_min: u64::MAX,
@@ -580,10 +578,9 @@ impl<'a, S: TraceSink> Executor<'a, S> {
     /// exposed-stall attribution per memory path never depends on issue
     /// order.
     fn drain_pending_dma(&mut self, chip: usize) {
-        self.in_flight.sort_unstable_by_key(|f| (f.chip != chip, f.done, f.tag.0));
-        let mine = self.in_flight.iter().take_while(|f| f.chip == chip).count();
         let st = &mut self.state[chip];
-        for f in self.in_flight.drain(..mine) {
+        st.in_flight.sort_unstable_by_key(|f| (f.done, f.tag.0));
+        for f in std::mem::take(&mut st.in_flight) {
             if f.done > st.t {
                 let exposed = f.done - st.t;
                 if f.path.is_off_chip() {
@@ -665,7 +662,7 @@ impl<'a, S: TraceSink> Executor<'a, S> {
     fn run_chip(&mut self, chip: usize, t_pop: u64) -> Result<()> {
         let form = self.form;
         loop {
-            let Executor { state, in_flight, faults, sink, source, .. } = self;
+            let Executor { state, faults, sink, source, .. } = self;
             let st = &mut state[chip];
             let mut faults = faults.as_mut().map(|f| &mut f[chip]);
             let next = loop {
@@ -709,7 +706,8 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                             TraceKind::Compute { kernel: kernel.to_string() }
                         });
                     }
-                    Op::Dma { cycles, bytes, path } => {
+                    Op::Dma(x) => {
+                        let Xfer { cycles, bytes, path } = form.xfers[x as usize];
                         let engine_free = if path.is_off_chip() {
                             &mut st.io_dma_free
                         } else {
@@ -723,7 +721,8 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                         st.t = done;
                         sink.record(chip, issue, done, || TraceKind::Dma { path, bytes });
                     }
-                    Op::DmaAsync { cycles, bytes, tag, path } => {
+                    Op::DmaAsync { xfer, tag } => {
+                        let Xfer { cycles, bytes, path } = form.xfers[xfer as usize];
                         let engine_free = if path.is_off_chip() {
                             &mut st.io_dma_free
                         } else {
@@ -735,19 +734,17 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                         // Bytes are counted at issue; only the stall at
                         // the wait is exposed time.
                         charge_dma(&mut st.stats, path, bytes, 0, chip)?;
-                        let entry = InFlight { chip, tag, done, path };
-                        match in_flight.iter_mut().find(|f| f.chip == chip && f.tag == tag) {
+                        let entry = InFlight { tag, done, path };
+                        match st.in_flight.iter_mut().find(|f| f.tag == tag) {
                             Some(f) => *f = entry,
-                            None => in_flight.push(entry),
+                            None => st.in_flight.push(entry),
                         }
                     }
                     Op::DmaWait(tag) => {
-                        let Some(pos) =
-                            in_flight.iter().position(|f| f.chip == chip && f.tag == tag)
-                        else {
+                        let Some(pos) = st.in_flight.iter().position(|f| f.tag == tag) else {
                             return Err(SimError::UnknownDmaTag { chip: ChipId(chip), tag });
                         };
-                        let InFlight { done, path, .. } = in_flight.remove(pos);
+                        let InFlight { done, path, .. } = st.in_flight.swap_remove(pos);
                         if done > st.t {
                             let start = st.t;
                             charge_dma(&mut st.stats, path, 0, done - start, chip)?;
@@ -756,7 +753,7 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                         }
                     }
                     Op::Sync => st.stats.sync_marks += 1,
-                    Op::Stream(_) | Op::Send { .. } | Op::Recv { .. } => break Some(op),
+                    Op::Stream(_) | Op::Send(_) | Op::Recv { .. } => break Some(op),
                 }
                 st.pc += 1;
             };
@@ -766,7 +763,7 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                     // end (segments leave it to the boundary cleanliness
                     // check).
                     st.done = true;
-                    if self.drain_at_end && !self.in_flight.is_empty() {
+                    if self.drain_at_end && !st.in_flight.is_empty() {
                         self.drain_pending_dma(chip);
                     }
                     return Ok(());
@@ -774,7 +771,10 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                 Some(Op::Stream(stream)) => {
                     self.run_stream(chip, &form.streams[stream as usize])?
                 }
-                Some(Op::Send { bytes, to, msg }) => return self.send(chip, t_pop, to, msg, bytes),
+                Some(Op::Send(s)) => {
+                    let SendOp { bytes, to, msg } = form.sends[s as usize];
+                    return self.send(chip, t_pop, to, msg, bytes);
+                }
                 Some(Op::Recv { from, msg }) => {
                     if !self.recv(chip, from, msg)? {
                         return Ok(());
@@ -962,16 +962,16 @@ impl<'a> Executor<'a, MakespanOnly> {
             st.credit_waiters.clear();
             st.send_floor = 0;
             st.stall_parks = 0;
+            st.in_flight.clear();
             st.stats = ChipStats::default();
             self.ready.insert(c);
         }
         self.msgs.fill(UNSENT);
-        self.in_flight.clear();
         self.send_issue_min = u64::MAX;
         self.send_issue_max = 0;
 
         self.run_loop()?;
-        let clean = self.in_flight.is_empty() && self.state.iter().all(|s| s.done && s.rx_occ == 0);
+        let clean = self.state.iter().all(|s| s.done && s.rx_occ == 0 && s.in_flight.is_empty());
         self.fold_link_stats();
         let send_issue = (self.send_issue_min <= self.send_issue_max)
             .then_some((self.send_issue_min, self.send_issue_max));

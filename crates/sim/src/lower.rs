@@ -28,26 +28,46 @@ use crate::{ChipSpec, DmaSpec, DmaTag, Instr, MemPath, MsgId, Program};
 use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 
 /// One lowered instruction. Cycle counts are resolved for the chip the op
-/// runs on; 24 bytes against the 40 of an [`Instr`].
+/// runs on; 16 bytes against the 40 of an [`Instr`]. Transfers and sends
+/// keep their wider payloads in side tables of the form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     /// A kernel of `cycles`. Op `i` of a chip lowers instruction `i` of
     /// its program, which is where a recording sink reads the label.
     Compute { cycles: u64 },
-    /// A blocking transfer of `cycles`.
-    Dma { cycles: u64, bytes: u64, path: MemPath },
+    /// A blocking transfer; indexes [`Lowered::xfers`].
+    Dma(u32),
     /// A blocking tile stream; indexes [`Lowered::streams`].
     Stream(u32),
-    /// An asynchronous transfer of `cycles`.
-    DmaAsync { cycles: u64, bytes: u64, tag: DmaTag, path: MemPath },
+    /// An asynchronous transfer; `xfer` indexes [`Lowered::xfers`].
+    DmaAsync { xfer: u32, tag: DmaTag },
     /// Waits for an asynchronous transfer.
     DmaWait(DmaTag),
-    /// Sends dense message `msg` to chip `to`.
-    Send { bytes: u64, to: usize, msg: u32 },
+    /// A send; indexes [`Lowered::sends`].
+    Send(u32),
     /// Receives dense message `msg` from chip `from`.
     Recv { from: usize, msg: u32 },
     /// A sync mark.
     Sync,
+}
+
+/// A priced DMA transfer. Programs repeat a few transfer sizes many
+/// times, so ops share one entry per `(cost class, path, bytes)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Xfer {
+    pub(crate) cycles: u64,
+    pub(crate) bytes: u64,
+    pub(crate) path: MemPath,
+}
+
+/// A send of `bytes` to chip `to` carrying dense message `msg`. Its
+/// cycles depend on the link bandwidth, which the executor prices per
+/// run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SendOp {
+    pub(crate) bytes: u64,
+    pub(crate) to: usize,
+    pub(crate) msg: u32,
 }
 
 /// A priced [`Instr::DmaStream`]: `tiles` full tiles of `tile` bytes,
@@ -96,9 +116,14 @@ impl<K: Copy + PartialEq> PriceMemo<K> {
         PriceMemo { slots: [None; 64] }
     }
 
-    /// The cycles of `key` from slot `hash % 64`, pricing it on a miss.
+    /// The value of `key`, computed by `price` on a miss. The slot is
+    /// the top six bits of `hash` times the 64-bit golden ratio, which
+    /// depend on every bit of `hash`: kernel dimensions and transfer
+    /// sizes are mostly multiples of large powers of two, and slots
+    /// taken from the low bits would make them collide.
     fn get(&mut self, key: K, hash: usize, price: impl FnOnce() -> u64) -> u64 {
-        let slot = &mut self.slots[(hash ^ hash >> 15) & 63];
+        let slot =
+            &mut self.slots[((hash as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize];
         match *slot {
             Some((k, cycles)) if k == key => cycles,
             _ => {
@@ -161,7 +186,10 @@ pub struct Lowered {
     /// Chip `c` runs `ops[starts[c]..starts[c + 1]]`.
     pub(crate) starts: Vec<usize>,
     pub(crate) ops: Vec<Op>,
+    pub(crate) xfers: Vec<Xfer>,
     pub(crate) streams: Vec<StreamOp>,
+    /// One entry per send op, in lowering order.
+    pub(crate) sends: Vec<SendOp>,
     /// Original id of each dense message id.
     pub(crate) msg_ids: Vec<MsgId>,
     /// The source programs' [`crate::id_span`]: the id shift between
@@ -182,10 +210,12 @@ impl Lowered {
         let mut classes: Vec<Pricing> = Vec::with_capacity(1);
         let mut class_of = Vec::with_capacity(chips.len());
         let mut kernel_prices = PriceMemo::new();
-        let mut dma_prices = PriceMemo::new();
+        let mut xfer_index = PriceMemo::new();
+        let mut xfers = Vec::new();
         let mut starts = Vec::with_capacity(chips.len() + 1);
         let mut ops = Vec::with_capacity(programs.iter().map(Program::len).sum());
         let mut streams = Vec::new();
+        let mut sends = Vec::new();
         let mut sync_ids = Vec::with_capacity(2 * chips.len());
         let (mut max_id, mut refs) = (0u64, 0usize);
         for (spec, program) in chips.iter().zip(programs) {
@@ -196,12 +226,16 @@ impl Lowered {
                 classes.len() - 1
             });
             class_of.push(class);
-            let mut transfer = |path: MemPath, bytes: u64| {
-                let off_chip = path.is_off_chip();
-                let hash = (bytes as usize).wrapping_mul(0x9e37_79b9) ^ class << 1;
-                dma_prices.get((class, off_chip, bytes), hash ^ usize::from(off_chip), || {
-                    if off_chip { &spec.io_dma } else { &spec.cluster_dma }.transfer_cycles(bytes)
-                })
+            // The shared table entry of a transfer, priced on first use,
+            // and its cycles.
+            let mut xfer = |path: MemPath, bytes: u64| {
+                let hash = (bytes as usize).wrapping_mul(0x9e37_79b9) ^ class << 3 ^ path as usize;
+                let at = xfer_index.get((class, path, bytes), hash, || {
+                    let engine = if path.is_off_chip() { &spec.io_dma } else { &spec.cluster_dma };
+                    xfers.push(Xfer { cycles: engine.transfer_cycles(bytes), bytes, path });
+                    xfers.len() as u64 - 1
+                }) as usize;
+                (at as u32, xfers[at].cycles)
             };
             // Message ids go in as they are; a sparse id set is
             // renumbered below, once every id is known.
@@ -210,43 +244,40 @@ impl Lowered {
                 refs += 1;
                 msg.0 as u32
             };
-            for &instr in program.instrs() {
-                ops.push(match instr {
-                    Instr::Compute(kernel) => Op::Compute {
-                        cycles: kernel_prices.get(
-                            (class, kernel),
-                            kernel_hash(&kernel, class),
-                            || spec.kernel_cycles(&kernel),
-                        ),
-                    },
-                    Instr::Dma { path, bytes } => {
-                        Op::Dma { cycles: transfer(path, bytes), bytes, path }
-                    }
-                    Instr::DmaStream { path, bytes, tile } => {
-                        let tile = tile.max(1);
-                        let rest = bytes % tile;
-                        streams.push(StreamOp {
-                            path,
-                            tile,
-                            tiles: bytes / tile,
-                            tile_cycles: transfer(path, tile),
-                            rest,
-                            rest_cycles: transfer(path, rest),
-                        });
-                        Op::Stream((streams.len() - 1) as u32)
-                    }
-                    Instr::DmaAsync { path, bytes, tag } => {
-                        Op::DmaAsync { cycles: transfer(path, bytes), bytes, tag, path }
-                    }
-                    Instr::DmaWait(tag) => Op::DmaWait(tag),
-                    Instr::Send { to, msg, bytes } => Op::Send { bytes, to: to.0, msg: id(msg) },
-                    Instr::Recv { from, msg } => Op::Recv { from: from.0, msg: id(msg) },
-                    Instr::Sync(sync) => {
-                        sync_ids.push(sync);
-                        Op::Sync
-                    }
-                });
-            }
+            ops.extend(program.instrs().iter().map(|&instr| match instr {
+                Instr::Compute(kernel) => Op::Compute {
+                    cycles: kernel_prices.get((class, kernel), kernel_hash(&kernel, class), || {
+                        spec.kernel_cycles(&kernel)
+                    }),
+                },
+                Instr::Dma { path, bytes } => Op::Dma(xfer(path, bytes).0),
+                Instr::DmaStream { path, bytes, tile } => {
+                    let tile = tile.max(1);
+                    let rest = bytes % tile;
+                    streams.push(StreamOp {
+                        path,
+                        tile,
+                        tiles: bytes / tile,
+                        tile_cycles: xfer(path, tile).1,
+                        rest,
+                        rest_cycles: xfer(path, rest).1,
+                    });
+                    Op::Stream((streams.len() - 1) as u32)
+                }
+                Instr::DmaAsync { path, bytes, tag } => {
+                    Op::DmaAsync { xfer: xfer(path, bytes).0, tag }
+                }
+                Instr::DmaWait(tag) => Op::DmaWait(tag),
+                Instr::Send { to, msg, bytes } => {
+                    sends.push(SendOp { bytes, to: to.0, msg: id(msg) });
+                    Op::Send((sends.len() - 1) as u32)
+                }
+                Instr::Recv { from, msg } => Op::Recv { from: from.0, msg: id(msg) },
+                Instr::Sync(sync) => {
+                    sync_ids.push(sync);
+                    Op::Sync
+                }
+            }));
         }
         starts.push(ops.len());
         sync_ids.sort_unstable();
@@ -271,8 +302,10 @@ impl Lowered {
                 |msg: MsgId| ids.binary_search(&msg.0).expect("every id was collected") as u32;
             for (op, instr) in ops.iter_mut().zip(source()) {
                 match (op, *instr) {
-                    (Op::Send { msg, .. }, Instr::Send { msg: id, .. })
-                    | (Op::Recv { msg, .. }, Instr::Recv { msg: id, .. }) => *msg = rank(id),
+                    (Op::Send(s), Instr::Send { msg: id, .. }) => {
+                        sends[*s as usize].msg = rank(id);
+                    }
+                    (Op::Recv { msg, .. }, Instr::Recv { msg: id, .. }) => *msg = rank(id),
                     _ => {}
                 }
             }
@@ -285,7 +318,18 @@ impl Lowered {
             sync_ids.last().map_or(0, |&s| s.wrapping_add(1)),
         );
         let distinct_syncs = sync_ids.len();
-        Lowered { starts, ops, streams, msg_ids, span, distinct_syncs, classes, class_of }
+        Lowered {
+            starts,
+            ops,
+            xfers,
+            streams,
+            sends,
+            msg_ids,
+            span,
+            distinct_syncs,
+            classes,
+            class_of,
+        }
     }
 
     /// Concatenates lowered forms chip by chip into one: each part's
@@ -310,31 +354,47 @@ impl Lowered {
         let mut out = Lowered {
             starts: Vec::with_capacity(n + 1),
             ops: Vec::with_capacity(parts.iter().map(|p| p.ops.len()).sum()),
-            streams: Vec::with_capacity(parts.iter().map(|p| p.streams.len()).sum()),
+            xfers: Vec::new(),
+            streams: Vec::new(),
+            sends: Vec::with_capacity(parts.iter().map(|p| p.sends.len()).sum()),
             msg_ids: Vec::with_capacity(parts.iter().map(|p| p.msg_ids.len()).sum()),
             span: (0, 0),
             distinct_syncs: 0,
             classes: first.classes.clone(),
             class_of: first.class_of.clone(),
         };
-        // Per-part offsets into the concatenated tables.
-        let mut offsets = Vec::with_capacity(parts.len());
-        for part in &parts {
-            offsets.push((out.streams.len() as u32, out.msg_ids.len() as u32));
-            out.streams.extend_from_slice(&part.streams);
+        // Per-part offsets into the concatenated tables. The priced
+        // tables hold no ids, so a part that appears again (every copy
+        // of a repeated block) shares the entries of its first copy.
+        let mut offsets: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(parts.len());
+        for (i, part) in parts.iter().enumerate() {
+            let (xfer, stream) = match parts[..i].iter().position(|p| std::ptr::eq(*p, *part)) {
+                Some(j) => (offsets[j].0, offsets[j].1),
+                None => {
+                    let at = (out.xfers.len() as u32, out.streams.len() as u32);
+                    out.xfers.extend_from_slice(&part.xfers);
+                    out.streams.extend_from_slice(&part.streams);
+                    at
+                }
+            };
+            let (send, msg) = (out.sends.len() as u32, out.msg_ids.len() as u32);
+            out.sends.extend(part.sends.iter().map(|s| SendOp { msg: s.msg + msg, ..*s }));
             let shift = out.span.0;
             out.msg_ids.extend(part.msg_ids.iter().map(|id| MsgId(id.0.wrapping_add(shift))));
             out.span.0 = out.span.0.wrapping_add(part.span.0);
             out.span.1 = out.span.1.wrapping_add(part.span.1);
             out.distinct_syncs += part.distinct_syncs;
+            offsets.push((xfer, stream, send, msg));
         }
         for chip in 0..n {
             out.starts.push(out.ops.len());
-            for (part, &(stream, msg)) in parts.iter().zip(&offsets) {
+            for (part, &(xfer, stream, send, msg)) in parts.iter().zip(&offsets) {
                 let body = &part.ops[part.starts[chip]..part.starts[chip + 1]];
                 out.ops.extend(body.iter().map(|&op| match op {
+                    Op::Dma(x) => Op::Dma(x + xfer),
                     Op::Stream(s) => Op::Stream(s + stream),
-                    Op::Send { bytes, to, msg: m } => Op::Send { bytes, to, msg: m + msg },
+                    Op::DmaAsync { xfer: x, tag } => Op::DmaAsync { xfer: x + xfer, tag },
+                    Op::Send(s) => Op::Send(s + send),
                     Op::Recv { from, msg: m } => Op::Recv { from, msg: m + msg },
                     other => other,
                 }));
@@ -351,7 +411,9 @@ impl Lowered {
             return Lowered {
                 starts: vec![0; self.starts.len()],
                 ops: Vec::new(),
+                xfers: Vec::new(),
                 streams: Vec::new(),
+                sends: Vec::new(),
                 msg_ids: Vec::new(),
                 span: (0, 0),
                 distinct_syncs: 0,
@@ -389,7 +451,7 @@ impl Lowered {
     /// program order: the form's whole dependence on link bandwidth.
     pub(crate) fn send_bytes(&self) -> impl Iterator<Item = u64> + '_ {
         self.ops.iter().filter_map(|op| match *op {
-            Op::Send { bytes, .. } => Some(bytes),
+            Op::Send(s) => Some(self.sends[s as usize].bytes),
             _ => None,
         })
     }
@@ -406,7 +468,7 @@ mod tests {
 
     #[test]
     fn ops_are_small() {
-        assert_eq!(std::mem::size_of::<Op>(), 24);
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 
     #[test]
@@ -417,8 +479,12 @@ mod tests {
         ];
         let lowered = machine(2).lower(&programs).unwrap();
         assert_eq!(lowered.msg_ids, (0..41).map(MsgId).collect::<Vec<_>>());
-        assert_eq!(lowered.ops[0], Op::Send { bytes: 8, to: 1, msg: 40 });
-        assert_eq!(lowered.ops[4], Op::Send { bytes: 8, to: 0, msg: 7 });
+        assert_eq!(lowered.ops[0], Op::Send(0));
+        assert_eq!(lowered.ops[4], Op::Send(1));
+        assert_eq!(
+            lowered.sends,
+            [SendOp { bytes: 8, to: 1, msg: 40 }, SendOp { bytes: 8, to: 0, msg: 7 }]
+        );
         assert_eq!(lowered.distinct_syncs, 1);
         assert_eq!(lowered.span, crate::id_span(&programs));
     }
@@ -431,7 +497,7 @@ mod tests {
         ];
         let lowered = machine(2).lower(&programs).unwrap();
         assert_eq!(lowered.msg_ids, [MsgId(1 << 40), MsgId(u64::MAX - 1)]);
-        assert_eq!(lowered.ops[0], Op::Send { bytes: 8, to: 1, msg: 1 });
+        assert_eq!(lowered.sends[0], SendOp { bytes: 8, to: 1, msg: 1 });
     }
 
     #[test]
@@ -459,6 +525,58 @@ mod tests {
         assert!(lowered.priced_for(&Machine::new(vec![fast, wide])), "links are priced per run");
     }
 
+    /// One op with its side-table entries resolved: what the executor
+    /// reads, whichever table layout the form uses.
+    #[derive(Debug, PartialEq)]
+    enum Resolved {
+        Op(Op),
+        Xfer(Xfer, Option<DmaTag>),
+        Stream(StreamOp),
+        Send(u64, usize, MsgId),
+        Recv(usize, MsgId),
+    }
+
+    fn resolved(l: &Lowered) -> Vec<Vec<Resolved>> {
+        (0..l.n_chips())
+            .map(|c| {
+                l.ops[l.starts[c]..l.starts[c + 1]]
+                    .iter()
+                    .map(|&op| match op {
+                        Op::Dma(x) => Resolved::Xfer(l.xfers[x as usize], None),
+                        Op::DmaAsync { xfer, tag } => {
+                            Resolved::Xfer(l.xfers[xfer as usize], Some(tag))
+                        }
+                        Op::Stream(s) => Resolved::Stream(l.streams[s as usize]),
+                        Op::Send(s) => {
+                            let SendOp { bytes, to, msg } = l.sends[s as usize];
+                            Resolved::Send(bytes, to, l.msg_ids[msg as usize])
+                        }
+                        Op::Recv { from, msg } => Resolved::Recv(from, l.msg_ids[msg as usize]),
+                        other => Resolved::Op(other),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `concat` of `parts` behaves exactly like lowering their programs
+    /// appended with [`Program::extend_shifted`].
+    fn assert_concat_matches_direct(m: &Machine, parts: &[&[Program]]) {
+        let mut shifted = vec![Program::new(); m.len()];
+        for part in parts {
+            let (dm, ds) = crate::id_span(&shifted);
+            for (out, body) in shifted.iter_mut().zip(*part) {
+                out.extend_shifted(body, dm, ds);
+            }
+        }
+        let direct = m.lower(&shifted).unwrap();
+        let lowered: Vec<Lowered> = parts.iter().map(|p| m.lower(p).unwrap()).collect();
+        let concat = Lowered::concat(&lowered);
+        assert_eq!(resolved(&concat), resolved(&direct));
+        assert_eq!(concat.msg_ids, direct.msg_ids);
+        assert_eq!((concat.span, concat.distinct_syncs), (direct.span, direct.distinct_syncs));
+    }
+
     #[test]
     fn concat_shifts_like_extend_shifted() {
         let slot = vec![
@@ -473,16 +591,28 @@ mod tests {
                 Instr::Sync(1),
             ]),
         ];
+        let other = vec![
+            Program::from_instrs([
+                Instr::Dma { path: MemPath::L2ToL1, bytes: 512 },
+                Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 4096, tag: DmaTag(3) },
+                Instr::recv(1, 0),
+                Instr::DmaWait(DmaTag(3)),
+            ]),
+            Program::from_instrs([
+                Instr::Dma { path: MemPath::L3ToL2, bytes: 512 },
+                Instr::send(0, 0, 32),
+                Instr::Sync(4),
+            ]),
+        ];
         let m = machine(2);
+        assert_concat_matches_direct(&m, &[&slot, &slot]);
+        assert_concat_matches_direct(&m, &[&slot, &other, &slot]);
+        assert_concat_matches_direct(&m, &[&other, &other, &slot, &other]);
         let lowered = m.lower(&slot).unwrap();
-        let mut shifted = slot.clone();
-        let (dm, ds) = crate::id_span(&slot);
-        for (out, body) in shifted.iter_mut().zip(&slot) {
-            out.extend_shifted(body, dm, ds);
-        }
-        let direct = m.lower(&shifted).unwrap();
-        assert_eq!(Lowered::concat([&lowered, &lowered]), direct);
-        assert_eq!(lowered.repeat(2), direct);
+        let twice = Lowered::concat([&lowered, &lowered]);
+        assert_eq!(lowered.repeat(2), twice);
+        assert_eq!(twice.xfers, lowered.xfers, "a repeated part shares its priced tables");
+        assert_eq!(twice.streams, lowered.streams);
         assert_eq!(lowered.repeat(1), lowered);
         let empty = lowered.repeat(0);
         assert!(empty.ops.is_empty());
