@@ -103,10 +103,11 @@ impl Pricing {
     }
 }
 
-/// A direct-mapped price cache used while lowering: programs repeat the
-/// same kernel shapes and transfer sizes across chips, heads and blocks,
-/// so each distinct `(cost class, shape)` is priced about once. The
-/// caller picks the slot; a collision only costs a re-pricing.
+/// A direct-mapped cache used while lowering: programs repeat the same
+/// kernel shapes and transfer sizes across chips, heads and blocks, so
+/// each distinct `(cost class, shape)` is priced about once. The caller
+/// hashes the key; a collision only costs a re-pricing (and, for
+/// transfers, a duplicate table entry).
 struct PriceMemo<K> {
     slots: [Option<(K, u64)>; 64],
 }
@@ -125,11 +126,11 @@ impl<K: Copy + PartialEq> PriceMemo<K> {
         let slot =
             &mut self.slots[((hash as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize];
         match *slot {
-            Some((k, cycles)) if k == key => cycles,
+            Some((k, value)) if k == key => value,
             _ => {
-                let cycles = price();
-                *slot = Some((key, cycles));
-                cycles
+                let value = price();
+                *slot = Some((key, value));
+                value
             }
         }
     }
