@@ -365,11 +365,14 @@ impl Lowered {
             class_of: first.class_of.clone(),
         };
         // Per-part offsets into the concatenated tables. The priced
-        // tables hold no ids, so a part that appears again (every copy
-        // of a repeated block) shares the entries of its first copy.
+        // tables hold no ids, so a part that recurs within the last
+        // eight parts (every copy of a repeated block, a serving pass's
+        // recurring slot shapes) shares the entries of that copy; any
+        // other part brings its own.
         let mut offsets: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(parts.len());
         for (i, part) in parts.iter().enumerate() {
-            let (xfer, stream) = match parts[..i].iter().position(|p| std::ptr::eq(*p, *part)) {
+            let recurs = (i.saturating_sub(8)..i).rev().find(|&j| std::ptr::eq(parts[j], *part));
+            let (xfer, stream) = match recurs {
                 Some(j) => (offsets[j].0, offsets[j].1),
                 None => {
                     let at = (out.xfers.len() as u32, out.streams.len() as u32);
@@ -614,6 +617,8 @@ mod tests {
         assert_eq!(lowered.repeat(2), twice);
         assert_eq!(twice.xfers, lowered.xfers, "a repeated part shares its priced tables");
         assert_eq!(twice.streams, lowered.streams);
+        let many = lowered.repeat(20);
+        assert_eq!((many.xfers.len(), many.streams.len()), (lowered.xfers.len(), 1));
         assert_eq!(lowered.repeat(1), lowered);
         let empty = lowered.repeat(0);
         assert!(empty.ops.is_empty());
