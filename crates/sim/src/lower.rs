@@ -1,15 +1,16 @@
 //! The lowered form: per-chip programs resolved once into dense,
 //! pre-costed ops that the executor replays without re-pricing.
 //!
-//! Lowering does, once per `(programs, cost class)`, everything the
-//! executor used to repeat on every run and every walk segment:
+//! Lowering does, once per `(programs, cost class)`, the work that
+//! would otherwise repeat on every run and every walk segment:
 //!
 //! - **Pricing.** Each kernel carries its cycle count for its chip's cost
 //!   model, and each DMA transfer and stream tile its engine cycles.
 //!   Kernels repeat across chips and heads, so each distinct shape is
-//!   priced once per cost class. Send cycles depend on the link
-//!   bandwidth, which sweeps vary without re-lowering, so the executor
-//!   still prices sends from their bytes.
+//!   priced once per cost class, and transfers of one class, path and
+//!   size share one entry of the form's transfer table. Send cycles
+//!   depend on the link bandwidth, which sweeps vary without
+//!   re-lowering, so the executor still prices sends from their bytes.
 //! - **Message ids.** Ids index a plain vector, the executor's message
 //!   table: a compact id range (what schedule builders emit) as it is,
 //!   any other id set renumbered `0..m` by rank. Each dense id keeps its
