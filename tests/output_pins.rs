@@ -3,7 +3,8 @@
 //!
 //! 1. **Sweep** — non-affine link regimes (`queued`, `lossy:5`), a batch
 //!    of 4, and faulted plans under spare failover, through both the
-//!    materialized and the streamed sinks.
+//!    materialized and the streamed sinks; and the deep and batch grids,
+//!    whose depth variants answer from extrapolated steady states.
 //! 2. **Serve** — continuous admission with per-request billing, with
 //!    and without a request-failure profile.
 //! 3. **Advise** — a dense bandwidth axis, plus the search that finds no
@@ -77,6 +78,35 @@ fn regime_batch_fault_sweep_bytes_are_pinned() {
     engine.run_streamed_json(&grid.scenarios(), &mut json).unwrap();
     assert_eq!(fnv1a64(&csv), SWEEP_CSV_FNV64);
     assert_eq!(fnv1a64(&json), SWEEP_JSON_FNV64);
+}
+
+const DEEP_CSV_FNV64: u64 = 9_732_279_991_841_179_441;
+const DEEP_JSON_FNV64: u64 = 2_275_665_481_838_357_060;
+const BATCH_CSV_FNV64: u64 = 1_716_607_602_953_500_698;
+const BATCH_JSON_FNV64: u64 = 12_830_981_867_220_998_050;
+
+/// The deep grid (96- and 192-block models at two bandwidths) and the
+/// batch grid (uniform batches of 1, 4 and 16 as extra blocks): rows
+/// deeper than the warmup window come from an extrapolated steady state.
+#[test]
+fn deep_and_batch_sweep_bytes_are_pinned() {
+    for (grid, csv_pin, json_pin) in [
+        (SweepGrid::deep_default(), DEEP_CSV_FNV64, DEEP_JSON_FNV64),
+        (SweepGrid::batch_default(), BATCH_CSV_FNV64, BATCH_JSON_FNV64),
+    ] {
+        let results = SweepEngine::new().run(&grid);
+        assert!(!results.rows.is_empty());
+        assert_one_value_per_column(&results.to_csv());
+        assert_eq!(fnv1a64(results.to_csv().as_bytes()), csv_pin);
+        assert_eq!(fnv1a64(results.to_json().as_bytes()), json_pin);
+
+        let engine = SweepEngine::serial();
+        let (mut csv, mut json) = (Vec::new(), Vec::new());
+        engine.run_streamed(&grid.scenarios(), &mut csv).unwrap();
+        engine.run_streamed_json(&grid.scenarios(), &mut json).unwrap();
+        assert_eq!(fnv1a64(&csv), csv_pin);
+        assert_eq!(fnv1a64(&json), json_pin);
+    }
 }
 
 const SERVE_CSV_FNV64: u64 = 16_669_310_936_941_681_869;
