@@ -21,9 +21,13 @@ use crate::{CoreError, MemoryPlan, PartitionSpec, Result, WeightResidency};
 use mtp_kernels::Kernel;
 use mtp_link::Topology;
 use mtp_model::{AttentionKind, BatchWorkload, InferenceMode, NormKind, TransformerConfig};
-use mtp_sim::{ChipId, ChipSpec, DmaTag, Instr, Lowered, Machine, MemPath, MsgId, Program};
+use mtp_sim::{
+    ChipId, ChipSpec, DmaTag, Instr, LinkRegime, Lowered, Machine, MemPath, MsgId, Program,
+    SymbolicMakespan, WarmupCheckpoint, FULL_RUN_THRESHOLD,
+};
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The batch structure of a workload as the scheduler sees it.
 ///
@@ -482,22 +486,52 @@ impl Scheduler {
     }
 }
 
+/// What one steady-state walk of a template reads from the chip: the
+/// whole chip with its link bandwidth left out, plus, under the affine
+/// link regime, the priced cycles of every template send (the pricing
+/// signature). Any other regime keys on the full chip. Chips of one
+/// class walk identically and share one model (`DESIGN.md` §15).
+#[derive(Debug, Clone, PartialEq)]
+struct TimingClass {
+    chip: ChipSpec,
+    sends: Vec<u64>,
+}
+
+impl TimingClass {
+    fn of(chip: &ChipSpec, form: &Lowered) -> Self {
+        let mut class = TimingClass { chip: *chip, sends: Vec::new() };
+        if chip.link_regime == LinkRegime::Affine {
+            class.sends = form.send_bytes().map(|bytes| chip.link.transfer_cycles(bytes)).collect();
+            class.chip.link.bytes_per_cycle = 0.0;
+        }
+        class
+    }
+}
+
+/// Timing classes one schedule keeps models for. A sweep streaming
+/// thousands of distinct link settings through one schedule evicts the
+/// oldest class past this, so the memo never grows with the grid.
+const MAX_TIMING_CLASSES: usize = 256;
+
+/// Each timing class's walk result, oldest first; `None` when the walk
+/// proved no fixed point.
+type Memo = Vec<(TimingClass, Option<Arc<SymbolicMakespan>>)>;
+
 /// A one-block schedule compiled once and reusable across every scenario
 /// that shares its structure: the per-chip instruction template plus the
-/// residency regime and mode it was lowered for, and the template's
+/// residency regime and mode it was lowered for, the template's
 /// pre-costed executor form ([`mtp_sim::Lowered`]), built on the first
-/// simulation and replayed by every later one. The sweep engine's and
-/// the advisor's schedule caches therefore hold the lowered form too.
+/// simulation and replayed by every later one, and a steady-state memo.
 ///
-/// Depth variants (different `n_layers`) simulate through
-/// [`mtp_sim::Machine::run_periodic`] on the same template, and
-/// link-bandwidth variants reuse the template unchanged (the schedule
-/// never depends on the chip-to-chip link speed — only the machine's
-/// timing does). The sweep engine keys its template cache on exactly the
+/// [`CompiledSchedule::simulate`] is the one evaluator the sweep engine
+/// and the advisor call. The memo keeps one walk per *timing class*
+/// ([`CompiledSchedule::steady_state`]), so depth variants, bandwidths
+/// that price every send alike, placements sharing a template and the
+/// one-chip topology collapse reuse one walk with no grouping by the
+/// caller. The sweep engine keys its template cache on exactly the
 /// fields that reach this compilation: model structure, mode, chip count,
 /// topology, placement, and the residency regime the memory plan selects
-/// (which is the only path through which model depth shapes the
-/// template).
+/// (the only path through which model depth shapes the template).
 ///
 /// ```
 /// use mtp_core::schedule::CompiledSchedule;
@@ -510,6 +544,9 @@ impl Scheduler {
 ///     CompiledSchedule::compile(&cfg, 8, &chip, None, InferenceMode::Autoregressive)?;
 /// let deep = compiled.simulate(&chip, 96)?;
 /// assert_eq!(deep.n_blocks, 96);
+/// let deeper = compiled.simulate(&chip, 192)?;
+/// assert_eq!(deeper.n_blocks, 192);
+/// assert_eq!(compiled.walks(), 1);
 /// # Ok::<(), mtp_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -520,6 +557,10 @@ pub struct CompiledSchedule {
     n_chips: usize,
     /// The template lowered for the first machine that simulated it.
     lowered: OnceLock<Lowered>,
+    /// The steady-state memo, shared with clones (they walk alike).
+    memo: Arc<Mutex<Memo>>,
+    /// Walks run: the memo's misses.
+    walks: Arc<AtomicUsize>,
 }
 
 impl CompiledSchedule {
@@ -543,7 +584,15 @@ impl CompiledSchedule {
         }
         let residency = scheduler.plan().residency;
         let template = scheduler.block_programs(mode);
-        Ok(CompiledSchedule { template, residency, mode, n_chips, lowered: OnceLock::new() })
+        Ok(CompiledSchedule {
+            template,
+            residency,
+            mode,
+            n_chips,
+            lowered: OnceLock::new(),
+            memo: Arc::default(),
+            walks: Arc::default(),
+        })
     }
 
     /// The per-chip one-block instruction template.
@@ -604,12 +653,70 @@ impl CompiledSchedule {
         }
     }
 
-    /// Simulates `n_blocks` consecutive blocks on a machine of `chip`s
-    /// through the periodic steady-state engine.
+    /// The steady state of this template on a machine of `chip`s, from
+    /// the memo: one walk to the warmup bound per timing class — the chip
+    /// with its link bandwidth left out, plus under the affine regime the
+    /// priced cycles of every template send — and `None` when that walk
+    /// proves no fixed point. Contention-bearing link regimes never prove
+    /// one, walk nothing and keep no entry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering errors.
+    pub fn steady_state(&self, chip: &ChipSpec) -> Result<Option<Arc<SymbolicMakespan>>> {
+        if !chip.link_regime.contention_free() {
+            return Ok(None);
+        }
+        let machine = Machine::homogeneous(*chip, self.n_chips);
+        let form = self.lowered_for(&machine)?;
+        let class = TimingClass::of(chip, &form);
+        let kept = |memo: &Memo| memo.iter().find(|(c, _)| *c == class).map(|(_, m)| m.clone());
+        if let Some(model) = kept(&self.memo()) {
+            return Ok(model);
+        }
+        // Walk outside the lock; a class another worker kept meanwhile
+        // keeps its entry.
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        let model = SymbolicMakespan::derive_lowered(&machine, &form)?.map(Arc::new);
+        let mut memo = self.memo();
+        if let Some(model) = kept(&memo) {
+            return Ok(model);
+        }
+        if memo.len() == MAX_TIMING_CLASSES {
+            memo.remove(0);
+        }
+        memo.push((class, model.clone()));
+        Ok(model)
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        // Entries are pushed whole, so a panicking holder leaves none
+        // half written.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Steady-state walks this schedule has run: the memo's misses.
+    #[must_use]
+    pub fn walks(&self) -> usize {
+        self.walks.load(Ordering::Relaxed)
+    }
+
+    /// Timing classes the steady-state memo currently holds.
+    #[must_use]
+    pub fn steady_states(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// Simulates `n_blocks` consecutive blocks on a machine of `chip`s:
+    /// past [`mtp_sim::FULL_RUN_THRESHOLD`] blocks from the memo's
+    /// steady state ([`CompiledSchedule::steady_state`]), otherwise —
+    /// and whenever no fixed point is proven — through the periodic
+    /// engine. Bit-identical to [`mtp_sim::Machine::run_periodic`] on the
+    /// template either way.
     ///
     /// `chip` may differ from the compilation chip only in ways that do
-    /// not affect the schedule (in practice: link bandwidth, which the
-    /// sweep engine varies without recompiling).
+    /// not affect the schedule (in practice: link bandwidth, regime and
+    /// cost source, which the sweep engine varies without recompiling).
     ///
     /// # Errors
     ///
@@ -618,29 +725,30 @@ impl CompiledSchedule {
         if n_blocks == 0 {
             return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
         }
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks)?;
-        Ok(crate::report::from_stats(
-            chip,
-            self.n_chips,
-            self.mode,
-            n_blocks,
-            self.residency,
-            stats,
-        ))
+        let model = if n_blocks > FULL_RUN_THRESHOLD { self.steady_state(chip)? } else { None };
+        let stats = match model {
+            Some(model) => model.eval(n_blocks)?,
+            None => {
+                let machine = Machine::homogeneous(*chip, self.n_chips);
+                machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks)?
+            }
+        };
+        Ok(self.report(chip, n_blocks, stats))
     }
 
-    /// Runs the periodic engine's steady-state walk once for this
-    /// template on a machine of `chip`s and keeps the proven fixed point
-    /// ([`mtp_sim::Machine::warmup`]); [`CompiledSchedule::simulate_from`]
-    /// then answers any depth on the same `(template, chip)` pair in O(1),
-    /// and [`CompiledSchedule::simulate_symbolic`] takes its model.
-    ///
-    /// This is the cross-depth half of the sweep engine's reuse story:
-    /// d96 and d192 scenarios share one compiled template *and* — per
-    /// link-bandwidth setting — one warmup trajectory, so each extra
-    /// depth variant costs one extrapolation instead of a re-simulated
-    /// warmup.
+    fn report(
+        &self,
+        chip: &ChipSpec,
+        n_blocks: usize,
+        stats: mtp_sim::RunStats,
+    ) -> crate::SystemReport {
+        crate::report::from_stats(chip, self.n_chips, self.mode, n_blocks, self.residency, stats)
+    }
+
+    /// The memo's steady state for `chip` as a [`WarmupCheckpoint`]
+    /// ([`CompiledSchedule::steady_state`]): walks only when no earlier
+    /// call on this schedule walked the same timing class.
+    /// [`CompiledSchedule::simulate_from`] answers any depth from it.
     ///
     /// # Errors
     ///
@@ -648,19 +756,15 @@ impl CompiledSchedule {
     /// template problems yield a non-converged checkpoint and surface
     /// from the exact simulation [`CompiledSchedule::simulate_from`]
     /// falls back to.
-    pub fn warmup(&self, chip: &ChipSpec) -> Result<mtp_sim::WarmupCheckpoint> {
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        Ok(machine.warmup_lowered(&*self.lowered_for(&machine)?)?)
+    pub fn warmup(&self, chip: &ChipSpec) -> Result<WarmupCheckpoint> {
+        Ok(self.steady_state(chip)?.map(Arc::unwrap_or_clone).into())
     }
 
     /// [`CompiledSchedule::simulate`], answered from a checkpoint taken
     /// by [`CompiledSchedule::warmup`] on the **same chip spec**:
     /// [`CompiledSchedule::simulate_symbolic`] when the checkpoint holds
-    /// a model and `n_blocks` is past the periodic engine's full-run
-    /// threshold of 4 blocks, [`CompiledSchedule::simulate`] otherwise.
-    /// The threshold keeps shallow runs on the full simulation, whose
-    /// `c2c_peak_queue_bytes` under an infinite queue can exceed the
-    /// per-segment peak a model extrapolates.
+    /// a model and `n_blocks` is past [`mtp_sim::FULL_RUN_THRESHOLD`],
+    /// [`CompiledSchedule::simulate`] otherwise.
     ///
     /// # Errors
     ///
@@ -669,20 +773,21 @@ impl CompiledSchedule {
         &self,
         chip: &ChipSpec,
         n_blocks: usize,
-        ckpt: &mtp_sim::WarmupCheckpoint,
+        ckpt: &WarmupCheckpoint,
     ) -> Result<crate::SystemReport> {
         match ckpt.model() {
-            Some(model) if n_blocks > 4 => self.simulate_symbolic(chip, model, n_blocks),
+            Some(model) if n_blocks > FULL_RUN_THRESHOLD => {
+                self.simulate_symbolic(chip, model, n_blocks)
+            }
             _ => self.simulate(chip, n_blocks),
         }
     }
 
     /// Simulates `n_blocks` blocks each serving a uniform batch of
-    /// `n_requests` interleaved requests through the periodic engine's
-    /// request-level fixed point ([`mtp_sim::Machine::run_batched`]): the
-    /// one-block template doubles as the request-slot template, so the
-    /// warmup cost is the single-request warmup and the rest of the
-    /// `n_blocks * n_requests` repetitions extrapolate in O(1).
+    /// `n_requests` interleaved requests: the one-block template doubles
+    /// as the request-slot template, so a batch is
+    /// [`CompiledSchedule::simulate`] of `n_blocks * n_requests` blocks
+    /// and shares its steady state with every other depth.
     /// `simulate_batched(chip, n, 1)` equals
     /// [`CompiledSchedule::simulate`]`(chip, n)` exactly.
     ///
@@ -707,15 +812,13 @@ impl CompiledSchedule {
         let total = n_blocks.checked_mul(n_requests).ok_or_else(|| {
             CoreError::InvalidConfig("batched block count overflows usize".into())
         })?;
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_periodic_lowered(&*self.lowered_for(&machine)?, total)?;
-        Ok(crate::report::from_stats(chip, self.n_chips, self.mode, total, self.residency, stats))
+        self.simulate(chip, total)
     }
 
     /// [`CompiledSchedule::simulate`] answered from a symbolic model of
     /// this template on the **same chip spec** (from
-    /// [`CompiledSchedule::warmup`] or [`mtp_sim::SymbolicPlane`]) —
-    /// bit-identical [`crate::SystemReport`]s with zero simulation.
+    /// [`CompiledSchedule::warmup`] or [`CompiledSchedule::steady_state`])
+    /// — bit-identical [`crate::SystemReport`]s with zero simulation.
     ///
     /// # Errors
     ///
@@ -726,7 +829,7 @@ impl CompiledSchedule {
     pub fn simulate_symbolic(
         &self,
         chip: &ChipSpec,
-        model: &mtp_sim::SymbolicMakespan,
+        model: &SymbolicMakespan,
         n_blocks: usize,
     ) -> Result<crate::SystemReport> {
         if n_blocks == 0 {
@@ -739,15 +842,7 @@ impl CompiledSchedule {
                 self.n_chips
             )));
         }
-        let stats = model.eval(n_blocks)?;
-        Ok(crate::report::from_stats(
-            chip,
-            self.n_chips,
-            self.mode,
-            n_blocks,
-            self.residency,
-            stats,
-        ))
+        Ok(self.report(chip, n_blocks, model.eval(n_blocks)?))
     }
 }
 
@@ -1033,6 +1128,79 @@ mod tests {
         let other =
             CompiledSchedule::compile(&cfg, 2, &chip, None, InferenceMode::Autoregressive).unwrap();
         assert!(other.simulate_symbolic(&chip, model, 8).is_err(), "chip-count mismatch rejected");
+    }
+
+    fn scaled(pct: u32) -> ChipSpec {
+        let mut chip = ChipSpec::siracusa();
+        chip.link.bytes_per_cycle *= f64::from(pct) / 100.0;
+        chip
+    }
+
+    #[test]
+    fn memo_walks_once_for_a_no_send_template_at_five_bandwidths() {
+        // One chip sends nothing, so every bandwidth prices the template
+        // alike: one timing class, one walk, every depth answered.
+        let cfg = TransformerConfig::tiny_llama_42m();
+        let ar = InferenceMode::Autoregressive;
+        let compiled = CompiledSchedule::compile(&cfg, 1, &ChipSpec::siracusa(), None, ar).unwrap();
+        for pct in [10, 25, 50, 75, 100] {
+            let chip = scaled(pct);
+            let machine = Machine::homogeneous(chip, 1);
+            for n in [5, 8, 96] {
+                let report = compiled.simulate(&chip, n).unwrap();
+                assert_eq!(report.stats, machine.run_periodic(&compiled.template, n).unwrap());
+            }
+        }
+        assert_eq!(compiled.walks(), 1);
+        assert_eq!(compiled.steady_states(), 1);
+        let a = compiled.steady_state(&scaled(10)).unwrap().unwrap();
+        let b = compiled.steady_state(&scaled(100)).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "both bandwidths read one model");
+        assert!(compiled.warmup(&scaled(50)).unwrap().converged());
+        assert_eq!(compiled.walks(), 1);
+    }
+
+    #[test]
+    fn memo_race_on_two_threads_gives_the_serial_results() {
+        let (cfg, ar) = (TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive);
+        let compile = || CompiledSchedule::compile(&cfg, 8, &ChipSpec::siracusa(), None, ar);
+        let (serial, shared) = (compile().unwrap(), Arc::new(compile().unwrap()));
+        let queries: Vec<(u32, usize)> =
+            [25, 50, 100].iter().flat_map(|&pct| [5, 8, 96].map(|n| (pct, n))).collect();
+        let answer = |c: &CompiledSchedule, &(pct, n): &(u32, usize)| {
+            c.simulate(&scaled(pct), n).unwrap().stats
+        };
+        let expect: Vec<_> = queries.iter().map(|q| answer(&serial, q)).collect();
+        let (forward, mut backward): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+            let fwd = scope.spawn(|| queries.iter().map(|q| answer(&shared, q)).collect());
+            let bwd = scope.spawn(|| queries.iter().rev().map(|q| answer(&shared, q)).collect());
+            (fwd.join().unwrap(), bwd.join().unwrap())
+        });
+        backward.reverse();
+        assert_eq!((forward, backward), (expect.clone(), expect));
+        // A race may walk one class twice, but it keeps one entry.
+        assert_eq!(shared.steady_states(), serial.steady_states());
+        assert!(shared.walks() >= shared.steady_states());
+    }
+
+    #[test]
+    fn memo_keeps_at_most_its_class_bound() {
+        // Each link latency is its own timing class; the oldest class is
+        // evicted once the bound is reached, and answers stay exact.
+        let cfg = TransformerConfig::tiny_llama_42m();
+        let ar = InferenceMode::Autoregressive;
+        let compiled = CompiledSchedule::compile(&cfg, 2, &ChipSpec::siracusa(), None, ar).unwrap();
+        let mut chip = ChipSpec::siracusa();
+        for latency in 0..MAX_TIMING_CLASSES as u64 + 8 {
+            chip.link.latency_cycles = latency;
+            compiled.steady_state(&chip).unwrap();
+        }
+        assert_eq!(compiled.steady_states(), MAX_TIMING_CLASSES);
+        assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 8);
+        chip.link.latency_cycles = 0;
+        let direct = Machine::homogeneous(chip, 2).run_periodic(&compiled.template, 9).unwrap();
+        assert_eq!(compiled.simulate(&chip, 9).unwrap().stats, direct);
+        assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 9, "class 0 was evicted");
     }
 
     #[test]

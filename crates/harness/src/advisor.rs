@@ -16,13 +16,13 @@
 //!    [`Scenario::schedule_key`] compile one [`CompiledSchedule`]
 //!    (bandwidth never changes a template, and a single chip collapses
 //!    every topology).
-//! 2. **Symbolic scoring** — per (topology, placement, chips) group, the
-//!    whole bandwidth axis evaluates from a [`SymbolicPlane`]: one
-//!    warmup per link-pricing class, then every `(bandwidth, depth)`
-//!    cell is a closed-form lookup
-//!    ([`mtp_sim::SymbolicMakespan::eval`], `DESIGN.md` §15). Candidates
-//!    whose fixed point is not provable fall back to exact simulation —
-//!    identical numbers either way.
+//! 2. **Symbolic scoring** — every point scores through
+//!    [`CompiledSchedule::simulate`], whose steady-state memo walks once
+//!    per timing class (bandwidths that price every template send alike
+//!    share one), so every further `(bandwidth, depth)` cell is a
+//!    closed-form lookup ([`mtp_sim::SymbolicMakespan::eval`],
+//!    `DESIGN.md` §15). Candidates whose fixed point is not provable fall
+//!    back to exact simulation — identical numbers either way.
 //!
 //! Output is deterministic: candidates enumerate in fixed axis order and
 //! nothing in the report depends on wall clock, so two runs render, CSV,
@@ -34,9 +34,7 @@ use crate::table::TextTable;
 use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, SystemReport};
 use mtp_model::{InferenceMode, TransformerConfig};
-use mtp_sim::{Machine, SymbolicPlane};
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Real-time constraints for a full-model inference pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,8 +136,8 @@ pub struct Candidate {
     pub pareto: bool,
     /// Whether this point meets the constraints.
     pub feasible: bool,
-    /// `true` when the score came from the closed-form symbolic model,
-    /// `false` when the exact-simulation fallback ran.
+    /// `true` when the schedule's memo holds a steady state for this
+    /// point's chip, `false` when the exact-simulation fallback ran.
     pub symbolic: bool,
 }
 
@@ -184,7 +182,7 @@ pub struct Advice {
     /// Distinct schedule templates compiled (the [`ScheduleKey`] cache's
     /// hit rate is `candidates.len() - compiled` per bandwidth group).
     pub compiled: usize,
-    /// Warmup trajectories simulated across all symbolic planes — the
+    /// Steady-state walks run (memo misses across all schedules) — the
     /// entire simulation cost of the symbolic candidates.
     pub warmups: usize,
 }
@@ -255,16 +253,15 @@ pub fn advise(
         }
     }
 
-    let mut schedules: HashMap<ScheduleKey, Rc<CompiledSchedule>> = HashMap::new();
+    let mut schedules: HashMap<ScheduleKey, CompiledSchedule> = HashMap::new();
     let mut candidates = Vec::new();
     let mut skipped = Vec::new();
-    let mut warmups = 0usize;
     for &n_chips in &chip_counts {
         for &topology in &topologies {
             for &placement in &placements {
-                // One group = one template and one symbolic plane; the
-                // bandwidth axis inside it is pure arithmetic.
-                let base = Scenario::new(cfg.clone(), mode, n_chips)
+                // One group = one template; its memo answers every
+                // bandwidth that prices its sends alike from one walk.
+                let mut base = Scenario::new(cfg.clone(), mode, n_chips)
                     .with_topology(topology)
                     .with_placement(placement)
                     .with_span(Span::Model);
@@ -276,34 +273,22 @@ pub fn advise(
                         continue;
                     }
                 };
-                let compiled = match schedules.get(&key) {
-                    Some(c) => Rc::clone(c),
-                    None => match base.compile_schedule() {
-                        Ok(c) => {
-                            let c = Rc::new(c);
-                            schedules.insert(key, Rc::clone(&c));
-                            c
-                        }
-                        Err(e) => {
-                            skipped.push(skip(e.to_string()));
+                let compiled = match schedules.entry(key) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => match base.compile_schedule() {
+                        Ok(c) => e.insert(c),
+                        Err(err) => {
+                            skipped.push(skip(err.to_string()));
                             continue;
                         }
                     },
                 };
-                let n_blocks = base.n_blocks();
-                let chip = base.chip();
-                // Lowering never prices the link, so one form serves
-                // every bandwidth of the plane.
-                let form = compiled.lowered_for(&Machine::homogeneous(chip, n_chips))?;
-                let plane = SymbolicPlane::derive_lowered(&chip, &form, &link_bw_pcts)?;
-                warmups += plane.warmups();
                 for &link_bw_pct in &link_bw_pcts {
                     let point = DesignPoint { topology, placement, n_chips, link_bw_pct };
-                    let chip = plane.chip(link_bw_pct).expect("pct is in the plane");
-                    let (report, symbolic) = match plane.model(link_bw_pct) {
-                        Some(m) => (compiled.simulate_symbolic(&chip, m, n_blocks)?, true),
-                        None => (compiled.simulate(&chip, n_blocks)?, false),
-                    };
+                    base.link_bw_pct = link_bw_pct;
+                    let chip = base.chip();
+                    let symbolic = compiled.steady_state(&chip)?.is_some();
+                    let report = compiled.simulate(&chip, base.n_blocks())?;
                     let feasible = constraints.satisfied_by(&report);
                     candidates.push(Candidate { point, report, pareto: false, feasible, symbolic });
                 }
@@ -336,7 +321,7 @@ pub fn advise(
         skipped,
         recommended,
         compiled: schedules.len(),
-        warmups,
+        warmups: schedules.values().map(|c| c.walks()).sum(),
     })
 }
 

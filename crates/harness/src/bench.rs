@@ -372,12 +372,13 @@ pub fn run(quick: bool) -> BenchReport {
         s_reps,
     );
 
-    // --- Warm-resume across depths: the warmup checkpoint's model
-    // evaluated at 192 blocks vs. a cold run_periodic of the same depth.
+    // --- Warm-resume across depths: the proven steady state evaluated
+    // at 192 blocks vs. a cold run_periodic of the same depth.
     // Evaluation skips the whole warmup walk, so it should be near free
     // next to the cold path.
-    let ckpt = machine.warmup(&template).expect("warmup");
-    let model = ckpt.model().expect("deep template must converge in warmup");
+    let model = mtp_sim::SymbolicMakespan::derive(&machine, &template)
+        .expect("warmup")
+        .expect("deep template must converge in warmup");
     push(
         "sim/8chip_ar_d192_periodic_cold",
         best_of(s_reps, || {

@@ -1435,52 +1435,6 @@ impl SweepEngine {
             .collect();
         let sim_slots: Vec<OnceLock<SimOutcome>> =
             (0..sims.len()).map(|_| OnceLock::new()).collect();
-
-        // Depth variants of one template at one (bandwidth, regime)
-        // setting differ only in their block count, so they can share a
-        // single warmup trajectory: the first worker to reach the group
-        // runs `CompiledSchedule::warmup` once, and every member resumes
-        // from the proven fixed point in O(1)
-        // (`CompiledSchedule::simulate_from`, bit-identical because it
-        // evaluates the model the periodic engine's walk proved). A warm slot is only
-        // allocated for groups with at least two distinct depths — a
-        // lone depth gains nothing from checkpointing — and only where
-        // the periodic engine could extrapolate at all (more than the
-        // full-run threshold of 4 blocks, contention-free link regime,
-        // no fault plan — faulted runs take the exact full path — and
-        // the analytic cost model, so a calibrated chip never resumes
-        // from an analytic checkpoint).
-        let mut warm_groups: HashMap<(usize, u32, LinkRegime), usize> = HashMap::new();
-        for &(slot, bw, _n_blocks, regime, faults, _policy, cost) in sims.keys() {
-            if faults.is_empty() && cost == CostSourceKind::Analytic {
-                *warm_groups.entry((slot, bw, regime)).or_insert(0) += 1;
-            }
-        }
-        let mut warms: HashMap<(usize, u32, LinkRegime), usize> = HashMap::new();
-        let warm_of: Vec<Option<usize>> = to_run
-            .iter()
-            .zip(&slot_of)
-            .map(|(s, slot)| {
-                slot.and_then(|slot| {
-                    let key = (slot, s.link_bw_pct, s.link_regime);
-                    let shared = warm_groups.get(&key).copied().unwrap_or(0) >= 2;
-                    if shared
-                        && s.n_blocks() > 4
-                        && s.link_regime.contention_free()
-                        && s.faults.is_empty()
-                        && s.cost_source == CostSourceKind::Analytic
-                    {
-                        let w = warms.len();
-                        Some(*warms.entry(key).or_insert(w))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        let warm_slots: Vec<OnceLock<Option<mtp_sim::WarmupCheckpoint>>> =
-            (0..warms.len()).map(|_| OnceLock::new()).collect();
-        drop(warms);
         drop(sims);
 
         // Phase 3: simulate unique points in parallel. Workers claim
@@ -1503,45 +1457,18 @@ impl SweepEngine {
                             .get_or_init(|| scenario.compile_schedule().ok().map(Arc::new))
                             .as_ref();
                         match compiled {
-                            Some(compiled) => {
-                                let chip = scenario.chip();
-                                // A group of depth variants shares one
-                                // warmup; checkpoint failures fall back
-                                // to the cold path inside
-                                // `simulate_from` (exact either way).
-                                // Faulted scenarios never join a warm
-                                // group and route through the exact
-                                // faulted path (a fail-stop under the
-                                // abort policy becomes this scenario's
-                                // typed skip reason).
-                                let report = if !scenario.faults.is_empty() {
-                                    compiled.simulate_faulted(
-                                        &chip,
-                                        scenario.n_blocks(),
-                                        &scenario.faults,
-                                        scenario.fail_policy,
-                                    )
-                                } else {
-                                    match warm_of[i] {
-                                        Some(w) => {
-                                            let ckpt = warm_slots[w]
-                                                .get_or_init(|| compiled.warmup(&chip).ok());
-                                            match ckpt {
-                                                Some(ckpt) => compiled.simulate_from(
-                                                    &chip,
-                                                    scenario.n_blocks(),
-                                                    ckpt,
-                                                ),
-                                                None => {
-                                                    compiled.simulate(&chip, scenario.n_blocks())
-                                                }
-                                            }
-                                        }
-                                        None => compiled.simulate(&chip, scenario.n_blocks()),
-                                    }
-                                };
-                                outcome(report)
-                            }
+                            // Depth variants, bandwidths that price alike
+                            // and placements sharing this template reuse
+                            // its steady-state memo; an empty fault plan
+                            // takes the fault-free path, and a fail-stop
+                            // under the abort policy becomes this
+                            // scenario's typed skip reason.
+                            Some(compiled) => outcome(compiled.simulate_faulted(
+                                &scenario.chip(),
+                                scenario.n_blocks(),
+                                &scenario.faults,
+                                scenario.fail_policy,
+                            )),
                             None => outcome(scenario.run()),
                         }
                     })
@@ -2042,6 +1969,26 @@ mod tests {
         assert_eq!(engine.cached_schedules_len(), 11);
         for row in &results.rows {
             assert_eq!(row.report.n_blocks, row.scenario.config.n_layers);
+        }
+    }
+
+    #[test]
+    fn streamed_deep_sweep_leaves_one_memo_entry_per_timing_class() {
+        // Two stream chunks of the deep grid: the second re-simulates
+        // evicted rows from the memos, which walk once per timing class
+        // (one chip sends nothing, so its two bandwidths are one class).
+        let grid = SweepGrid::deep_default().scenarios();
+        let scenarios: Vec<Scenario> =
+            grid.iter().cycle().take(STREAM_CHUNK + grid.len()).cloned().collect();
+        let engine = SweepEngine::serial();
+        let mut csv = Vec::new();
+        engine.run_streamed(&scenarios, &mut csv).unwrap();
+        let schedules = engine.schedules.lock().unwrap();
+        assert_eq!(schedules.len(), 11);
+        for compiled in schedules.values() {
+            let classes = if compiled.n_chips() == 1 { 1 } else { 2 };
+            assert_eq!(compiled.steady_states(), classes, "{} chips", compiled.n_chips());
+            assert_eq!(compiled.walks(), classes, "{} chips", compiled.n_chips());
         }
     }
 

@@ -58,8 +58,8 @@ pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON, MAX_SEEDED_FAULTS
 pub use gantt::{Trace, TraceEvent, TraceKind};
 pub use lower::Lowered;
 pub use memory::{MemPath, MemorySpec};
-pub use periodic::WarmupCheckpoint;
+pub use periodic::{WarmupCheckpoint, FULL_RUN_THRESHOLD};
 pub use program::{id_span, ChipId, DmaTag, Instr, MsgId, Program};
 pub use sink::{MakespanOnly, TraceCollector, TraceSink};
-pub use symbolic::{SymbolicMakespan, SymbolicPlane};
+pub use symbolic::SymbolicMakespan;
 pub use trace::{Breakdown, ChipStats, RunStats};

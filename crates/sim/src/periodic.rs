@@ -20,8 +20,8 @@
 //! a heuristic; whenever any proof obligation fails, the engine falls
 //! back to full simulation. The segment loop itself is the crate's one
 //! steady-state walk ([`crate::symbolic`]); [`Machine::run_periodic`]
-//! stops it at `n_blocks` segments, [`Machine::warmup`] at the warmup
-//! bound. See `DESIGN.md` §9 for the soundness argument, and
+//! stops it at `n_blocks` segments, [`SymbolicMakespan::derive`] at the
+//! warmup bound. See `DESIGN.md` §9 for the soundness argument, and
 //! `tests/periodic_lockstep.rs` for the exact-equality lockstep suites.
 //!
 //! Proof obligations checked per segment (any failure → full simulation):
@@ -104,7 +104,8 @@ pub(crate) struct SegmentRun {
 
 /// `n_blocks` at or below this run as one plain simulation: the warmup
 /// needs at least two segments before extrapolation can save anything.
-const FULL_RUN_THRESHOLD: usize = 4;
+/// Callers answering depths from a kept [`SymbolicMakespan`] apply it too.
+pub const FULL_RUN_THRESHOLD: usize = 4;
 
 /// Warmup bound: if the state has not reached its uniform-delta fixed
 /// point after this many segments, the workload is treated as aperiodic
@@ -133,18 +134,21 @@ pub(crate) fn uniform_delta(prev: &MachineState, next: &MachineState) -> Option<
     Some(delta.unwrap_or(0))
 }
 
-/// The steady state [`Machine::warmup`] proved for one
-/// `(machine, template)` pair, reusable across every block count
-/// simulated on that pair: the sweep engine uses it to make depth
-/// variants (d96, d192, ...) of one schedule share a single warmup
-/// trajectory per link bandwidth.
+/// A proven steady state kept for one `(machine, template)` pair,
+/// reusable across every block count simulated on that pair.
 ///
 /// It holds the [`SymbolicMakespan`] when the proof went through and
 /// nothing otherwise (aperiodic template, contention-bearing link
 /// regime, fault plan, or a template error); callers simulate exactly
-/// in that case.
+/// in that case. Built from [`SymbolicMakespan::derive`]'s result.
 #[derive(Debug, Clone)]
 pub struct WarmupCheckpoint(Option<SymbolicMakespan>);
+
+impl From<Option<SymbolicMakespan>> for WarmupCheckpoint {
+    fn from(model: Option<SymbolicMakespan>) -> Self {
+        WarmupCheckpoint(model)
+    }
+}
 
 impl WarmupCheckpoint {
     /// `true` when the warmup proved a fixed point.
@@ -256,44 +260,6 @@ impl Machine {
             }
         }
         self.run_lowered(&template.repeat(n_blocks))
-    }
-
-    /// Runs the steady-state walk of [`Machine::run_periodic`] once —
-    /// independent of any block count — and keeps the proven fixed point
-    /// as a reusable [`WarmupCheckpoint`]: the same model
-    /// [`SymbolicMakespan::derive`] returns.
-    ///
-    /// ```
-    /// use mtp_sim::{ChipSpec, Instr, Machine, Program};
-    /// use mtp_kernels::Kernel;
-    ///
-    /// let machine = Machine::homogeneous(ChipSpec::siracusa(), 1);
-    /// let block = Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))]);
-    /// let ckpt = machine.warmup(std::slice::from_ref(&block))?;
-    /// let warm = ckpt.model().unwrap().eval(192)?;
-    /// let cold = machine.run_periodic(std::slice::from_ref(&block), 192)?;
-    /// assert_eq!(warm, cold);
-    /// # Ok::<(), mtp_sim::SimError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::ProgramCountMismatch`] when `template` does not
-    /// provide one program per chip. Every other template problem yields
-    /// a non-converged checkpoint; simulating exactly then reports it.
-    pub fn warmup(&self, template: &[Program]) -> Result<WarmupCheckpoint> {
-        self.warmup_lowered(&self.lower(template)?)
-    }
-
-    /// [`Machine::warmup`] on an already lowered template.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Machine::warmup`], plus
-    /// [`crate::SimError::FormPricingMismatch`] when `template` was
-    /// priced for other chips.
-    pub fn warmup_lowered(&self, template: &Lowered) -> Result<WarmupCheckpoint> {
-        SymbolicMakespan::derive_lowered(self, template).map(WarmupCheckpoint)
     }
 
     /// Executes `n_blocks` Transformer blocks each serving a uniform
@@ -575,7 +541,7 @@ mod tests {
             let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
             assert_eq!(fast, full, "n_blocks={n_blocks}");
         }
-        let ckpt = m.warmup(&template).unwrap();
+        let ckpt = WarmupCheckpoint::from(SymbolicMakespan::derive(&m, &template).unwrap());
         assert!(!ckpt.converged(), "faulted machines never extrapolate");
         assert!(ckpt.model().is_none());
     }
@@ -586,7 +552,7 @@ mod tests {
         // every depth equals the full concatenated simulation.
         let m = machine(2);
         let template = ping_pong_template();
-        let ckpt = m.warmup(&template).unwrap();
+        let ckpt = WarmupCheckpoint::from(SymbolicMakespan::derive(&m, &template).unwrap());
         assert!(ckpt.converged());
         assert!(ckpt.warmup_segments().unwrap() <= MAX_WARMUP_SEGMENTS);
         let model = ckpt.model().unwrap();
@@ -609,7 +575,7 @@ mod tests {
             Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 1 << 20, tag: DmaTag(0) },
             Instr::compute(Kernel::Add { n: 64 }),
         ])];
-        let ckpt = m.warmup(&template).unwrap();
+        let ckpt = WarmupCheckpoint::from(SymbolicMakespan::derive(&m, &template).unwrap());
         assert!(!ckpt.converged());
         assert_eq!(ckpt.warmup_segments(), None);
         assert!(ckpt.model().is_none());
@@ -624,7 +590,7 @@ mod tests {
             2,
             crate::LinkRegime::Lossy { drop_per_mille: 100, nack_cycles: 500 },
         );
-        let ckpt = m.warmup(&template).unwrap();
+        let ckpt = WarmupCheckpoint::from(SymbolicMakespan::derive(&m, &template).unwrap());
         assert!(!ckpt.converged());
         for n_blocks in [5usize, 40] {
             let cold = m.run_periodic(&template, n_blocks).unwrap();
@@ -637,7 +603,7 @@ mod tests {
     fn warmup_program_count_mismatch_detected() {
         let m = machine(2);
         assert!(matches!(
-            m.warmup(&[Program::new()]),
+            SymbolicMakespan::derive(&m, &[Program::new()]),
             Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
         ));
     }

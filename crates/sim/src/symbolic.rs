@@ -23,21 +23,15 @@
 //! depth whose counters do not fit in `u64` is
 //! [`crate::SimError::CycleOverflow`], never a wrapped number.
 //!
-//! [`SymbolicPlane`] lifts the model over the link-bandwidth axis: the
-//! schedule template never changes with bandwidth, and under the affine
-//! link regime the executor reads the link spec *only* through
-//! [`crate::LinkPortSpec::transfer_cycles`] of the template's send sizes.
-//! Bandwidth settings that price every send identically are therefore
-//! timing-isomorphic and share ONE warmup trajectory — an entire
-//! `link_bw_pct x depth` plane evaluates from a handful of warmups (often
-//! exactly one per distinct pricing class), with `delta` exposed as a
-//! piecewise function of bandwidth whose knee is the compute-bound /
-//! link-bound crossover.
+//! Under the affine link regime a walk reads the link only through
+//! [`crate::LinkPortSpec::transfer_cycles`] of the template's send sizes
+//! ([`crate::Lowered::send_bytes`]), so chips that price every send alike
+//! share one model (`DESIGN.md` §15).
 
 use crate::exec::Executor;
 use crate::periodic::{uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
 use crate::trace::ChipStats;
-use crate::{ChipSpec, LinkRegime, Lowered, Machine, Program, Result, RunStats, SimError};
+use crate::{Lowered, Machine, Program, Result, RunStats, SimError};
 
 /// How a [`walk`] ended.
 #[derive(Debug)]
@@ -331,225 +325,10 @@ impl SymbolicMakespan {
     }
 }
 
-/// One bandwidth equivalence class of a [`SymbolicPlane`]: the settings
-/// in `pcts` price every template send identically, so they share the
-/// (optional) symbolic model derived from one warmup.
-#[derive(Debug, Clone)]
-struct PlaneCell {
-    /// Bandwidth settings (percent of nominal) in this class, ascending.
-    pcts: Vec<u32>,
-    /// The shared model; `None` when the warmup did not converge for this
-    /// class (callers fall back to exact simulation).
-    model: Option<SymbolicMakespan>,
-}
-
-/// A `link_bw_pct x depth` plane of exact steady-state answers, derived
-/// from one warmup per *pricing class* instead of one per bandwidth
-/// setting.
-///
-/// Under [`LinkRegime::Affine`] the executor's only read of the link
-/// bandwidth is `transfer_cycles(bytes)` for each `Send` in the template,
-/// so two bandwidth settings whose priced cost vectors coincide are
-/// timing-isomorphic and provably share a warmup. Non-affine
-/// (contention-bearing or queued) regimes price byte counts outside the
-/// template's send sizes, so each setting derives independently there —
-/// still exact, just without the sharing.
-///
-/// ```
-/// use mtp_sim::{ChipSpec, Instr, Machine, Program, SymbolicPlane};
-/// use mtp_kernels::Kernel;
-///
-/// let template = vec![
-///     Program::from_instrs([Instr::compute(Kernel::gemv(64, 64)), Instr::send(1, 0, 4096)]),
-///     Program::from_instrs([Instr::recv(0, 0)]),
-/// ];
-/// let plane = SymbolicPlane::derive(&ChipSpec::siracusa(), 2, &template, &[25, 50, 100])?;
-/// let direct = Machine::homogeneous(plane.chip(100).unwrap(), 2).run_periodic(&template, 96)?;
-/// assert_eq!(plane.eval(100, 96).unwrap()?, direct);
-/// # Ok::<(), mtp_sim::SimError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SymbolicPlane {
-    base: ChipSpec,
-    n_chips: usize,
-    cells: Vec<PlaneCell>,
-    warmups: usize,
-}
-
-/// Scales a chip's link bandwidth to `pct` percent of nominal — the
-/// exact expression the sweep engine applies, so plane cells and swept
-/// scenarios price transfers bit-identically.
-fn scale_link_bw(base: &ChipSpec, pct: u32) -> ChipSpec {
-    let mut chip = *base;
-    chip.link.bytes_per_cycle *= f64::from(pct) / 100.0;
-    chip
-}
-
-/// The priced cost of every send in the template, in program order —
-/// the complete link-timing signature of a bandwidth setting under the
-/// affine regime.
-fn pricing_signature(chip: &ChipSpec, template: &Lowered) -> Vec<u64> {
-    template.send_bytes().map(|bytes| chip.link.transfer_cycles(bytes)).collect()
-}
-
-impl SymbolicPlane {
-    /// Derives the plane for `template` on `n_chips` chips of `base`
-    /// (taken at nominal bandwidth), over the given bandwidth settings in
-    /// percent. Duplicate settings collapse; settings are grouped into
-    /// pricing classes and one warmup is run per class (per setting for
-    /// non-affine regimes). Classes whose warmup does not converge stay
-    /// in the plane with no model — [`SymbolicPlane::eval`] returns
-    /// `None` for them and callers simulate exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any setting is `0` (a zero-bandwidth link prices no
-    /// transfer; sweeps reject it at validation).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::ProgramCountMismatch`] when `template` does not
-    /// provide one program per chip.
-    pub fn derive(
-        base: &ChipSpec,
-        n_chips: usize,
-        template: &[Program],
-        pcts: &[u32],
-    ) -> Result<Self> {
-        let lowered = Machine::homogeneous(*base, n_chips).lower(template)?;
-        Self::derive_lowered(base, &lowered, pcts)
-    }
-
-    /// [`SymbolicPlane::derive`] on a template already lowered for
-    /// `base` chips (at any bandwidth: lowering never prices the link),
-    /// spanning the form's chip count. Every pricing class replays the
-    /// same lowered form.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`SymbolicPlane::derive`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::FormPricingMismatch`] when `template` was not priced
-    /// for `base` chips.
-    pub fn derive_lowered(base: &ChipSpec, template: &Lowered, pcts: &[u32]) -> Result<Self> {
-        let n_chips = template.n_chips();
-        Machine::homogeneous(*base, n_chips).check_form(template)?;
-        let mut sorted: Vec<u32> = pcts.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert!(sorted.first().is_none_or(|&p| p > 0), "link bandwidth percent must be at least 1");
-        let affine = base.link_regime == LinkRegime::Affine;
-        // Group settings into pricing classes; ascending pct order keeps
-        // the grouping (and thus the warmup count) deterministic.
-        let mut classes: Vec<(Vec<u64>, Vec<u32>)> = Vec::new();
-        for &pct in &sorted {
-            let sig = pricing_signature(&scale_link_bw(base, pct), template);
-            match (affine).then(|| classes.iter_mut().find(|(s, _)| *s == sig)).flatten() {
-                Some((_, members)) => members.push(pct),
-                None => classes.push((sig, vec![pct])),
-            }
-        }
-        let mut cells = Vec::with_capacity(classes.len());
-        let mut warmups = 0usize;
-        for (_, members) in classes {
-            let chip = scale_link_bw(base, members[0]);
-            let machine = Machine::homogeneous(chip, n_chips);
-            let model = SymbolicMakespan::derive_lowered(&machine, template)?;
-            warmups += 1;
-            cells.push(PlaneCell { pcts: members, model });
-        }
-        Ok(SymbolicPlane { base: *base, n_chips, cells, warmups })
-    }
-
-    fn cell(&self, pct: u32) -> Option<&PlaneCell> {
-        self.cells.iter().find(|c| c.pcts.contains(&pct))
-    }
-
-    /// The symbolic model backing a bandwidth setting — `None` when the
-    /// setting is not in the plane or its class did not converge.
-    #[must_use]
-    pub fn model(&self, pct: u32) -> Option<&SymbolicMakespan> {
-        self.cell(pct).and_then(|c| c.model.as_ref())
-    }
-
-    /// Exact [`RunStats`] at `(pct, n_blocks)` with zero simulation;
-    /// `None` when the setting is unknown or its class did not converge,
-    /// and [`crate::SimError::CycleOverflow`] inside when the counters do
-    /// not fit ([`SymbolicMakespan::eval`]).
-    #[must_use]
-    pub fn eval(&self, pct: u32, n_blocks: usize) -> Option<Result<RunStats>> {
-        self.model(pct).map(|m| m.eval(n_blocks))
-    }
-
-    /// Closed-form makespan at `(pct, n_blocks)`; `None` and errors as in
-    /// [`SymbolicPlane::eval`].
-    #[must_use]
-    pub fn makespan(&self, pct: u32, n_blocks: usize) -> Option<Result<u64>> {
-        self.model(pct).map(|m| m.makespan(n_blocks))
-    }
-
-    /// The per-block makespan slope at a bandwidth setting — one sample
-    /// of the piecewise `delta(bw)` function.
-    #[must_use]
-    pub fn delta(&self, pct: u32) -> Option<u64> {
-        self.model(pct).map(SymbolicMakespan::delta)
-    }
-
-    /// The chip specification a setting evaluates under (base with the
-    /// link scaled) — what a caller should simulate with when the class
-    /// did not converge. `None` for settings not in the plane.
-    #[must_use]
-    pub fn chip(&self, pct: u32) -> Option<ChipSpec> {
-        self.cell(pct).map(|_| scale_link_bw(&self.base, pct))
-    }
-
-    /// Bandwidth settings the plane covers, ascending.
-    #[must_use]
-    pub fn pcts(&self) -> Vec<u32> {
-        let mut all: Vec<u32> = self.cells.iter().flat_map(|c| c.pcts.iter().copied()).collect();
-        all.sort_unstable();
-        all
-    }
-
-    /// The `delta(bw)` curve as `(pct, delta)` samples, ascending in
-    /// `pct`, skipping unconverged settings — the piecewise max-plus
-    /// function whose knee is the compute/link crossover.
-    #[must_use]
-    pub fn delta_curve(&self) -> Vec<(u32, u64)> {
-        self.pcts().into_iter().filter_map(|p| self.delta(p).map(|d| (p, d))).collect()
-    }
-
-    /// The smallest bandwidth setting whose per-block slope already
-    /// equals the slope at full bandwidth — the compute-bound / link-bound
-    /// crossover. Settings at or above it buy no makespan; below it the
-    /// link is the bottleneck. `None` when no setting converged.
-    #[must_use]
-    pub fn crossover_pct(&self) -> Option<u32> {
-        let curve = self.delta_curve();
-        let (_, best) = *curve.last()?;
-        curve.iter().find(|&&(_, d)| d == best).map(|&(p, _)| p)
-    }
-
-    /// Number of warmup trajectories actually simulated — at most one per
-    /// pricing class, the whole cost of the plane.
-    #[must_use]
-    pub fn warmups(&self) -> usize {
-        self.warmups
-    }
-
-    /// Number of chips the plane spans.
-    #[must_use]
-    pub fn n_chips(&self) -> usize {
-        self.n_chips
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Instr;
+    use crate::{ChipSpec, Instr, LinkRegime};
     use mtp_kernels::Kernel;
 
     fn machine(n: usize) -> Machine {
@@ -769,75 +548,30 @@ mod tests {
     }
 
     #[test]
-    fn plane_matches_per_pct_simulation() {
-        let template = ping_pong_template();
-        let plane =
-            SymbolicPlane::derive(&ChipSpec::siracusa(), 2, &template, &[25, 50, 75, 100]).unwrap();
-        for pct in [25u32, 50, 75, 100] {
-            let chip = plane.chip(pct).unwrap();
-            let m = Machine::homogeneous(chip, 2);
-            for n_blocks in [1usize, 5, 96] {
-                let direct = m.run_periodic(&template, n_blocks).unwrap();
-                assert_eq!(
-                    plane.eval(pct, n_blocks).unwrap().unwrap(),
-                    direct,
-                    "pct={pct} n={n_blocks}"
-                );
-            }
-        }
-        assert!(plane.warmups() <= 4);
-    }
-
-    #[test]
-    fn plane_shares_warmups_between_identical_pricings() {
-        // A template with no sends prices identically at every bandwidth:
-        // the whole plane is one pricing class, one warmup.
-        let template = [Program::from_instrs([Instr::compute(Kernel::gemv(256, 256))])];
-        let plane =
-            SymbolicPlane::derive(&ChipSpec::siracusa(), 1, &template, &[10, 25, 50, 75, 100])
-                .unwrap();
-        assert_eq!(plane.warmups(), 1);
-        let d100 = plane.delta(100).unwrap();
-        assert_eq!(plane.delta(10).unwrap(), d100);
-        assert_eq!(plane.crossover_pct(), Some(10));
-    }
-
-    #[test]
     fn crossover_separates_link_bound_from_compute_bound() {
-        // Heavy link traffic against light compute: low bandwidths must
-        // show a strictly larger delta than full bandwidth, and the
-        // crossover sits above the link-bound settings.
-        let p0 = Program::from_instrs([
-            Instr::compute(Kernel::Add { n: 64 }),
-            Instr::send(1, 0, 1 << 20),
-            Instr::recv(1, 1),
-        ]);
-        let p1 = Program::from_instrs([
-            Instr::compute(Kernel::Add { n: 64 }),
-            Instr::recv(0, 0),
-            Instr::send(0, 1, 1 << 20),
-        ]);
-        let template = [p0, p1];
-        let plane =
-            SymbolicPlane::derive(&ChipSpec::siracusa(), 2, &template, &[25, 50, 100]).unwrap();
-        assert!(plane.delta(25).unwrap() > plane.delta(100).unwrap());
-        let curve = plane.delta_curve();
-        assert!(curve.windows(2).all(|w| w[0].1 >= w[1].1), "delta(bw) is non-increasing");
-    }
-
-    #[test]
-    fn unknown_pct_is_none() {
-        let template = ping_pong_template();
-        let plane = SymbolicPlane::derive(&ChipSpec::siracusa(), 2, &template, &[50, 100]).unwrap();
-        assert!(plane.eval(60, 5).is_none());
-        assert!(plane.chip(60).is_none());
-        assert_eq!(plane.pcts(), vec![50, 100]);
-    }
-
-    #[test]
-    #[should_panic(expected = "link bandwidth percent must be at least 1")]
-    fn zero_pct_panics() {
-        let template = ping_pong_template();
-        let _ = SymbolicPlane::derive(&ChipSpec::siracusa(), 2, &template, &[0, 100]);
+        // Heavy link traffic against light compute: delta(bw) never rises
+        // as the link gets faster, and low bandwidth is link-bound.
+        let template = [
+            Program::from_instrs([
+                Instr::compute(Kernel::Add { n: 64 }),
+                Instr::send(1, 0, 1 << 20),
+                Instr::recv(1, 1),
+            ]),
+            Program::from_instrs([
+                Instr::compute(Kernel::Add { n: 64 }),
+                Instr::recv(0, 0),
+                Instr::send(0, 1, 1 << 20),
+            ]),
+        ];
+        let curve: Vec<u64> = [25u32, 50, 100]
+            .map(|pct| {
+                let mut chip = ChipSpec::siracusa();
+                chip.link.bytes_per_cycle *= f64::from(pct) / 100.0;
+                let m = Machine::homogeneous(chip, 2);
+                SymbolicMakespan::derive(&m, &template).unwrap().unwrap().delta()
+            })
+            .to_vec();
+        assert!(curve[0] > curve[2]);
+        assert!(curve.windows(2).all(|w| w[0] >= w[1]), "delta(bw) is non-increasing: {curve:?}");
     }
 }

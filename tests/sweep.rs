@@ -250,9 +250,9 @@ fn default_cli_grid_runs_at_least_48_scenarios() {
     }
 }
 
-/// The deep grid is where the warmup-checkpoint reuse engages (its
-/// depth variants share one block template per chip count, so the
-/// engine warms up once and resumes every depth from the checkpoint).
+/// The deep grid is where steady-state reuse engages (its depth variants
+/// share one block template per chip count, so the template's memo walks
+/// once per timing class and answers every depth from that model).
 /// Every engine row must still equal the direct, uncached simulation of
 /// its scenario — warm resume is an optimization, never a semantic.
 #[test]

@@ -11,17 +11,20 @@
 //!    extra blocks);
 //! 3. randomized model configurations via proptest;
 //! 4. the closed form itself: `makespan(n) = startup + reps * delta`
-//!    must equal the evaluated stats' makespan at every depth.
+//!    must equal the evaluated stats' makespan at every depth;
+//! 5. the steady-state memo of a compiled schedule: every `(bandwidth,
+//!    depth)` answer equals `run_periodic`, and chips priced by different
+//!    kernel cost models never share an entry.
 //!
 //! Scenarios whose fixed point is not provable (the symbolic model
 //! returns `None`) are skipped here — the periodic lockstep suite
 //! already covers their fallback path — but the default grid must prove
 //! a fixed point for most of its scenarios, which the tests assert.
 
-use mtp::core::schedule::Scheduler;
-use mtp::harness::sweep::SweepGrid;
+use mtp::core::schedule::{CompiledSchedule, Scheduler};
+use mtp::harness::sweep::{CostSourceKind, Scenario, Span, SweepGrid};
 use mtp::model::{InferenceMode, TransformerConfig};
-use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program, SymbolicMakespan, SymbolicPlane};
+use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program, SymbolicMakespan};
 use proptest::prelude::*;
 
 /// Concatenates a template `n_blocks` times with fresh ids per block —
@@ -149,28 +152,57 @@ fn batch_grid_scenarios_symbolic_lockstep() {
 }
 
 #[test]
-fn plane_matches_independent_derivations_on_an_eight_chip_schedule() {
-    // The bandwidth plane must be indistinguishable from deriving each
-    // bandwidth from scratch, including pricing-class sharing.
+fn memo_matches_run_periodic_at_every_bandwidth_and_depth() {
+    // One compiled schedule answers the whole `bandwidth x depth` plane
+    // of the 8-chip AR schedule; every cell must be indistinguishable
+    // from deriving it from scratch, with at most one walk per bandwidth.
     let cfg = TransformerConfig::tiny_llama_42m();
+    let ar = InferenceMode::Autoregressive;
     let chip = ChipSpec::siracusa();
-    let template =
-        Scheduler::new(&cfg, 8, &chip).unwrap().block_programs(InferenceMode::Autoregressive);
-    let pcts = [10, 25, 50, 75, 100];
-    let plane = SymbolicPlane::derive(&chip, 8, &template, &pcts).unwrap();
+    let compiled = CompiledSchedule::compile(&cfg, 8, &chip, None, ar).unwrap();
+    let pcts = [10u32, 25, 50, 75, 100];
     for &pct in &pcts {
         let mut scaled = chip;
         scaled.link.bytes_per_cycle *= f64::from(pct) / 100.0;
         let machine = Machine::homogeneous(scaled, 8);
-        for n in [1, 7, cfg.n_layers, 300] {
+        assert!(compiled.steady_state(&scaled).unwrap().is_some(), "bw {pct}% proves");
+        for n in [1, 3, 5, 8, 96, 300] {
             assert_eq!(
-                plane.eval(pct, n).expect("pct in plane").unwrap(),
-                machine.run_periodic(&template, n).unwrap(),
+                compiled.simulate(&scaled, n).unwrap().stats,
+                machine.run_periodic(compiled.template(), n).unwrap(),
                 "bw {pct}% n_blocks={n}"
             );
         }
     }
-    assert!(plane.warmups() <= pcts.len());
+    assert!(compiled.walks() <= pcts.len());
+    assert_eq!(compiled.walks(), compiled.steady_states());
+}
+
+#[test]
+fn analytic_and_calibrated_chips_get_separate_entries() {
+    // The sweep shares one schedule between both cost sources; their
+    // kernels price differently, so each walks its own steady state.
+    let model = |cost| {
+        Scenario::new(TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive, 2)
+            .with_span(Span::Model)
+            .with_cost_source(cost)
+    };
+    let analytic = model(CostSourceKind::Analytic);
+    let calibrated = model(CostSourceKind::Calibrated);
+    assert_eq!(analytic.schedule_key().unwrap(), calibrated.schedule_key().unwrap());
+    let compiled = analytic.compile_schedule().unwrap();
+    let mut makespans = Vec::new();
+    for s in [&analytic, &calibrated, &analytic, &calibrated] {
+        let chip = s.chip();
+        let n = s.n_blocks();
+        let stats = compiled.simulate(&chip, n).unwrap().stats;
+        let cold = Machine::homogeneous(chip, 2).run_periodic(compiled.template(), n).unwrap();
+        assert_eq!(stats, cold, "{:?}", s.cost_source);
+        makespans.push(stats.makespan);
+    }
+    assert_ne!(makespans[0], makespans[1], "the cost sources price kernels differently");
+    assert_eq!(compiled.steady_states(), 2);
+    assert_eq!(compiled.walks(), 2);
 }
 
 proptest! {
