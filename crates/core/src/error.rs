@@ -40,6 +40,12 @@ pub enum CoreError {
     Sim(mtp_sim::SimError),
     /// Topology construction failed.
     Topology(mtp_link::TopologyError),
+    /// The serving clock left `u64` (a pass end or a retry's backed-off
+    /// ready time), instead of wrapping to a wrong answer.
+    ServeClockOverflow {
+        /// The clock the overflowing addition started from.
+        clock: u64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -62,6 +68,9 @@ impl std::fmt::Display for CoreError {
             CoreError::Tensor(e) => write!(f, "tensor operation failed: {e}"),
             CoreError::Sim(e) => write!(f, "simulation failed: {e}"),
             CoreError::Topology(e) => write!(f, "topology construction failed: {e}"),
+            CoreError::ServeClockOverflow { clock } => {
+                write!(f, "serving clock overflows u64 past cycle {clock}")
+            }
         }
     }
 }

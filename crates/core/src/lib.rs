@@ -66,7 +66,7 @@ pub use placement::{MemoryPlan, WeightResidency};
 pub use report::SystemReport;
 pub use serve::{
     BatchPolicy, Billing, FaultProfile, PassRecord, RequestLatency, RequestOutcome, ServeReport,
-    SlotPhase,
+    SlotPhase, MAX_SERVE_RETRIES,
 };
 pub use slicing::{slice_block, PartitionSpec, SlicedBlockWeights};
 pub use system::DistributedSystem;

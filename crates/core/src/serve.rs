@@ -151,6 +151,11 @@ impl Billing {
 /// failure was detected (131 µs at 500 MHz for the first retry).
 pub const RETRY_BACKOFF_BASE: u64 = 65_536;
 
+/// Most retries one [`FaultProfile`] may grant a request: every retry is
+/// a full re-run of the request, so the budget bounds a serving run's
+/// time.
+pub const MAX_SERVE_RETRIES: u32 = 100;
+
 /// Request-level robustness knobs for a faulted serving run: transient
 /// completion failures with seeded retry, per-request timeouts, and
 /// admission-queue load shedding.
@@ -203,7 +208,8 @@ impl FaultProfile {
     ///
     /// # Errors
     ///
-    /// Returns a description of the offending field.
+    /// Returns a description of the offending field, including a retry
+    /// count above [`MAX_SERVE_RETRIES`].
     pub fn parse(s: &str) -> std::result::Result<Self, String> {
         if s == "none" {
             return Ok(FaultProfile::none());
@@ -227,6 +233,12 @@ impl FaultProfile {
                 .parse()
                 .map_err(|_| format!("bad retry count `{v}` (need a non-negative integer)"))?,
         };
+        if max_retries > MAX_SERVE_RETRIES {
+            return Err(format!(
+                "retry count {max_retries} exceeds the budget of {MAX_SERVE_RETRIES} retries \
+                 (MAX_SERVE_RETRIES)"
+            ));
+        }
         let timeout_kcycles: u64 = match fields.get(2) {
             None => 0,
             Some(v) => {
@@ -518,7 +530,9 @@ impl DistributedSystem {
     /// # Errors
     ///
     /// Rejects workloads exceeding the model's KV capacity and
-    /// propagates partitioning and simulation errors.
+    /// propagates partitioning and simulation errors;
+    /// [`CoreError::ServeClockOverflow`] when a pass end or a retry's
+    /// ready time does not fit the `u64` serving clock.
     pub fn simulate_serve_faulted(
         &self,
         workload: &ServeWorkload,
@@ -627,13 +641,14 @@ impl DistributedSystem {
                     })
                     .collect(),
             });
-            t += cycles;
+            t = t.checked_add(cycles).ok_or(CoreError::ServeClockOverflow { clock: t })?;
 
             // Advance every slot by one pass and retire finished
             // requests (their slots free up at this boundary). Deadlines
             // are checked first — a pass that ends past the deadline is
             // wasted work — then the completion failure draw decides
             // whether a finishing attempt's output actually made it out.
+            let mut overflow = None;
             active.retain_mut(|slot| {
                 let lat = &mut latencies[slot.req];
                 if timeout > 0 && t.saturating_sub(lat.arrival) > timeout {
@@ -658,7 +673,10 @@ impl DistributedSystem {
                         if slot.attempt < profile.max_retries {
                             retries += 1;
                             let backoff = RETRY_BACKOFF_BASE << slot.attempt.min(20);
-                            requeue.push((slot.req, slot.attempt + 1, t + backoff));
+                            match t.checked_add(backoff) {
+                                Some(ready) => requeue.push((slot.req, slot.attempt + 1, ready)),
+                                None => overflow = Some(CoreError::ServeClockOverflow { clock: t }),
+                            }
                         } else {
                             finalize(lat, RequestOutcome::Failed, slot.attempt, t);
                             failed += 1;
@@ -672,6 +690,9 @@ impl DistributedSystem {
                     true
                 }
             });
+            if let Some(e) = overflow {
+                return Err(e);
+            }
             pending.extend(requeue.drain(..));
         }
 
@@ -984,6 +1005,38 @@ mod tests {
             .requests
             .iter()
             .all(|r| r.outcome == RequestOutcome::Failed && r.retries == 2));
+    }
+
+    #[test]
+    fn serving_clock_overflow_is_a_typed_error() {
+        // One prefill-only request whose single pass ends one cycle short
+        // of u64::MAX: the pass itself fits, its retry's backoff does not.
+        let sys = sys(4);
+        let policy = BatchPolicy::Continuous { max_slots: 4 };
+        let at = |arrival_cycles| {
+            ServeWorkload::new(vec![ServeRequest { prompt_len: 8, decode_len: 0, arrival_cycles }])
+                .unwrap()
+        };
+        let pass = sys.simulate_serve(&at(0), policy, Billing::FullContext).unwrap().makespan;
+        let profile = FaultProfile::parse("fail:1000:1").unwrap();
+        let run = |arrival| {
+            sys.simulate_serve_faulted(&at(arrival), policy, Billing::FullContext, &profile, 7)
+        };
+        let clock = u64::MAX - 1;
+        assert!(matches!(
+            run(clock - pass),
+            Err(CoreError::ServeClockOverflow { clock: c }) if c == clock
+        ));
+        // A pass that would end past u64::MAX is refused too.
+        assert!(matches!(
+            run(u64::MAX - pass / 2),
+            Err(CoreError::ServeClockOverflow { clock: c }) if c == u64::MAX - pass / 2
+        ));
+        assert!(FaultProfile::parse(&format!("fail:10:{MAX_SERVE_RETRIES}")).is_ok());
+        assert_eq!(
+            FaultProfile::parse("fail:10:101"),
+            Err("retry count 101 exceeds the budget of 100 retries (MAX_SERVE_RETRIES)".into())
+        );
     }
 
     #[test]

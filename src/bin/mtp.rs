@@ -121,7 +121,8 @@ SERVE:
     SLO attainment (TTFT within 3x the unloaded solo prefill), and
     goodput (within-SLO completions per second) — sweep --arrivals to
     trace the goodput-vs-offered-load curve and the SLO cliff. Output
-    is deterministic: same seed, same rows, byte for byte.
+    is deterministic: same seed, same rows, byte for byte. --requests
+    takes at most 100000 requests per scenario.
 
 FAULTS:
     Both studies take a seeded, replayable fault axis; at a fixed seed
@@ -139,7 +140,8 @@ FAULTS:
     when not abort) and add fault cycle counters to the JSON sink.
     `mtp serve --faults` takes `,`-separated request-level profiles:
     `none` or `fail:PERMILLE[:RETRIES[:TIMEOUT_KCYC[:QCAP]]]` —
-    per-attempt completion failures with seeded retry draws, a
+    per-attempt completion failures with seeded retry draws (at most
+    100 retries per request), a
     per-request deadline in kilocycles from arrival, and an
     admission-queue cap that sheds newest-first. Faulted serving rows
     report availability, retries, sheds, timeouts, and failures next
@@ -482,6 +484,12 @@ fn build_serve_grid(args: &[String]) -> Result<ServeGrid, String> {
     };
     if let Some(n) = flag_value(args, "--requests") {
         grid.n_requests = positive("request count", n)?;
+        if grid.n_requests > MAX_SERVE_REQUESTS {
+            return Err(format!(
+                "--requests {n} exceeds the budget of {MAX_SERVE_REQUESTS} requests \
+                 (MAX_SERVE_REQUESTS)"
+            ));
+        }
     }
     if let Some(p) = flag_value(args, "--prompt-len") {
         grid.prompt_len = positive("prompt length", p)?;
@@ -545,6 +553,11 @@ fn serve_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     }
     Ok(())
 }
+
+/// Most requests one `mtp serve` scenario may simulate: every request
+/// keeps its arrival and latency records for the whole run, so the
+/// budget bounds the run's time and memory.
+const MAX_SERVE_REQUESTS: usize = 100_000;
 
 /// Most bandwidth points one `--link-bw` list may expand to: each point
 /// is scored in every design group, so the budget bounds the search's

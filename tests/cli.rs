@@ -261,6 +261,51 @@ fn over_budget_specs_are_rejected_naming_the_budget() {
     let out = mtp(&["advise", "--link-bw", "1..6000,1..6000"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("`1..6000` expands to 6000 points"), "{}", stderr(&out));
+    // Serving: the request count and the retry count are both bounded
+    // before anything is allocated or simulated.
+    let out = mtp(&["serve", "--models", "tinyllama", "--chips", "4", "--requests", "100000000"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains(
+            "--requests 100000000 exceeds the budget of 100000 requests (MAX_SERVE_REQUESTS)"
+        ),
+        "{}",
+        stderr(&out)
+    );
+    let out = mtp(&["serve", "--models", "tinyllama", "--chips", "4", "--faults", "fail:1000:101"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out)
+            .contains("retry count 101 exceeds the budget of 100 retries (MAX_SERVE_RETRIES)"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// The retry budget accepts its own value.
+#[test]
+fn serve_retry_budget_accepts_its_limit() {
+    let out = mtp(&[
+        "serve",
+        "--models",
+        "tinyllama",
+        "--chips",
+        "4",
+        "--arrivals",
+        "poisson:0.5",
+        "--policies",
+        "continuous:4",
+        "--requests",
+        "2",
+        "--prompt-len",
+        "8",
+        "--decode-len",
+        "1",
+        "--faults",
+        "fail:1000:100",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("f1000r100q64"), "{}", stdout(&out));
 }
 
 // ---------------------------------------------------------------------
