@@ -29,6 +29,13 @@ while [ $# -gt 0 ]; do
   esac
 done
 
+# Keep freed heap in the process between iterations, as perfbench/run.py
+# does: glibc's heap trimming otherwise swings one-shot simulator entries
+# by 20-40%. Values the caller already set win.
+export MALLOC_MMAP_THRESHOLD_="${MALLOC_MMAP_THRESHOLD_:-268435456}"
+export MALLOC_TRIM_THRESHOLD_="${MALLOC_TRIM_THRESHOLD_:-268435456}"
+export MALLOC_TOP_PAD_="${MALLOC_TOP_PAD_:-67108864}"
+
 echo "== mtp bench $quick =="
 cargo run --release --bin mtp -- bench $quick --json "$json_out"
 echo "wrote $json_out"
