@@ -26,7 +26,7 @@ use mtp_sim::{
     SymbolicMakespan, WarmupCheckpoint, FULL_RUN_THRESHOLD,
 };
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The batch structure of a workload as the scheduler sees it.
@@ -486,36 +486,63 @@ impl Scheduler {
     }
 }
 
-/// What one steady-state walk of a template reads from the chip: the
-/// whole chip with its link bandwidth left out, plus, under the affine
-/// link regime, the priced cycles of every template send (the pricing
-/// signature). Any other regime keys on the full chip. Chips of one
+/// What one steady-state walk of a template reads from the chip, in two
+/// parts: the chip with its link bandwidth left out, and a link
+/// signature — under the affine link regime the priced cycles of every
+/// distinct template send size (`send_sizes`; sends of one size price
+/// alike), under any other regime the bandwidth itself. Chips of one
 /// class walk identically and share one model (`DESIGN.md` §15).
-#[derive(Debug, Clone, PartialEq)]
-struct TimingClass {
-    chip: ChipSpec,
-    sends: Vec<u64>,
-}
-
-impl TimingClass {
-    fn of(chip: &ChipSpec, form: &Lowered) -> Self {
-        let mut class = TimingClass { chip: *chip, sends: Vec::new() };
-        if chip.link_regime == LinkRegime::Affine {
-            class.sends = form.send_bytes().map(|bytes| chip.link.transfer_cycles(bytes)).collect();
-            class.chip.link.bytes_per_cycle = 0.0;
-        }
-        class
-    }
+fn timing_class(chip: &ChipSpec, send_sizes: &[u64]) -> (ChipSpec, Vec<u64>) {
+    let link = if chip.link_regime == LinkRegime::Affine {
+        send_sizes.iter().map(|&bytes| chip.link.transfer_cycles(bytes)).collect()
+    } else {
+        vec![chip.link.bytes_per_cycle.to_bits()]
+    };
+    let mut rest = *chip;
+    rest.link.bytes_per_cycle = 0.0;
+    (rest, link)
 }
 
 /// Timing classes one schedule keeps models for. A sweep streaming
-/// thousands of distinct link settings through one schedule evicts the
-/// oldest class past this, so the memo never grows with the grid.
+/// thousands of distinct link settings through one schedule starts the
+/// memo afresh past this, so it never grows with the grid.
 const MAX_TIMING_CLASSES: usize = 256;
 
-/// Each timing class's walk result, oldest first; `None` when the walk
-/// proved no fixed point.
-type Memo = Vec<(TimingClass, Option<Arc<SymbolicMakespan>>)>;
+/// One timing class's walk result: `None` when the walk proved no fixed
+/// point.
+type Walked = Option<Arc<SymbolicMakespan>>;
+
+#[derive(Debug, Default)]
+struct Memo {
+    /// Each timing class's walk result, by link signature and then by
+    /// chip: a design space has many link settings but few chips.
+    classes: HashMap<Vec<u64>, Vec<(ChipSpec, Walked)>>,
+    /// Walks run: the memo's misses.
+    walks: usize,
+}
+
+impl Memo {
+    fn get(&self, chip: &ChipSpec, link: &[u64]) -> Option<Walked> {
+        self.classes.get(link)?.iter().find(|(c, _)| c == chip).map(|(_, model)| model.clone())
+    }
+
+    fn len(&self) -> usize {
+        self.classes.values().map(Vec::len).sum()
+    }
+
+    /// Keeps `model` for the class unless it already holds one, which
+    /// then wins.
+    fn keep(&mut self, chip: ChipSpec, link: Vec<u64>, model: Walked) -> Walked {
+        if let Some(kept) = self.get(&chip, &link) {
+            return kept;
+        }
+        if self.len() == MAX_TIMING_CLASSES {
+            self.classes.clear();
+        }
+        self.classes.entry(link).or_default().push((chip, model.clone()));
+        model
+    }
+}
 
 /// A one-block schedule compiled once and reusable across every scenario
 /// that shares its structure: the per-chip instruction template plus the
@@ -557,10 +584,11 @@ pub struct CompiledSchedule {
     n_chips: usize,
     /// The template lowered for the first machine that simulated it.
     lowered: OnceLock<Lowered>,
+    /// The template's distinct send sizes, ascending: all a walk reads
+    /// of the link under the affine regime.
+    send_sizes: Vec<u64>,
     /// The steady-state memo, shared with clones (they walk alike).
     memo: Arc<Mutex<Memo>>,
-    /// Walks run: the memo's misses.
-    walks: Arc<AtomicUsize>,
 }
 
 impl CompiledSchedule {
@@ -584,14 +612,24 @@ impl CompiledSchedule {
         }
         let residency = scheduler.plan().residency;
         let template = scheduler.block_programs(mode);
+        let mut send_sizes: Vec<u64> = template
+            .iter()
+            .flat_map(Program::instrs)
+            .filter_map(|i| match *i {
+                Instr::Send { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        send_sizes.sort_unstable();
+        send_sizes.dedup();
         Ok(CompiledSchedule {
             template,
             residency,
             mode,
             n_chips,
             lowered: OnceLock::new(),
+            send_sizes,
             memo: Arc::default(),
-            walks: Arc::default(),
         })
     }
 
@@ -656,7 +694,7 @@ impl CompiledSchedule {
     /// The steady state of this template on a machine of `chip`s, from
     /// the memo: one walk to the warmup bound per timing class — the chip
     /// with its link bandwidth left out, plus under the affine regime the
-    /// priced cycles of every template send — and `None` when that walk
+    /// priced cycles of every template send size — and `None` when that walk
     /// proves no fixed point. Contention-bearing link regimes never prove
     /// one, walk nothing and keep no entry.
     ///
@@ -667,26 +705,17 @@ impl CompiledSchedule {
         if !chip.link_regime.contention_free() {
             return Ok(None);
         }
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let form = self.lowered_for(&machine)?;
-        let class = TimingClass::of(chip, &form);
-        let kept = |memo: &Memo| memo.iter().find(|(c, _)| *c == class).map(|(_, m)| m.clone());
-        if let Some(model) = kept(&self.memo()) {
+        let (rest, link) = timing_class(chip, &self.send_sizes);
+        if let Some(model) = self.memo().get(&rest, &link) {
             return Ok(model);
         }
         // Walk outside the lock; a class another worker kept meanwhile
         // keeps its entry.
-        self.walks.fetch_add(1, Ordering::Relaxed);
-        let model = SymbolicMakespan::derive_lowered(&machine, &form)?.map(Arc::new);
-        let mut memo = self.memo();
-        if let Some(model) = kept(&memo) {
-            return Ok(model);
-        }
-        if memo.len() == MAX_TIMING_CLASSES {
-            memo.remove(0);
-        }
-        memo.push((class, model.clone()));
-        Ok(model)
+        self.memo().walks += 1;
+        let machine = Machine::homogeneous(*chip, self.n_chips);
+        let model = SymbolicMakespan::derive_lowered(&machine, &*self.lowered_for(&machine)?)?
+            .map(Arc::new);
+        Ok(self.memo().keep(rest, link, model))
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -698,13 +727,7 @@ impl CompiledSchedule {
     /// Steady-state walks this schedule has run: the memo's misses.
     #[must_use]
     pub fn walks(&self) -> usize {
-        self.walks.load(Ordering::Relaxed)
-    }
-
-    /// Timing classes the steady-state memo currently holds.
-    #[must_use]
-    pub fn steady_states(&self) -> usize {
-        self.memo().len()
+        self.memo().walks
     }
 
     /// Simulates `n_blocks` consecutive blocks on a machine of `chip`s:
@@ -760,11 +783,9 @@ impl CompiledSchedule {
         Ok(self.steady_state(chip)?.map(Arc::unwrap_or_clone).into())
     }
 
-    /// [`CompiledSchedule::simulate`], answered from a checkpoint taken
-    /// by [`CompiledSchedule::warmup`] on the **same chip spec**:
-    /// [`CompiledSchedule::simulate_symbolic`] when the checkpoint holds
-    /// a model and `n_blocks` is past [`mtp_sim::FULL_RUN_THRESHOLD`],
-    /// [`CompiledSchedule::simulate`] otherwise.
+    /// [`CompiledSchedule::simulate`] after a [`CompiledSchedule::warmup`]
+    /// on the **same chip spec**: the memo already holds the checkpoint's
+    /// model, so this is `simulate` itself.
     ///
     /// # Errors
     ///
@@ -773,14 +794,9 @@ impl CompiledSchedule {
         &self,
         chip: &ChipSpec,
         n_blocks: usize,
-        ckpt: &WarmupCheckpoint,
+        _ckpt: &WarmupCheckpoint,
     ) -> Result<crate::SystemReport> {
-        match ckpt.model() {
-            Some(model) if n_blocks > FULL_RUN_THRESHOLD => {
-                self.simulate_symbolic(chip, model, n_blocks)
-            }
-            _ => self.simulate(chip, n_blocks),
-        }
+        self.simulate(chip, n_blocks)
     }
 
     /// Simulates `n_blocks` blocks each serving a uniform batch of
@@ -1152,7 +1168,7 @@ mod tests {
             }
         }
         assert_eq!(compiled.walks(), 1);
-        assert_eq!(compiled.steady_states(), 1);
+        assert_eq!(compiled.memo().len(), 1);
         let a = compiled.steady_state(&scaled(10)).unwrap().unwrap();
         let b = compiled.steady_state(&scaled(100)).unwrap().unwrap();
         assert!(Arc::ptr_eq(&a, &b), "both bandwidths read one model");
@@ -1179,14 +1195,14 @@ mod tests {
         backward.reverse();
         assert_eq!((forward, backward), (expect.clone(), expect));
         // A race may walk one class twice, but it keeps one entry.
-        assert_eq!(shared.steady_states(), serial.steady_states());
-        assert!(shared.walks() >= shared.steady_states());
+        assert_eq!(shared.memo().len(), serial.memo().len());
+        assert!(shared.walks() >= shared.memo().len());
     }
 
     #[test]
     fn memo_keeps_at_most_its_class_bound() {
-        // Each link latency is its own timing class; the oldest class is
-        // evicted once the bound is reached, and answers stay exact.
+        // Each link latency is its own timing class; the memo starts
+        // afresh once the bound is reached, and answers stay exact.
         let cfg = TransformerConfig::tiny_llama_42m();
         let ar = InferenceMode::Autoregressive;
         let compiled = CompiledSchedule::compile(&cfg, 2, &ChipSpec::siracusa(), None, ar).unwrap();
@@ -1194,13 +1210,14 @@ mod tests {
         for latency in 0..MAX_TIMING_CLASSES as u64 + 8 {
             chip.link.latency_cycles = latency;
             compiled.steady_state(&chip).unwrap();
+            assert!(compiled.memo().len() <= MAX_TIMING_CLASSES);
         }
-        assert_eq!(compiled.steady_states(), MAX_TIMING_CLASSES);
+        assert_eq!(compiled.memo().len(), 8);
         assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 8);
         chip.link.latency_cycles = 0;
         let direct = Machine::homogeneous(chip, 2).run_periodic(&compiled.template, 9).unwrap();
         assert_eq!(compiled.simulate(&chip, 9).unwrap().stats, direct);
-        assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 9, "class 0 was evicted");
+        assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 9, "class 0 was forgotten");
     }
 
     #[test]

@@ -451,15 +451,6 @@ impl Lowered {
     pub fn n_chips(&self) -> usize {
         self.starts.len() - 1
     }
-
-    /// The bytes every send of the form transfers, chip by chip in
-    /// program order: the form's whole dependence on link bandwidth.
-    pub fn send_bytes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ops.iter().filter_map(|op| match *op {
-            Op::Send(s) => Some(self.sends[s as usize].bytes),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -154,28 +154,36 @@ fn batch_grid_scenarios_symbolic_lockstep() {
 #[test]
 fn memo_matches_run_periodic_at_every_bandwidth_and_depth() {
     // One compiled schedule answers the whole `bandwidth x depth` plane
-    // of the 8-chip AR schedule; every cell must be indistinguishable
-    // from deriving it from scratch, with at most one walk per bandwidth.
+    // of the 8-chip schedules; every cell must be indistinguishable from
+    // deriving it from scratch, with at most one walk per bandwidth. The
+    // per-block slope never rises as the link gets faster, and the
+    // prompt schedule's slowest link is link-bound (the compute/link
+    // crossover) while the AR schedule stays compute-bound throughout.
     let cfg = TransformerConfig::tiny_llama_42m();
-    let ar = InferenceMode::Autoregressive;
     let chip = ChipSpec::siracusa();
-    let compiled = CompiledSchedule::compile(&cfg, 8, &chip, None, ar).unwrap();
     let pcts = [10u32, 25, 50, 75, 100];
-    for &pct in &pcts {
-        let mut scaled = chip;
-        scaled.link.bytes_per_cycle *= f64::from(pct) / 100.0;
-        let machine = Machine::homogeneous(scaled, 8);
-        assert!(compiled.steady_state(&scaled).unwrap().is_some(), "bw {pct}% proves");
-        for n in [1, 3, 5, 8, 96, 300] {
-            assert_eq!(
-                compiled.simulate(&scaled, n).unwrap().stats,
-                machine.run_periodic(compiled.template(), n).unwrap(),
-                "bw {pct}% n_blocks={n}"
-            );
+    for mode in [InferenceMode::Autoregressive, InferenceMode::Prompt] {
+        let compiled = CompiledSchedule::compile(&cfg, 8, &chip, None, mode).unwrap();
+        let mut deltas = Vec::new();
+        for &pct in &pcts {
+            let mut scaled = chip;
+            scaled.link.bytes_per_cycle *= f64::from(pct) / 100.0;
+            let machine = Machine::homogeneous(scaled, 8);
+            let model = compiled.steady_state(&scaled).unwrap().expect("every bandwidth proves");
+            deltas.push(model.delta());
+            for n in [1, 3, 5, 8, 96, 300] {
+                assert_eq!(
+                    compiled.simulate(&scaled, n).unwrap().stats,
+                    machine.run_periodic(compiled.template(), n).unwrap(),
+                    "{mode} bw {pct}% n_blocks={n}"
+                );
+            }
         }
+        assert!(compiled.walks() <= pcts.len());
+        assert!(deltas.windows(2).all(|w| w[0] >= w[1]), "{mode} {deltas:?}");
+        let link_bound = deltas[0] > deltas[pcts.len() - 1];
+        assert_eq!(link_bound, mode == InferenceMode::Prompt, "{mode} {deltas:?}");
     }
-    assert!(compiled.walks() <= pcts.len());
-    assert_eq!(compiled.walks(), compiled.steady_states());
 }
 
 #[test]
@@ -201,7 +209,8 @@ fn analytic_and_calibrated_chips_get_separate_entries() {
         makespans.push(stats.makespan);
     }
     assert_ne!(makespans[0], makespans[1], "the cost sources price kernels differently");
-    assert_eq!(compiled.steady_states(), 2);
+    // One walk each: neither answers from the other's entry, and the
+    // repeats answer from their own.
     assert_eq!(compiled.walks(), 2);
 }
 
