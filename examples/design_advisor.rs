@@ -4,7 +4,7 @@
 //! The advisor searches topology x placement x chip count x link
 //! bandwidth for a model under real-time constraints, scores every
 //! point with the closed-form symbolic makespan (DESIGN.md §15 — one
-//! simulated warmup per schedule/pricing class, then pure arithmetic),
+//! simulated warmup per schedule and timing class, then pure arithmetic),
 //! and reports the Pareto frontier over (makespan, energy, chips) plus
 //! the smallest feasible system.
 //!
