@@ -29,6 +29,12 @@
 //!   prompt batches. The periodic engine proves the fixed point or falls
 //!   back to the exact full run by itself.
 //!
+//! The template cache and the pass makespans live in the system's
+//! serving memo, shared by every serving run on the system and on its
+//! clones: a pass makespan depends only on the system and the pass's
+//! ordered slot shapes, never on the workload, policy, billing or fault
+//! profile that produced them.
+//!
 //! Billing is the context length a decode slot pays attention over:
 //! [`Billing::FullContext`] charges the model's full `seq_len` every step
 //! (PR 5's steady-state convention), [`Billing::PerRequest`] charges
@@ -39,9 +45,10 @@
 //! suite.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::schedule::CompiledSchedule;
-use crate::{CoreError, DistributedSystem, Result};
+use crate::{CoreError, DistributedSystem, Result, WeightResidency};
 use mtp_model::{InferenceMode, ServeWorkload};
 use mtp_sim::Lowered;
 
@@ -472,7 +479,7 @@ fn slot_shape(
     slot: &Slot,
     billing: Billing,
     seq_len: usize,
-) -> (InferenceMode, usize) {
+) -> SlotShape {
     if slot.prefilled {
         let billed = match billing {
             Billing::FullContext => seq_len,
@@ -563,7 +570,6 @@ impl DistributedSystem {
             })
             .collect();
         let mut passes: Vec<PassRecord> = Vec::new();
-        let mut caches = PassCaches::default();
         let (mut retries, mut sheds, mut timeouts, mut failed) = (0u64, 0u64, 0u64, 0u64);
         let mut requeue: Vec<(usize, u32, u64)> = Vec::new();
         let mut t: u64 = 0;
@@ -626,11 +632,11 @@ impl DistributedSystem {
             }
 
             // One pass over the active slots.
-            let shapes: Vec<(InferenceMode, usize)> = active
+            let shapes: Vec<SlotShape> = active
                 .iter()
                 .map(|s| slot_shape(&requests[s.req], s, billing, self.config().seq_len))
                 .collect();
-            let cycles = self.pass_makespan(&shapes, &mut caches)?;
+            let cycles = self.pass_makespan(&shapes)?;
             passes.push(PassRecord {
                 start: t,
                 cycles,
@@ -708,63 +714,135 @@ impl DistributedSystem {
         })
     }
 
-    /// Pass makespan for a slot-shape vector, memoized: uniform shapes
-    /// run one slot's lowered template `n_layers x slots` times through
-    /// the periodic engine (the batched path), mixed shapes one
-    /// interleaved block of the slots' lowered templates
-    /// ([`DistributedSystem::run_interleaved`]).
-    fn pass_makespan(
-        &self,
-        shapes: &[(InferenceMode, usize)],
-        caches: &mut PassCaches,
-    ) -> Result<u64> {
-        if let Some(&cycles) = caches.passes.get(shapes) {
+    /// Pass makespan for a slot-shape vector, from the system's memo:
+    /// uniform shapes run one slot's lowered template `n_layers x slots`
+    /// times through the periodic engine (the batched path), mixed
+    /// shapes one interleaved block of the slots' lowered templates
+    /// ([`DistributedSystem::run_interleaved`]). The simulation runs
+    /// outside the memo's lock.
+    fn pass_makespan(&self, shapes: &[SlotShape]) -> Result<u64> {
+        if let Some(&cycles) = self.serve_memo().tables().passes.get(shapes) {
             return Ok(cycles);
-        }
-        for &(mode, seq) in shapes {
-            caches.lower(self, mode, seq)?;
         }
         let uniform = shapes.iter().all(|s| s == &shapes[0]);
         let cycles = if uniform {
+            let (mode, seq) = shapes[0];
+            let form = self.slot_form(mode, seq)?;
             let blocks = self.config().n_layers.checked_mul(shapes.len()).ok_or_else(|| {
                 CoreError::InvalidConfig("batched block count overflows usize".into())
             })?;
-            self.machine().run_periodic_lowered(&caches.slots[&shapes[0]], blocks)?.makespan
+            self.machine().run_periodic_lowered(&form.lowered, blocks)?.makespan
         } else {
-            self.run_interleaved(shapes.iter().map(|shape| &caches.slots[shape]))?.makespan
+            let forms = shapes
+                .iter()
+                .map(|&(mode, seq)| self.slot_form(mode, seq))
+                .collect::<Result<Vec<_>>>()?;
+            self.run_interleaved(forms.iter().map(|form| &*form.lowered))?.makespan
         };
-        caches.passes.insert(shapes.to_vec(), cycles);
-        Ok(cycles)
+        Ok(self.serve_memo().keep_pass(shapes, cycles))
+    }
+
+    /// One slot's one-block template at `seq` tokens in `mode`, compiled
+    /// and lowered for [`DistributedSystem::machine`] on the first ask
+    /// and kept in the system's memo with its residency regime. The only
+    /// place a slot template is compiled: serving passes and
+    /// heterogeneous prompt batches both take their slots from here.
+    pub(crate) fn slot_form(&self, mode: InferenceMode, seq: usize) -> Result<SlotForm> {
+        debug_assert!((1..=self.config().seq_len).contains(&seq), "slot context {seq}");
+        if let Some(form) = self.serve_memo().tables().slots.get(&(mode, seq)) {
+            return Ok(form.clone());
+        }
+        // Compile and lower outside the lock; a form another thread kept
+        // meanwhile keeps its entry.
+        let cfg = self.config().clone().with_seq_len(seq);
+        let compiled = CompiledSchedule::compile(
+            &cfg,
+            self.n_chips(),
+            self.chip(),
+            self.topology().cloned(),
+            mode,
+        )?;
+        let form = SlotForm {
+            lowered: Arc::new(self.machine().lower(compiled.template())?),
+            residency: compiled.residency(),
+        };
+        Ok(self.serve_memo().tables().slots.entry((mode, seq)).or_insert(form).clone())
     }
 }
 
-/// Within-run memoization: each slot's one-block template per `(mode,
-/// billed context)`, compiled and lowered once and shared by uniform and
-/// mixed passes, and pass makespans per ordered slot-shape vector. A
-/// serving run re-executes the same pass shapes thousands of times; both
-/// caches make its cost scale with the number of *distinct* shapes. Only
-/// the lowered form is kept: a pass needs nothing else from the
-/// compiled schedule.
-#[derive(Default)]
-struct PassCaches {
-    slots: HashMap<(InferenceMode, usize), Lowered>,
-    passes: HashMap<Vec<(InferenceMode, usize)>, u64>,
+/// The `(mode, billed context)` shape of one slot in a pass.
+type SlotShape = (InferenceMode, usize);
+
+/// Pass shapes one system keeps makespans for. The repository
+/// benchmark's serving study (six per-request-billed runs of 16 requests
+/// on one system) meets about 630 distinct shapes; past this the pass
+/// table starts afresh, so a long run of ever-new shapes never grows it
+/// further.
+const MAX_PASS_SHAPES: usize = 4096;
+
+/// A slot's one-block template lowered for the system's machine, with
+/// the residency regime its memory plan selected.
+#[derive(Clone)]
+pub(crate) struct SlotForm {
+    pub(crate) lowered: Arc<Lowered>,
+    pub(crate) residency: WeightResidency,
 }
 
-impl PassCaches {
-    fn lower(&mut self, sys: &DistributedSystem, mode: InferenceMode, seq: usize) -> Result<()> {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.slots.entry((mode, seq)) {
-            let cfg = sys.config().clone().with_seq_len(seq);
-            let compiled = CompiledSchedule::compile(
-                &cfg,
-                sys.n_chips(),
-                sys.chip(),
-                sys.topology().cloned(),
-                mode,
-            )?;
-            e.insert(sys.machine().lower(compiled.template())?);
+/// The serving memo a [`DistributedSystem`] owns, shared by every
+/// serving run on the system and on its clones: each slot's lowered
+/// one-block form per `(mode, billed context)`, and each pass makespan
+/// per *ordered* slot-shape vector. A pass makespan is a function of the
+/// system and its slot shapes alone — not of the workload, the policy,
+/// the billing or the request-level fault profile, which only decide
+/// which shapes occur — so sharing it across runs is exact.
+///
+/// Slot forms are bounded by the workload validation: every slot's
+/// context is in `1..=seq_len`, so at most `2 x seq_len` forms. The pass
+/// table is bounded by [`MAX_PASS_SHAPES`]. Look-ups and inserts hold
+/// the lock; compiling, lowering and simulating never do, and when two
+/// threads compute the same entry the first insert wins (both computed
+/// the same value). A system allocates its memo on first use, so one that
+/// never serves or clones allocates nothing for it.
+#[derive(Default)]
+pub(crate) struct ServeMemo {
+    tables: Mutex<MemoTables>,
+}
+
+#[derive(Default)]
+struct MemoTables {
+    slots: HashMap<SlotShape, SlotForm>,
+    passes: HashMap<Vec<SlotShape>, u64>,
+}
+
+impl ServeMemo {
+    fn tables(&self) -> MutexGuard<'_, MemoTables> {
+        // Entries are inserted whole, so a panicking holder leaves none
+        // half written.
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps `cycles` for `shapes` unless the table already holds a
+    /// makespan for them, which then wins; a full table starts afresh.
+    fn keep_pass(&self, shapes: &[SlotShape], cycles: u64) -> u64 {
+        let mut tables = self.tables();
+        if let Some(&kept) = tables.passes.get(shapes) {
+            return kept;
         }
-        Ok(())
+        if tables.passes.len() >= MAX_PASS_SHAPES {
+            tables.passes.clear();
+        }
+        tables.passes.insert(shapes.to_vec(), cycles);
+        cycles
+    }
+}
+
+impl std::fmt::Debug for ServeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tables = self.tables();
+        f.debug_struct("ServeMemo")
+            .field("slots", &tables.slots.len())
+            .field("passes", &tables.passes.len())
+            .finish()
     }
 }
 
@@ -1161,6 +1239,69 @@ mod tests {
         let n = a.requests.len() as u64;
         let counted = a.completed() as u64 + a.sheds + a.timeouts + a.failed;
         assert_eq!(counted, n);
+    }
+
+    fn mixed_load() -> ServeWorkload {
+        ServeWorkload::new(vec![
+            ServeRequest { prompt_len: 8, decode_len: 5, arrival_cycles: 0 },
+            ServeRequest { prompt_len: 16, decode_len: 3, arrival_cycles: 500 },
+            ServeRequest { prompt_len: 12, decode_len: 4, arrival_cycles: 90_000 },
+        ])
+        .unwrap()
+    }
+
+    fn memo_len(sys: &DistributedSystem) -> (usize, usize) {
+        let tables = sys.serve_memo().tables();
+        (tables.slots.len(), tables.passes.len())
+    }
+
+    #[test]
+    fn clones_share_the_memo_and_a_new_topology_starts_afresh() {
+        let sys = sys(4);
+        assert!(format!("{sys:?}").contains("<uninit>"), "a new system allocates no memo");
+        let policy = BatchPolicy::Continuous { max_slots: 2 };
+        let clone = sys.clone();
+        let report = clone.simulate_serve(&mixed_load(), policy, Billing::PerRequest).unwrap();
+        let filled = memo_len(&sys);
+        assert!(filled.0 > 0 && filled.1 > 0, "a clone's run fills the shared memo");
+        assert_eq!(format!("{:?}", sys.serve_memo()), format!("{:?}", clone.serve_memo()));
+        assert!(format!("{sys:?}")
+            .contains(&format!("ServeMemo {{ slots: {}, passes: {} }}", filled.0, filled.1)));
+        // A second run on the system answers every pass from the memo.
+        assert_eq!(sys.simulate_serve(&mixed_load(), policy, Billing::PerRequest).unwrap(), report);
+        assert_eq!(memo_len(&sys), filled);
+        let flat = sys.with_topology(mtp_link::Topology::flat(4).unwrap());
+        assert_eq!(memo_len(&flat), (0, 0));
+        assert_eq!(memo_len(&clone), filled);
+    }
+
+    #[test]
+    fn a_full_pass_table_starts_afresh_and_changes_no_result() {
+        // The bound DESIGN.md §12 documents, well above the ~630 shapes
+        // of one benchmark study.
+        assert_eq!(MAX_PASS_SHAPES, 4096);
+        let policy = BatchPolicy::Continuous { max_slots: 2 };
+        let fresh = sys(4).simulate_serve(&mixed_load(), policy, Billing::PerRequest).unwrap();
+        let sys = sys(4);
+        // Fill the table one short of the cap with shapes no two-slot
+        // run meets: the run's first new shape fills it, the next one
+        // starts it afresh.
+        for i in 0..MAX_PASS_SHAPES - 1 {
+            let kept = sys.serve_memo().keep_pass(&[(InferenceMode::Prompt, i + 1); 3], 1);
+            assert_eq!(kept, 1);
+        }
+        assert_eq!(memo_len(&sys).1, MAX_PASS_SHAPES - 1);
+        let report = sys.simulate_serve(&mixed_load(), policy, Billing::PerRequest).unwrap();
+        assert_eq!(report, fresh);
+        let tables = sys.serve_memo().tables();
+        assert!(tables.passes.len() < MAX_PASS_SHAPES);
+        assert!(tables.passes.keys().all(|shape| shape.len() <= 2), "the filler is gone");
+        assert!(tables.slots.len() <= 2 * sys.config().seq_len);
+        drop(tables);
+        // The first insert of a shape wins.
+        let shape = [(InferenceMode::Autoregressive, 9); 2];
+        assert_eq!(sys.serve_memo().keep_pass(&shape, 7), 7);
+        assert_eq!(sys.serve_memo().keep_pass(&shape, 8), 7);
     }
 
     #[test]

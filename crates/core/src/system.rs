@@ -1,7 +1,10 @@
 //! The distributed multi-MCU inference system: partitioning + scheduling +
 //! timing simulation + energy in one façade.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::schedule::{BatchRegime, CompiledSchedule};
+use crate::serve::ServeMemo;
 use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport};
 use mtp_energy::EnergyParams;
 use mtp_link::Topology;
@@ -23,12 +26,33 @@ use mtp_sim::{ChipSpec, Lowered, Machine, RunStats};
 /// assert!(s8.speedup_over(&s1) > 8.0, "super-linear speedup");
 /// # Ok::<(), mtp_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// A system owns the serving memo (`DESIGN.md` §12): the slot forms and
+/// pass makespans every serving run on it — and on its clones, which
+/// share the memo — computes once.
+#[derive(Debug)]
 pub struct DistributedSystem {
     cfg: TransformerConfig,
     chip: ChipSpec,
     n_chips: usize,
     topology: Option<Topology>,
+    /// The serving memo, allocated on first use so that building a
+    /// system that never serves allocates nothing for it.
+    memo: OnceLock<Arc<ServeMemo>>,
+}
+
+impl Clone for DistributedSystem {
+    /// The clone shares the serving memo, which is allocated here if no
+    /// run has needed it yet.
+    fn clone(&self) -> Self {
+        DistributedSystem {
+            cfg: self.cfg.clone(),
+            chip: self.chip,
+            n_chips: self.n_chips,
+            topology: self.topology.clone(),
+            memo: OnceLock::from(Arc::clone(self.serve_memo())),
+        }
+    }
 }
 
 impl DistributedSystem {
@@ -51,14 +75,16 @@ impl DistributedSystem {
     pub fn with_chip(cfg: TransformerConfig, n_chips: usize, chip: ChipSpec) -> Result<Self> {
         // Validate the partition up front so construction fails early.
         let _ = PartitionSpec::new(&cfg, n_chips)?;
-        Ok(DistributedSystem { cfg, chip, n_chips, topology: None })
+        Ok(DistributedSystem { cfg, chip, n_chips, topology: None, memo: OnceLock::new() })
     }
 
     /// Overrides the reduction topology (used by the flat-all-reduce
-    /// ablation).
+    /// ablation). Another reduction tree is another machine, so the
+    /// system starts a fresh serving memo.
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = Some(topology);
+        self.memo = OnceLock::new();
         self
     }
 
@@ -83,6 +109,11 @@ impl DistributedSystem {
     /// The reduction-topology override, if any.
     pub(crate) fn topology(&self) -> Option<&Topology> {
         self.topology.as_ref()
+    }
+
+    /// The serving memo this system shares with its clones.
+    pub(crate) fn serve_memo(&self) -> &Arc<ServeMemo> {
+        self.memo.get_or_init(Arc::default)
     }
 
     /// The memory plan this system's scheduler will use.
@@ -209,8 +240,9 @@ impl DistributedSystem {
         }
     }
 
-    /// The heterogeneous-batch path: every request lowers its own
-    /// one-block template at its prompt length, and the templates form one
+    /// The heterogeneous-batch path: every request takes its one-block
+    /// template at its prompt length from the system's slot memo
+    /// ([`DistributedSystem::slot_form`]), and the templates form one
     /// interleaved block that repeats `n_layers` times
     /// ([`DistributedSystem::run_interleaved`]). This is the prompt-batch
     /// twin of a mixed serving pass.
@@ -222,21 +254,9 @@ impl DistributedSystem {
         let slots = workload
             .requests()
             .iter()
-            .map(|spec| {
-                let cfg = self.cfg.clone().with_seq_len(spec.tokens_per_pass(mode));
-                CompiledSchedule::compile(
-                    &cfg,
-                    self.n_chips,
-                    &self.chip,
-                    self.topology.clone(),
-                    mode,
-                )
-            })
+            .map(|spec| self.slot_form(mode, spec.tokens_per_pass(mode)))
             .collect::<Result<Vec<_>>>()?;
-        let machine = self.machine();
-        let forms =
-            slots.iter().map(|slot| slot.lowered_for(&machine)).collect::<Result<Vec<_>>>()?;
-        let stats = self.run_interleaved(forms.iter().map(|form| &**form))?;
+        let stats = self.run_interleaved(slots.iter().map(|slot| &*slot.lowered))?;
         // The report's residency regime is the first request's plan;
         // per-request plans can differ across a mixed batch (longer
         // prompts enlarge the KV working set), and each slot stages
@@ -246,7 +266,7 @@ impl DistributedSystem {
             self.n_chips,
             mode,
             self.cfg.n_layers * workload.n_requests(),
-            slots[0].residency(),
+            slots[0].residency,
             stats,
         ))
     }
@@ -379,6 +399,57 @@ mod tests {
                 .simulate_batch(InferenceMode::Prompt, &BatchWorkload::uniform(1, p, 0))
                 .unwrap();
             assert!(report.stats.makespan > solo.stats.makespan, "prompt {p}");
+        }
+    }
+
+    #[test]
+    fn mixed_prompt_batch_equals_its_result_before_the_slot_memo() {
+        // Figures captured before the batch path took its slots from the
+        // system's memo, when every request compiled its own schedule.
+        use mtp_model::RequestSpec;
+        let prompts = [8usize, 16, 5, 16];
+        let mixed = BatchWorkload::new(
+            prompts
+                .iter()
+                .zip(0..)
+                .map(|(&prompt_len, arrival)| RequestSpec { prompt_len, decode_len: 0, arrival })
+                .collect(),
+        )
+        .unwrap();
+        for (chips, makespan, c2c, residency) in [
+            (4usize, 81_171_552u64, 2_211_840u64, WeightResidency::Streamed),
+            (8, 24_148_520, 5_160_960, WeightResidency::DoubleBuffered),
+        ] {
+            let cfg = TransformerConfig::tiny_llama_42m();
+            let sys = DistributedSystem::paper_default(cfg.clone(), chips).unwrap();
+            let report = sys.simulate_batch(InferenceMode::Prompt, &mixed).unwrap();
+            assert_eq!(report.stats.makespan, makespan, "{chips} chips");
+            assert_eq!(report.stats.total_c2c_bytes(), c2c);
+            assert_eq!(report.stats.sync_phases, 2 * prompts.len() * cfg.n_layers);
+            assert_eq!(report.residency, residency);
+            // The same pass built the old way, one compile per request.
+            let machine = sys.machine();
+            let compiled: Vec<CompiledSchedule> = prompts
+                .iter()
+                .map(|&p| {
+                    let slot_cfg = cfg.clone().with_seq_len(p);
+                    CompiledSchedule::compile(
+                        &slot_cfg,
+                        chips,
+                        sys.chip(),
+                        None,
+                        InferenceMode::Prompt,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let forms: Vec<_> = compiled.iter().map(|c| c.lowered_for(&machine).unwrap()).collect();
+            let block = Lowered::concat(forms.iter().map(|form| &**form));
+            assert_eq!(report.stats, machine.run_periodic_lowered(&block, cfg.n_layers).unwrap());
+            // Asked again, the memo answers with the same stats.
+            let again = sys.simulate_batch(InferenceMode::Prompt, &mixed).unwrap();
+            assert_eq!(again.stats, report.stats);
+            assert_eq!(again.residency, report.residency);
         }
     }
 

@@ -19,7 +19,10 @@ use crate::sweep::{PlacementPolicy, SweepEngine, SweepGrid, TopologySpec};
 use mtp_core::schedule::Scheduler;
 use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 use mtp_model::reference::{AttnMask, AttnScratch};
-use mtp_model::{reference, InferenceMode, TransformerConfig};
+use mtp_model::{
+    reference, ArrivalProcess, BatchWorkload, InferenceMode, ServeRequest, ServeWorkload,
+    TransformerConfig,
+};
 use mtp_sim::{ChipSpec, LinkRegime, Machine, QueueDiscipline};
 use mtp_tensor::{quantize_symmetric, Backend, ScalarBackend, Tensor};
 use std::time::Instant;
@@ -394,8 +397,8 @@ pub fn run(quick: bool) -> BenchReport {
         s_reps,
     );
 
-    // --- Serving: the default `mtp serve` grid, cold engine (and cold
-    // per-scenario pass caches) every iteration — the open-loop
+    // --- Serving: the default `mtp serve` grid, cold engine (and so
+    // cold systems and serving memos) every iteration — the open-loop
     // continuous-batching frontend end to end.
     let serve_grid = crate::serve::ServeGrid::paper_default();
     push(
@@ -425,6 +428,26 @@ pub fn run(quick: bool) -> BenchReport {
         g_reps,
     );
 
+    // --- The repository benchmark's serving study on one fresh system
+    // per iteration: six per-request-billed runs plus the solo-prefill
+    // baseline, sharing the system's serving memo.
+    let (study, solo) = serve_study(11);
+    push(
+        "serve/study_one_system",
+        best_of(d_reps, || {
+            let sys = mtp_core::DistributedSystem::paper_default(cfg.clone(), 8).expect("8 chips");
+            for (policy, workload) in &study {
+                let report = sys
+                    .simulate_serve(workload, *policy, mtp_core::Billing::PerRequest)
+                    .expect("serve");
+                std::hint::black_box(report.makespan);
+            }
+            let solo = sys.simulate_batch(InferenceMode::Prompt, &solo).expect("solo prefill");
+            std::hint::black_box(solo.stats.makespan);
+        }),
+        d_reps,
+    );
+
     // --- Design-space advisor: the `advise` query of the repository
     // benchmark's design loop (TinyLlama AR, every valid chip count up
     // to 8, both topologies and placements, a 30-point bandwidth range),
@@ -448,6 +471,43 @@ pub fn run(quick: bool) -> BenchReport {
     );
 
     BenchReport { profile, results }
+}
+
+/// The serving study of the repository benchmark's `serve_open_loop`
+/// workload, for TinyLlama on 8 chips under per-request billing: 16
+/// requests (prompts of 4..=64 tokens, 1..=64 decoded) drawn from `seed`,
+/// served under `continuous:8` and `static:8`, each at 0.007, 0.013 and
+/// 0.03 requests per megacycle from one arrival draw, plus the
+/// solo-prefill batch at the mean prompt.
+#[must_use]
+pub fn serve_study(seed: u64) -> (Vec<(mtp_core::BatchPolicy, ServeWorkload)>, BatchWorkload) {
+    const REQUESTS: usize = 16;
+    let mut rng = mtp_tensor::SplitMix64::new(seed);
+    let mut draw = |lo: u64, hi: u64| (lo + rng.next_u64() % (hi - lo + 1)) as usize;
+    let shapes: Vec<(usize, usize)> = (0..REQUESTS).map(|_| (draw(4, 64), draw(1, 64))).collect();
+    let arrival_seed = rng.next_u64();
+    let mut cases = Vec::new();
+    for policy in [
+        mtp_core::BatchPolicy::Continuous { max_slots: 8 },
+        mtp_core::BatchPolicy::Static { batch: 8 },
+    ] {
+        for rate_per_mcycle in [0.007, 0.013, 0.03] {
+            let arrivals =
+                ArrivalProcess::Poisson { rate_per_mcycle }.sample(REQUESTS, arrival_seed);
+            let requests = shapes
+                .iter()
+                .zip(arrivals)
+                .map(|(&(prompt_len, decode_len), arrival_cycles)| ServeRequest {
+                    prompt_len,
+                    decode_len,
+                    arrival_cycles,
+                })
+                .collect();
+            cases.push((policy, ServeWorkload::new(requests).expect("non-empty prompts")));
+        }
+    }
+    let mean_prompt = shapes.iter().map(|s| s.0).sum::<usize>() / REQUESTS;
+    (cases, BatchWorkload::uniform(1, mean_prompt, 0))
 }
 
 /// Parses the benchmark entries of a committed `BENCH_*.json` baseline
@@ -687,7 +747,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 27);
+        assert_eq!(report.results.len(), 28);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }

@@ -34,6 +34,7 @@ use mtp_core::{
 };
 use mtp_model::{ArrivalProcess, BatchWorkload, InferenceMode, ServeWorkload};
 use mtp_sim::ChipSpec;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,14 +100,20 @@ impl ServeScenario {
     }
 
     /// Runs the serving simulation plus the unloaded solo-prefill
-    /// baseline the SLO bound is derived from.
+    /// baseline the SLO bound is derived from, on a fresh system.
     ///
     /// # Errors
     ///
     /// Returns a description for invalid workloads and propagates
     /// simulation errors as strings.
     pub fn run(&self) -> Result<(ServeReport, u64), String> {
-        let sys = self.system()?;
+        self.run_on(&self.system()?)
+    }
+
+    /// [`ServeScenario::run`] on `sys`, which must be this scenario's
+    /// model on `n_chips` chips; its serving memo may already hold the
+    /// slot forms and pass makespans of earlier runs.
+    fn run_on(&self, sys: &DistributedSystem) -> Result<(ServeReport, u64), String> {
         let workload = ServeWorkload::open_loop(
             &self.process,
             self.n_requests,
@@ -541,13 +548,17 @@ impl ServeGrid {
 }
 
 /// The caching serving-grid runner. Serial by design: one serving
-/// scenario is itself a long chain of pass simulations, and the pass
-/// caches inside `simulate_serve` do the heavy lifting; the engine's
-/// own cache deduplicates repeated scenarios across runs (the warm
-/// engine of the determinism proof answers without re-simulating).
+/// scenario is itself a long chain of pass simulations. The engine keeps
+/// one [`DistributedSystem`] per `(model, chip count)`, so every
+/// scenario on that fleet — whatever its arrivals, policy, billing or
+/// fault profile — and its solo-prefill baseline share the system's
+/// serving memo of slot forms and pass makespans. The engine's own cache
+/// deduplicates repeated scenarios across runs (the warm engine of the
+/// determinism proof answers without re-simulating).
 #[derive(Debug, Default)]
 pub struct ServeEngine {
     cache: HashMap<String, (Arc<ServeReport>, u64)>,
+    systems: HashMap<(ModelPreset, usize), DistributedSystem>,
 }
 
 impl ServeEngine {
@@ -586,7 +597,7 @@ impl ServeEngine {
                     cache_hits += 1;
                     Ok(hit)
                 }
-                None => match scenario.run() {
+                None => match self.system(&scenario).and_then(|sys| scenario.run_on(sys)) {
                     Ok((report, solo)) => {
                         unique_simulated += 1;
                         let entry = (Arc::new(report), solo);
@@ -602,6 +613,14 @@ impl ServeEngine {
             }
         }
         ServeResults { rows, skipped, cache_hits, unique_simulated, elapsed: started.elapsed() }
+    }
+
+    /// The engine's system for `scenario`'s fleet, built on first use.
+    fn system(&mut self, scenario: &ServeScenario) -> Result<&DistributedSystem, String> {
+        Ok(match self.systems.entry((scenario.model, scenario.n_chips)) {
+            Entry::Occupied(fleet) => fleet.into_mut(),
+            Entry::Vacant(fleet) => fleet.insert(scenario.system()?),
+        })
     }
 }
 
@@ -701,6 +720,22 @@ mod tests {
         assert_eq!(first.to_csv(), second.to_csv());
         assert_eq!(first.to_json(), second.to_json());
         assert_eq!(engine.cached_len(), 1);
+    }
+
+    #[test]
+    fn engine_shares_one_system_per_fleet() {
+        let mut engine = ServeEngine::new();
+        let grid = ServeGrid::paper_default()
+            .with_billings(vec![Billing::FullContext, Billing::PerRequest])
+            .with_requests(6, 16, 3);
+        let out = engine.run(&grid);
+        assert_eq!(out.rows.len(), 16);
+        assert_eq!(engine.systems.len(), 2, "one system per chip count");
+        for row in &out.rows {
+            let (report, solo) = row.scenario.run().unwrap();
+            assert_eq!(*row.report, report, "{}", row.scenario.key());
+            assert_eq!(row.slo_cycles, SLO_FACTOR_PCT * solo / 100);
+        }
     }
 
     #[test]

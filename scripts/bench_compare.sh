@@ -40,6 +40,13 @@
 # row-streaming GEMV and the scratch-free transposed LM head against
 # falling back onto a strided or k x n-staging path. BENCH_12.json is
 # the first baseline carrying them.
+#
+# The suite also includes serve/study_one_system: the repository
+# benchmark's serving study (six per-request-billed runs on one fresh
+# 8-chip system), guarding the system-owned serving memo that lets the
+# six runs share slot templates and pass makespans. BENCH_20.json is the
+# first baseline carrying it; against older baselines it is reported as
+# "not in baseline" and skipped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

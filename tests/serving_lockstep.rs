@@ -1,5 +1,5 @@
 //! Exactness suite for the open-loop serving frontend (DESIGN.md §12),
-//! in four proofs:
+//! in six proofs:
 //!
 //! 1. **Saturated lockstep** — with every request already queued at
 //!    cycle 0, static gang scheduling under full-context billing must
@@ -22,9 +22,14 @@
 //!    billed request sets checks every pass the serving loop charged
 //!    (uniform or mixed, each through the periodic engine) against a
 //!    full event-driven run of the per-block-derived interleaving.
+//! 6. **One memo per system** — a system's serving memo, shared by every
+//!    run on it and on its clones, answers exactly as a fresh system:
+//!    in any case order, on two threads at once, and afresh after
+//!    `with_topology`.
 
 use mtp::core::schedule::Scheduler;
 use mtp::core::{BatchPolicy, Billing, DistributedSystem, ServeReport, SlotPhase};
+use mtp::harness::bench::serve_study;
 use mtp::harness::serve::{percentile, ServeEngine, ServeGrid, ServeScenario};
 use mtp::harness::sweep::ModelPreset;
 use mtp::link::Topology;
@@ -486,4 +491,95 @@ proptest! {
             prop_assert_eq!(pass.cycles, full, "pass of {:?}", shape);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// 6. One serving memo per system: shared runs answer as fresh ones.
+// ---------------------------------------------------------------------
+
+fn study_system() -> DistributedSystem {
+    DistributedSystem::paper_default(TransformerConfig::tiny_llama_42m(), 8).unwrap()
+}
+
+fn serve(
+    sys: &DistributedSystem,
+    (policy, workload): &(BatchPolicy, ServeWorkload),
+) -> ServeReport {
+    sys.simulate_serve(workload, *policy, Billing::PerRequest).unwrap()
+}
+
+/// Every case served on a fresh system of its own.
+fn fresh_reports(cases: &[(BatchPolicy, ServeWorkload)]) -> Vec<ServeReport> {
+    cases.iter().map(|case| serve(&study_system(), case)).collect()
+}
+
+/// One system serves the repository benchmark's six study cases
+/// (`serve_study`) forward, another backward (so each memo fills in
+/// another order), and the study's solo prefill on the warm system
+/// matches a cold one: every report equals the fresh system's.
+#[test]
+fn one_system_serves_every_case_as_fresh_systems_do() {
+    let (cases, solo) = serve_study(11);
+    let fresh = fresh_reports(&cases);
+    let forward = study_system();
+    for (case, expect) in cases.iter().zip(&fresh) {
+        assert_eq!(&serve(&forward, case), expect);
+    }
+    let backward = study_system();
+    for (case, expect) in cases.iter().zip(&fresh).rev() {
+        assert_eq!(&serve(&backward, case), expect);
+    }
+    assert_eq!(
+        forward.simulate_batch(InferenceMode::Prompt, &solo).unwrap().stats,
+        study_system().simulate_batch(InferenceMode::Prompt, &solo).unwrap().stats
+    );
+}
+
+/// Two threads serve every case on two clones of one system — one
+/// forward, one backward — racing on the shared memo; both give the
+/// serial fresh-system reports.
+#[test]
+fn clones_serving_on_two_threads_give_the_serial_reports() {
+    let (cases, _) = serve_study(12);
+    let fresh = fresh_reports(&cases);
+    let shared = study_system();
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = [false, true]
+            .into_iter()
+            .map(|backward| {
+                let (sys, cases) = (shared.clone(), &cases);
+                scope.spawn(move || {
+                    let mut order: Vec<usize> = (0..cases.len()).collect();
+                    if backward {
+                        order.reverse();
+                    }
+                    order.into_iter().map(|i| (i, serve(&sys, &cases[i]))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for run in runs {
+            for (i, report) in run.join().unwrap() {
+                assert_eq!(report, fresh[i], "case {i}");
+            }
+        }
+    });
+}
+
+/// A flat reduction tree is another machine: `with_topology` after a
+/// hierarchical serve starts a fresh memo and answers as a fresh flat
+/// system, although the two trees charge different passes.
+#[test]
+fn a_new_topology_serves_as_a_fresh_system_of_it() {
+    let (cases, _) = serve_study(13);
+    let flat = || Topology::flat(8).unwrap();
+    let hier = study_system();
+    let hier_reports: Vec<ServeReport> = cases.iter().map(|case| serve(&hier, case)).collect();
+    let rewired = hier.with_topology(flat());
+    let mut differs = false;
+    for (case, hier_report) in cases.iter().zip(&hier_reports) {
+        let report = serve(&rewired, case);
+        assert_eq!(report, serve(&study_system().with_topology(flat()), case));
+        differs |= report != *hier_report;
+    }
+    assert!(differs, "flat and hierarchical reductions charge the same passes");
 }
