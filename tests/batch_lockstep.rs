@@ -22,7 +22,7 @@
 //! offsets, and interleaving.
 
 use mtp::core::schedule::{CompiledSchedule, Scheduler};
-use mtp::core::DistributedSystem;
+use mtp::core::{DistributedSystem, SystemReport};
 use mtp::harness::sweep::{Span, SweepEngine, SweepGrid};
 use mtp::model::generate::generate_greedy;
 use mtp::model::{
@@ -290,6 +290,228 @@ fn regime_boundary_uniform_equals_mirrored() {
     let mirrored = mirror_mixed_batch(&cfg, 4, &chip, &[16, 16, 16]);
     let full = Machine::homogeneous(chip, 4).run(&mirrored).unwrap();
     assert_eq!(report.stats, full);
+}
+
+// ---------------------------------------------------------------------
+// Pins: block spans and batches, byte for byte, under every regime.
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64 of every counter a report carries: the full `RunStats`,
+/// the block count, the residency regime and the energy total.
+fn report_digest(report: &SystemReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let stats = &report.stats;
+    word(stats.makespan);
+    word(stats.sync_phases as u64);
+    for c in &stats.per_chip {
+        for w in [
+            c.compute_cycles,
+            c.dma_l3_l2_exposed_cycles,
+            c.dma_l2_l1_exposed_cycles,
+            c.c2c_exposed_cycles,
+            c.dma_l3_l2_bytes,
+            c.dma_l2_l1_bytes,
+            c.c2c_bytes_sent,
+            c.sync_marks,
+            c.finish_cycles,
+            c.c2c_queue_cycles,
+            c.c2c_peak_queue_bytes,
+            c.c2c_drops,
+            c.c2c_retransmits,
+            c.c2c_gave_up,
+        ] {
+            word(w);
+        }
+    }
+    word(report.n_blocks as u64);
+    word(report.residency as u64);
+    word(report.energy.total_mj().to_bits());
+    h
+}
+
+/// The link regimes every pin runs under: the paper's affine link, an
+/// infinite queue, a finite queue holding a whole reduce fan-in, and a
+/// lossy link, whose drop draws hash the message ids and so pin the id
+/// layout of every repeated block.
+const PIN_REGIMES: [&str; 4] = ["affine", "queued", "queued:262144", "lossy:5"];
+
+/// `(case, digest per regime in PIN_REGIMES order)`.
+const SLOT_PINS: [(&str, [u64; 4]); 13] = [
+    (
+        "batch ar b4 x8",
+        [
+            18_151_088_586_560_650_908,
+            10_210_027_107_867_029_404,
+            10_210_027_107_867_029_404,
+            9_551_070_411_511_005_763,
+        ],
+    ),
+    (
+        "batch prompt b3 p16 x4",
+        [
+            6_217_654_796_267_047_532,
+            14_756_623_704_569_470_398,
+            14_756_623_704_569_470_398,
+            12_146_356_904_895_840_337,
+        ],
+    ),
+    (
+        "batch prompt [8,16,5] x4",
+        [
+            8_490_060_151_705_846_988,
+            15_874_339_631_351_672_237,
+            15_874_339_631_351_672_237,
+            17_240_203_153_342_551_736,
+        ],
+    ),
+    (
+        "blocks 1 x1",
+        [
+            13_567_832_478_173_425_633,
+            13_567_832_478_173_425_633,
+            13_567_832_478_173_425_633,
+            13_567_832_478_173_425_633,
+        ],
+    ),
+    (
+        "blocks 4 x1",
+        [
+            7_976_525_234_422_118_993,
+            7_976_525_234_422_118_993,
+            7_976_525_234_422_118_993,
+            7_976_525_234_422_118_993,
+        ],
+    ),
+    (
+        "blocks 5 x1",
+        [
+            14_218_506_754_569_492_288,
+            14_218_506_754_569_492_288,
+            14_218_506_754_569_492_288,
+            14_218_506_754_569_492_288,
+        ],
+    ),
+    (
+        "blocks 24 x1",
+        [
+            15_709_973_230_205_042_381,
+            15_709_973_230_205_042_381,
+            15_709_973_230_205_042_381,
+            15_709_973_230_205_042_381,
+        ],
+    ),
+    (
+        "blocks 96 x1",
+        [
+            15_958_521_178_767_726_881,
+            15_958_521_178_767_726_881,
+            15_958_521_178_767_726_881,
+            15_958_521_178_767_726_881,
+        ],
+    ),
+    (
+        "blocks 1 x8",
+        [
+            3_298_816_512_976_953_457,
+            18_078_102_876_885_307_489,
+            18_078_102_876_885_307_489,
+            3_298_816_512_976_953_457,
+        ],
+    ),
+    (
+        "blocks 4 x8",
+        [
+            7_150_934_913_667_838_283,
+            854_189_546_916_863_067,
+            854_189_546_916_863_067,
+            7_150_934_913_667_838_283,
+        ],
+    ),
+    (
+        "blocks 5 x8",
+        [
+            11_002_449_357_434_988_528,
+            14_331_997_078_177_988_336,
+            14_331_997_078_177_988_336,
+            11_002_449_357_434_988_528,
+        ],
+    ),
+    (
+        "blocks 24 x8",
+        [
+            9_098_802_323_473_423_450,
+            15_053_097_615_006_843_914,
+            15_053_097_615_006_843_914,
+            17_839_274_830_699_884_720,
+        ],
+    ),
+    (
+        "blocks 96 x8",
+        [
+            11_929_611_171_391_770_792,
+            12_917_991_156_007_085_596,
+            12_917_991_156_007_085_596,
+            12_040_866_750_947_787_342,
+        ],
+    ),
+];
+
+/// The pinned cases on TinyLlama under one link regime: three batches
+/// and a block span at five depths on one streaming chip and on eight.
+/// Each chip count shares one system, so spans and batches also meet
+/// each other's slot forms.
+fn slot_pin_reports(chip: ChipSpec) -> Vec<(String, SystemReport)> {
+    let cfg = TransformerConfig::tiny_llama_42m();
+    let sys = |n| DistributedSystem::with_chip(cfg.clone(), n, chip).unwrap();
+    let (one, four, eight) = (sys(1), sys(4), sys(8));
+    let prompts = |lens: &[usize]| {
+        BatchWorkload::new(
+            lens.iter()
+                .map(|&p| RequestSpec { prompt_len: p, decode_len: 0, arrival: 0 })
+                .collect(),
+        )
+        .unwrap()
+    };
+    let (ar, pr) = (InferenceMode::Autoregressive, InferenceMode::Prompt);
+    let mut out = vec![
+        ("batch ar b4 x8".to_owned(), eight.simulate_batch(ar, &BatchWorkload::uniform(4, 128, 0))),
+        ("batch prompt b3 p16 x4".to_owned(), four.simulate_batch(pr, &prompts(&[16; 3]))),
+        ("batch prompt [8,16,5] x4".to_owned(), four.simulate_batch(pr, &prompts(&[8, 16, 5]))),
+    ];
+    for (n_chips, sys) in [(1, &one), (8, &eight)] {
+        for depth in [1usize, 4, 5, 24, 96] {
+            out.push((format!("blocks {depth} x{n_chips}"), sys.simulate_blocks(ar, depth)));
+        }
+    }
+    out.into_iter().map(|(case, report)| (case, report.unwrap())).collect()
+}
+
+/// Block spans and batches report exactly what they reported before
+/// they shared one slot path, under every link regime.
+#[test]
+fn block_spans_and_batches_are_pinned_under_every_regime() {
+    let mut actual: Vec<(String, [u64; 4])> = Vec::new();
+    for (r, regime) in PIN_REGIMES.iter().enumerate() {
+        let chip =
+            ChipSpec { link_regime: LinkRegime::parse(regime).unwrap(), ..ChipSpec::siracusa() };
+        for (i, (case, report)) in slot_pin_reports(chip).into_iter().enumerate() {
+            if r == 0 {
+                actual.push((case, [0; 4]));
+            }
+            actual[i].1[r] = report_digest(&report);
+        }
+    }
+    let pinned: Vec<(String, [u64; 4])> =
+        SLOT_PINS.iter().map(|(case, pins)| ((*case).to_owned(), *pins)).collect();
+    assert_eq!(actual, pinned, "\nactual:\n{}", {
+        actual.iter().map(|(case, d)| format!("    (\"{case}\", {d:?}),\n")).collect::<String>()
+    });
 }
 
 // ---------------------------------------------------------------------
