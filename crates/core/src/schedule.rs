@@ -20,7 +20,7 @@
 use crate::{CoreError, MemoryPlan, PartitionSpec, Result, WeightResidency};
 use mtp_kernels::Kernel;
 use mtp_link::Topology;
-use mtp_model::{AttentionKind, BatchWorkload, InferenceMode, NormKind, TransformerConfig};
+use mtp_model::{AttentionKind, InferenceMode, NormKind, TransformerConfig};
 use mtp_sim::{
     ChipId, ChipSpec, DmaTag, Instr, LinkRegime, Lowered, Machine, MemPath, MsgId, Program,
     SymbolicMakespan, WarmupCheckpoint, FULL_RUN_THRESHOLD,
@@ -28,40 +28,6 @@ use mtp_sim::{
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// The batch structure of a workload as the scheduler sees it.
-///
-/// Uniform batches — every request presents the same per-block token
-/// count — lower to one shared *request-slot* template whatever their
-/// size, so the batch size is normalized away here: any uniform batch
-/// (including batch 1, which *is* the single-request path) reuses the
-/// single-request template, and request-level periodicity makes its
-/// simulation cost size-independent (see
-/// [`mtp_sim::Machine::run_batched`] and `DESIGN.md` §10). Heterogeneous
-/// batches carry their per-request shape vector: each distinct vector
-/// lowers to its own interleaved one-block template, which repeats
-/// `n_layers` times through the same periodic engine.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum BatchRegime {
-    /// Every request shares one per-block shape (always the case in
-    /// autoregressive mode, where each decode step processes one token).
-    Uniform,
-    /// Per-request per-block token counts, in request order (prompt-mode
-    /// batches with differing prompt lengths).
-    Mixed(Vec<usize>),
-}
-
-impl BatchRegime {
-    /// Classifies a workload for the given inference mode.
-    #[must_use]
-    pub fn of(workload: &BatchWorkload, mode: InferenceMode) -> Self {
-        if workload.is_uniform_for(mode) {
-            BatchRegime::Uniform
-        } else {
-            BatchRegime::Mixed(workload.tokens_per_pass(mode))
-        }
-    }
-}
 
 // Partial outputs are requantized to the deployment dtype before hitting
 // the wire (the energy-optimal choice for a 100 pJ/B link), so reduce and
@@ -420,65 +386,6 @@ impl Scheduler {
         Ok(progs)
     }
 
-    /// Per-chip programs for one Transformer block serving a uniform
-    /// batch of `n_requests` interleaved requests: the block body is
-    /// emitted once per request with fresh message and sync identifiers
-    /// (requests are independent, so nothing else distinguishes their
-    /// slots). `batch_block_programs(mode, 1)` is
-    /// [`Scheduler::block_programs`] verbatim — the batch=1 lockstep
-    /// guarantee at the schedule level, by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when `n_requests` is zero.
-    pub fn batch_block_programs(
-        &mut self,
-        mode: InferenceMode,
-        n_requests: usize,
-    ) -> Result<Vec<Program>> {
-        if n_requests == 0 {
-            return Err(CoreError::InvalidConfig("a batch needs at least one request".into()));
-        }
-        let mut progs = self.block_programs(mode);
-        for _ in 1..n_requests {
-            for (p, slot) in progs.iter_mut().zip(self.block_programs(mode)) {
-                p.extend(slot.instrs().iter().copied());
-            }
-        }
-        Ok(progs)
-    }
-
-    /// Programs for `n_blocks` consecutive blocks each serving a uniform
-    /// batch of `n_requests` requests, block-major: block 0's request
-    /// slots 0..B, then block 1's, and so on.
-    ///
-    /// Because every request slot is the same body with shifted
-    /// identifiers, the interleaved stream is exactly
-    /// [`Scheduler::model_programs`] over `n_blocks * n_requests`
-    /// repetitions — which is what lets the periodic engine prove
-    /// request-level periodicity with the machinery it already has
-    /// (locked by `batch_model_programs_match_per_block_interleaving` and
-    /// the `tests/batch_lockstep.rs` suite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when `n_blocks` or
-    /// `n_requests` is zero, or when their product overflows.
-    pub fn batch_model_programs(
-        &mut self,
-        mode: InferenceMode,
-        n_blocks: usize,
-        n_requests: usize,
-    ) -> Result<Vec<Program>> {
-        if n_requests == 0 {
-            return Err(CoreError::InvalidConfig("a batch needs at least one request".into()));
-        }
-        let total = n_blocks.checked_mul(n_requests).ok_or_else(|| {
-            CoreError::InvalidConfig("batched block count overflows usize".into())
-        })?;
-        self.model_programs(mode, total)
-    }
-
     /// The chip specification this scheduler targets.
     #[must_use]
     pub fn chip(&self) -> &ChipSpec {
@@ -756,16 +663,14 @@ impl CompiledSchedule {
                 machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks)?
             }
         };
-        Ok(self.report(chip, n_blocks, stats))
-    }
-
-    fn report(
-        &self,
-        chip: &ChipSpec,
-        n_blocks: usize,
-        stats: mtp_sim::RunStats,
-    ) -> crate::SystemReport {
-        crate::report::from_stats(chip, self.n_chips, self.mode, n_blocks, self.residency, stats)
+        Ok(crate::report::from_stats(
+            chip,
+            self.n_chips,
+            self.mode,
+            n_blocks,
+            self.residency,
+            stats,
+        ))
     }
 
     /// The memo's steady state for `chip` as a [`WarmupCheckpoint`]
@@ -797,68 +702,6 @@ impl CompiledSchedule {
         _ckpt: &WarmupCheckpoint,
     ) -> Result<crate::SystemReport> {
         self.simulate(chip, n_blocks)
-    }
-
-    /// Simulates `n_blocks` blocks each serving a uniform batch of
-    /// `n_requests` interleaved requests: the one-block template doubles
-    /// as the request-slot template, so a batch is
-    /// [`CompiledSchedule::simulate`] of `n_blocks * n_requests` blocks
-    /// and shares its steady state with every other depth.
-    /// `simulate_batched(chip, n, 1)` equals
-    /// [`CompiledSchedule::simulate`]`(chip, n)` exactly.
-    ///
-    /// The report's `n_blocks` counts block *instances* (blocks times
-    /// requests) — the unit every per-chip counter scales with.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors; `n_blocks` and `n_requests` must be
-    /// at least 1, and their product must not overflow.
-    pub fn simulate_batched(
-        &self,
-        chip: &ChipSpec,
-        n_blocks: usize,
-        n_requests: usize,
-    ) -> Result<crate::SystemReport> {
-        if n_blocks == 0 || n_requests == 0 {
-            return Err(CoreError::InvalidConfig(
-                "a batched simulation needs at least one block and one request".into(),
-            ));
-        }
-        let total = n_blocks.checked_mul(n_requests).ok_or_else(|| {
-            CoreError::InvalidConfig("batched block count overflows usize".into())
-        })?;
-        self.simulate(chip, total)
-    }
-
-    /// [`CompiledSchedule::simulate`] answered from a symbolic model of
-    /// this template on the **same chip spec** (from
-    /// [`CompiledSchedule::warmup`] or [`CompiledSchedule::steady_state`])
-    /// — bit-identical [`crate::SystemReport`]s with zero simulation.
-    ///
-    /// # Errors
-    ///
-    /// `n_blocks` must be at least 1 and `model` must span this
-    /// schedule's chip count; both are configuration errors.
-    /// [`mtp_sim::SimError::CycleOverflow`] when the `n_blocks`-deep
-    /// counters do not fit in `u64`.
-    pub fn simulate_symbolic(
-        &self,
-        chip: &ChipSpec,
-        model: &SymbolicMakespan,
-        n_blocks: usize,
-    ) -> Result<crate::SystemReport> {
-        if n_blocks == 0 {
-            return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
-        }
-        if model.n_chips() != self.n_chips {
-            return Err(CoreError::InvalidConfig(format!(
-                "symbolic model spans {} chips, schedule spans {}",
-                model.n_chips(),
-                self.n_chips
-            )));
-        }
-        Ok(self.report(chip, n_blocks, model.eval(n_blocks)?))
     }
 }
 
@@ -1030,10 +873,22 @@ mod tests {
         }
     }
 
+    /// One block serving `n_requests` request slots, derived slot by
+    /// slot: each slot is the block body with fresh message and sync ids.
+    fn request_slots(s: &mut Scheduler, mode: InferenceMode, n_requests: usize) -> Vec<Program> {
+        let mut progs = vec![Program::new(); s.spec().n_chips()];
+        for _ in 0..n_requests {
+            for (p, slot) in progs.iter_mut().zip(s.block_programs(mode)) {
+                p.extend(slot.instrs().iter().copied());
+            }
+        }
+        progs
+    }
+
     #[test]
     fn batch_of_one_is_block_programs_verbatim() {
-        // Across all three residency regimes and both modes: a batch of
-        // one request lowers to bit-identical programs with identical
+        // Across all three residency regimes and both modes: one block
+        // of one request slot is the block programs, with identical
         // counter state.
         let cases = [
             (TransformerConfig::tiny_llama_42m(), 1, InferenceMode::Autoregressive),
@@ -1043,7 +898,7 @@ mod tests {
         ];
         for (cfg, n, mode) in cases {
             let mut batched = sched(&cfg, n);
-            let b = batched.batch_block_programs(mode, 1).unwrap();
+            let b = batched.model_programs(mode, 1).unwrap();
             let mut single = sched(&cfg, n);
             let s = single.block_programs(mode);
             assert_eq!(b, s, "{} x{n} {mode}", cfg.name);
@@ -1054,96 +909,32 @@ mod tests {
 
     #[test]
     fn batch_block_programs_concatenate_request_slots() {
+        // A block of three request slots is three blocks.
         let cfg = TransformerConfig::tiny_llama_42m();
-        let mut s = sched(&cfg, 8);
-        let batched = s.batch_block_programs(InferenceMode::Autoregressive, 3).unwrap();
-        let mut manual = sched(&cfg, 8);
-        let mut expect = vec![Program::new(); 8];
-        for _ in 0..3 {
-            for (p, slot) in
-                expect.iter_mut().zip(manual.block_programs(InferenceMode::Autoregressive))
-            {
-                p.extend(slot.instrs().iter().copied());
-            }
-        }
+        let batched = sched(&cfg, 8).model_programs(InferenceMode::Autoregressive, 3).unwrap();
+        let expect = request_slots(&mut sched(&cfg, 8), InferenceMode::Autoregressive, 3);
         assert_eq!(batched, expect);
-        assert!(sched(&cfg, 8).batch_block_programs(InferenceMode::Autoregressive, 0).is_err());
     }
 
     #[test]
     fn batch_model_programs_match_per_block_interleaving() {
         // Block-major request interleaving: emitting each block's B
         // request slots in order, block after block, must equal the
-        // templated batch_model_programs stream exactly.
+        // templated stream of blocks x B blocks exactly.
         let cfg = TransformerConfig::tiny_llama_42m();
         let mode = InferenceMode::Autoregressive;
         let mut fast = sched(&cfg, 8);
-        let templated = fast.batch_model_programs(mode, 2, 3).unwrap();
+        let templated = fast.model_programs(mode, 2 * 3).unwrap();
         let mut slow = sched(&cfg, 8);
         let mut derived = vec![Program::new(); 8];
         for _block in 0..2 {
-            for (p, b) in derived.iter_mut().zip(slow.batch_block_programs(mode, 3).unwrap()) {
+            for (p, b) in derived.iter_mut().zip(request_slots(&mut slow, mode, 3)) {
                 p.extend(b.instrs().iter().copied());
             }
         }
         assert_eq!(templated, derived);
         assert_eq!(fast.msg_next, slow.msg_next);
         assert_eq!(fast.sync_next, slow.sync_next);
-        assert!(sched(&cfg, 8).batch_model_programs(mode, 2, 0).is_err());
-        assert!(sched(&cfg, 8).batch_model_programs(mode, 0, 2).is_err());
-    }
-
-    #[test]
-    fn batch_regime_classifies_workloads() {
-        use mtp_model::RequestSpec;
-        let uniform = BatchWorkload::uniform(4, 16, 8);
-        assert_eq!(BatchRegime::of(&uniform, InferenceMode::Prompt), BatchRegime::Uniform);
-        let mixed = BatchWorkload::new(vec![
-            RequestSpec { prompt_len: 16, decode_len: 0, arrival: 0 },
-            RequestSpec { prompt_len: 32, decode_len: 0, arrival: 0 },
-        ])
-        .unwrap();
-        // Autoregressive decode steps are one token per pass regardless
-        // of prompt length, so every AR batch is uniform.
-        assert_eq!(BatchRegime::of(&mixed, InferenceMode::Autoregressive), BatchRegime::Uniform);
-        assert_eq!(
-            BatchRegime::of(&mixed, InferenceMode::Prompt),
-            BatchRegime::Mixed(vec![16, 32])
-        );
-    }
-
-    #[test]
-    fn simulate_batched_equals_simulate_for_batch_one() {
-        let cfg = TransformerConfig::tiny_llama_42m();
-        let chip = ChipSpec::siracusa();
-        let compiled =
-            CompiledSchedule::compile(&cfg, 8, &chip, None, InferenceMode::Autoregressive).unwrap();
-        let single = compiled.simulate(&chip, 8).unwrap();
-        let batched = compiled.simulate_batched(&chip, 8, 1).unwrap();
-        assert_eq!(single.stats, batched.stats);
-        assert_eq!(single.n_blocks, batched.n_blocks);
-        assert!(compiled.simulate_batched(&chip, 0, 4).is_err());
-        assert!(compiled.simulate_batched(&chip, 4, 0).is_err());
-    }
-
-    #[test]
-    fn simulate_symbolic_equals_simulate_across_depths() {
-        let cfg = TransformerConfig::tiny_llama_42m();
-        let chip = ChipSpec::siracusa();
-        let compiled =
-            CompiledSchedule::compile(&cfg, 4, &chip, None, InferenceMode::Autoregressive).unwrap();
-        let ckpt = compiled.warmup(&chip).unwrap();
-        let model = ckpt.model().expect("schedule templates are periodic");
-        for n_blocks in [1usize, 3, 12, 96, 1000] {
-            let sym = compiled.simulate_symbolic(&chip, model, n_blocks).unwrap();
-            let sim = compiled.simulate(&chip, n_blocks).unwrap();
-            assert_eq!(sym.stats, sim.stats, "n_blocks={n_blocks}");
-            assert_eq!(sym.n_blocks, sim.n_blocks);
-        }
-        assert!(compiled.simulate_symbolic(&chip, model, 0).is_err());
-        let other =
-            CompiledSchedule::compile(&cfg, 2, &chip, None, InferenceMode::Autoregressive).unwrap();
-        assert!(other.simulate_symbolic(&chip, model, 8).is_err(), "chip-count mismatch rejected");
     }
 
     fn scaled(pct: u32) -> ChipSpec {

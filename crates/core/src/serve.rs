@@ -11,29 +11,24 @@
 //!
 //! The engine is *iteration-level*: the unit of simulated time is one
 //! full model pass over every active slot (the granularity real
-//! continuous-batching servers schedule at). Each pass maps to exactly
-//! the timing machinery PRs 4–6 proved out:
+//! continuous-batching servers schedule at). A pass is `n_layers` blocks
+//! over the slots' `(mode, billed context)` shapes, which is exactly what
+//! [`crate::DistributedSystem::simulate_batch`] runs for a batch: both
+//! call one slot path (`DistributedSystem::run_slots`). A
+//! **uniform** pass (every slot the same shape) is `n_layers x slots`
+//! blocks of one slot's template, so the saturated-arrival limit
+//! reproduces the batch path bit for bit, by construction; a **mixed**
+//! pass (slots in different phases, or per-request billing diverging)
+//! concatenates the slots' one-block templates into one interleaved
+//! block with disjoint identifier ranges and repeats it `n_layers` times.
+//! The periodic engine proves the fixed point or falls back to the exact
+//! full run by itself.
 //!
-//! - a **uniform** pass (every slot in the same phase with the same
-//!   billed context) lowers to one request-slot template and runs through
-//!   the periodic engine's request-level fixed point
-//!   ([`crate::schedule::CompiledSchedule::simulate_batched`]) — so the
-//!   saturated-arrival limit reproduces the PR 5 batch path bit for bit,
-//!   by construction;
-//! - a **mixed** pass (slots in different phases, or per-request billing
-//!   diverging) takes each slot's one-block template from the same
-//!   template cache, concatenates them into one interleaved block with
-//!   disjoint identifier ranges, and runs `n_layers` repetitions of that
-//!   block through [`mtp_sim::Machine::run_periodic`] — the same path
-//!   as [`crate::DistributedSystem::simulate_batch`]'s heterogeneous
-//!   prompt batches. The periodic engine proves the fixed point or falls
-//!   back to the exact full run by itself.
-//!
-//! The template cache and the pass makespans live in the system's
+//! The slot templates and the pass makespans live in the system's
 //! serving memo, shared by every serving run on the system and on its
-//! clones: a pass makespan depends only on the system and the pass's
-//! ordered slot shapes, never on the workload, policy, billing or fault
-//! profile that produced them.
+//! clones, and by its block spans and batches: a pass makespan depends
+//! only on the system and the pass's ordered slot shapes, never on the
+//! workload, policy, billing or fault profile that produced them.
 //!
 //! Billing is the context length a decode slot pays attention over:
 //! [`Billing::FullContext`] charges the model's full `seq_len` every step
@@ -715,38 +710,22 @@ impl DistributedSystem {
     }
 
     /// Pass makespan for a slot-shape vector, from the system's memo:
-    /// uniform shapes run one slot's lowered template `n_layers x slots`
-    /// times through the periodic engine (the batched path), mixed
-    /// shapes one interleaved block of the slots' lowered templates
-    /// ([`DistributedSystem::run_interleaved`]). The simulation runs
-    /// outside the memo's lock.
+    /// one pass over `n_layers` blocks of the slots
+    /// ([`DistributedSystem::run_slots`]), simulated outside the memo's
+    /// lock on the first ask.
     fn pass_makespan(&self, shapes: &[SlotShape]) -> Result<u64> {
         if let Some(&cycles) = self.serve_memo().tables().passes.get(shapes) {
             return Ok(cycles);
         }
-        let uniform = shapes.iter().all(|s| s == &shapes[0]);
-        let cycles = if uniform {
-            let (mode, seq) = shapes[0];
-            let form = self.slot_form(mode, seq)?;
-            let blocks = self.config().n_layers.checked_mul(shapes.len()).ok_or_else(|| {
-                CoreError::InvalidConfig("batched block count overflows usize".into())
-            })?;
-            self.machine().run_periodic_lowered(&form.lowered, blocks)?.makespan
-        } else {
-            let forms = shapes
-                .iter()
-                .map(|&(mode, seq)| self.slot_form(mode, seq))
-                .collect::<Result<Vec<_>>>()?;
-            self.run_interleaved(forms.iter().map(|form| &*form.lowered))?.makespan
-        };
+        let cycles = self.run_slots(shapes, self.config().n_layers)?.0.makespan;
         Ok(self.serve_memo().keep_pass(shapes, cycles))
     }
 
     /// One slot's one-block template at `seq` tokens in `mode`, compiled
     /// and lowered for [`DistributedSystem::machine`] on the first ask
     /// and kept in the system's memo with its residency regime. The only
-    /// place a slot template is compiled: serving passes and
-    /// heterogeneous prompt batches both take their slots from here.
+    /// place a fault-free slot template is compiled: block spans, batches
+    /// and serving passes all take their slots from here.
     pub(crate) fn slot_form(&self, mode: InferenceMode, seq: usize) -> Result<SlotForm> {
         debug_assert!((1..=self.config().seq_len).contains(&seq), "slot context {seq}");
         if let Some(form) = self.serve_memo().tables().slots.get(&(mode, seq)) {
@@ -771,7 +750,7 @@ impl DistributedSystem {
 }
 
 /// The `(mode, billed context)` shape of one slot in a pass.
-type SlotShape = (InferenceMode, usize);
+pub(crate) type SlotShape = (InferenceMode, usize);
 
 /// Pass shapes one system keeps makespans for. The repository
 /// benchmark's serving study (six per-request-billed runs of 16 requests
@@ -788,10 +767,12 @@ pub(crate) struct SlotForm {
     pub(crate) residency: WeightResidency,
 }
 
-/// The serving memo a [`DistributedSystem`] owns, shared by every
-/// serving run on the system and on its clones: each slot's lowered
-/// one-block form per `(mode, billed context)`, and each pass makespan
-/// per *ordered* slot-shape vector. A pass makespan is a function of the
+/// The memo a [`DistributedSystem`] owns, shared by its block spans,
+/// batches and serving runs and by its clones: each slot's lowered
+/// one-block form per `(mode, billed context)`, and each serving pass
+/// makespan per *ordered* slot-shape vector. It keeps lowered forms
+/// only, never a compiled schedule, whose program template would stay
+/// alive beside the form (`DESIGN.md` §12). A pass makespan is a function of the
 /// system and its slot shapes alone — not of the workload, the policy,
 /// the billing or the request-level fault profile, which only decide
 /// which shapes occur — so sharing it across runs is exact.
@@ -802,7 +783,7 @@ pub(crate) struct SlotForm {
 /// the lock; compiling, lowering and simulating never do, and when two
 /// threads compute the same entry the first insert wins (both computed
 /// the same value). A system allocates its memo on first use, so one that
-/// never serves or clones allocates nothing for it.
+/// never simulates or clones allocates nothing for it.
 #[derive(Default)]
 pub(crate) struct ServeMemo {
     tables: Mutex<MemoTables>,
@@ -1273,6 +1254,23 @@ mod tests {
         let flat = sys.with_topology(mtp_link::Topology::flat(4).unwrap());
         assert_eq!(memo_len(&flat), (0, 0));
         assert_eq!(memo_len(&clone), filled);
+    }
+
+    #[test]
+    fn solo_prefill_baseline_takes_its_slot_from_the_memo() {
+        // The unloaded baseline a serving study compares against leaves
+        // its slot form in the memo and no pass entry (a batch reports
+        // full stats, not one makespan); a serve meeting that prompt
+        // length then reuses the very form.
+        let (sys, p) = (sys(4), 16);
+        sys.simulate_batch(InferenceMode::Prompt, &BatchWorkload::uniform(1, p, 0)).unwrap();
+        assert_eq!(memo_len(&sys), (1, 0));
+        let form =
+            || Arc::clone(&sys.serve_memo().tables().slots[&(InferenceMode::Prompt, p)].lowered);
+        let baseline = form();
+        let policy = BatchPolicy::Continuous { max_slots: 2 };
+        sys.simulate_serve(&saturated(3, p, 2), policy, Billing::PerRequest).unwrap();
+        assert!(Arc::ptr_eq(&baseline, &form()), "the serve compiled its prefill slot again");
     }
 
     #[test]

@@ -3,9 +3,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::schedule::{BatchRegime, CompiledSchedule};
-use crate::serve::ServeMemo;
-use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport};
+use crate::serve::{ServeMemo, SlotShape};
+use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport, WeightResidency};
 use mtp_energy::EnergyParams;
 use mtp_link::Topology;
 use mtp_model::{BatchWorkload, InferenceMode, TransformerConfig};
@@ -27,22 +26,23 @@ use mtp_sim::{ChipSpec, Lowered, Machine, RunStats};
 /// # Ok::<(), mtp_core::CoreError>(())
 /// ```
 ///
-/// A system owns the serving memo (`DESIGN.md` §12): the slot forms and
-/// pass makespans every serving run on it — and on its clones, which
-/// share the memo — computes once.
+/// A system owns one memo (`DESIGN.md` §12): the lowered slot forms its
+/// block spans, batches and serving passes run, and the serving pass
+/// makespans, each computed once for the system and its clones, which
+/// share the memo.
 #[derive(Debug)]
 pub struct DistributedSystem {
     cfg: TransformerConfig,
     chip: ChipSpec,
     n_chips: usize,
     topology: Option<Topology>,
-    /// The serving memo, allocated on first use so that building a
-    /// system that never serves allocates nothing for it.
+    /// The slot and pass memo, allocated on first use so that building
+    /// a system that never simulates allocates nothing for it.
     memo: OnceLock<Arc<ServeMemo>>,
 }
 
 impl Clone for DistributedSystem {
-    /// The clone shares the serving memo, which is allocated here if no
+    /// The clone shares the memo, which is allocated here if no
     /// run has needed it yet.
     fn clone(&self) -> Self {
         DistributedSystem {
@@ -80,7 +80,7 @@ impl DistributedSystem {
 
     /// Overrides the reduction topology (used by the flat-all-reduce
     /// ablation). Another reduction tree is another machine, so the
-    /// system starts a fresh serving memo.
+    /// system starts a fresh memo.
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = Some(topology);
@@ -111,7 +111,7 @@ impl DistributedSystem {
         self.topology.as_ref()
     }
 
-    /// The serving memo this system shares with its clones.
+    /// The slot and pass memo this system shares with its clones.
     pub(crate) fn serve_memo(&self) -> &Arc<ServeMemo> {
         self.memo.get_or_init(Arc::default)
     }
@@ -149,27 +149,26 @@ impl DistributedSystem {
         self.simulate_blocks(mode, 1)
     }
 
-    /// Simulates `n_blocks` consecutive blocks.
+    /// Simulates `n_blocks` consecutive blocks: one request slot at the
+    /// model's own context, repeated `n_blocks` times
+    /// (`DistributedSystem::run_slots`).
     ///
-    /// Multi-block spans run through the periodic steady-state engine
-    /// ([`mtp_sim::Machine::run_periodic`]): one block template is compiled and
-    /// simulated until the machine state provably repeats, then the
-    /// remaining blocks are extrapolated — with results identical to
-    /// simulating every block (locked by `tests/periodic_lockstep.rs`).
+    /// The periodic steady-state engine
+    /// ([`mtp_sim::Machine::run_periodic_lowered`]) runs the block until
+    /// the machine state provably repeats and extrapolates the remaining
+    /// blocks, with results identical to simulating every block (locked
+    /// by `tests/periodic_lockstep.rs`).
     ///
     /// # Errors
     ///
     /// Propagates partitioning and simulation errors; `n_blocks` must be
     /// at least 1.
     pub fn simulate_blocks(&self, mode: InferenceMode, n_blocks: usize) -> Result<SystemReport> {
-        let compiled = CompiledSchedule::compile(
-            &self.cfg,
-            self.n_chips,
-            &self.chip,
-            self.topology.clone(),
-            mode,
-        )?;
-        compiled.simulate(&self.chip, n_blocks)
+        if n_blocks == 0 {
+            return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
+        }
+        let (stats, residency) = self.run_slots(&[(mode, self.cfg.seq_len)], n_blocks)?;
+        Ok(self.report(mode, n_blocks, residency, stats))
     }
 
     /// Simulates a full forward pass over all `n_layers` blocks of the
@@ -185,25 +184,23 @@ impl DistributedSystem {
     /// Simulates a full model pass serving a multi-request batch: every
     /// block runs each request's slot back to back (requests are
     /// independent streams time-multiplexed over the same chips, each
-    /// with its own KV-cache state).
+    /// with its own KV-cache state), so the pass is
+    /// `DistributedSystem::run_slots` over `n_layers` blocks.
     ///
-    /// Uniform batches ([`BatchRegime::Uniform`]) route through the
-    /// periodic engine's request-level fixed point, so their cost is
-    /// independent of batch size; heterogeneous prompt-mode batches run
-    /// one interleaved block of every request's slot through the same
-    /// engine, `n_layers` times (see `DESIGN.md` §10 for the regime split
-    /// and its fallback conditions). In prompt mode each request's slot
-    /// processes its own prompt length; in autoregressive mode every slot
-    /// is one decode step against the model's full cached context,
-    /// exactly as the single-request path simulates it. Arrival offsets
-    /// shape the functional KV-cache trajectories, not the saturated
-    /// steady-state schedule, so they do not enter the timing model.
+    /// In prompt mode each request's slot processes its own prompt
+    /// length; in autoregressive mode every slot is one decode step
+    /// against the model's full cached context, exactly as the
+    /// single-request path simulates it. Arrival offsets shape the
+    /// functional KV-cache trajectories, not the saturated steady-state
+    /// schedule, so they do not enter the timing model.
     ///
     /// A batch of one request is the single-request path: for a workload
     /// whose prompt length matches `cfg.seq_len`, the report's stats are
     /// identical to [`DistributedSystem::simulate_model`] (locked by
     /// `tests/batch_lockstep.rs`). The report's `n_blocks` counts block
-    /// instances (`n_layers * n_requests`).
+    /// instances (`n_layers * n_requests`), and its residency regime is
+    /// the first request's: a longer prompt's larger KV working set can
+    /// shift another slot's plan.
     ///
     /// # Errors
     ///
@@ -215,60 +212,27 @@ impl DistributedSystem {
         workload: &BatchWorkload,
     ) -> Result<SystemReport> {
         workload.validate_for(&self.cfg).map_err(CoreError::InvalidConfig)?;
-        match BatchRegime::of(workload, mode) {
-            BatchRegime::Uniform => {
-                // One request-slot template serves the whole batch. The
-                // per-pass token count comes from the workload in prompt
-                // mode (each slot processes its prompt); autoregressive
-                // slots use the model's own steady-state context.
-                let cfg = match mode {
-                    InferenceMode::Autoregressive => self.cfg.clone(),
-                    InferenceMode::Prompt => {
-                        self.cfg.clone().with_seq_len(workload.requests()[0].prompt_len)
-                    }
-                };
-                let compiled = CompiledSchedule::compile(
-                    &cfg,
-                    self.n_chips,
-                    &self.chip,
-                    self.topology.clone(),
-                    mode,
-                )?;
-                compiled.simulate_batched(&self.chip, self.cfg.n_layers, workload.n_requests())
-            }
-            BatchRegime::Mixed(_) => self.simulate_mixed_batch(mode, workload),
-        }
-    }
-
-    /// The heterogeneous-batch path: every request takes its one-block
-    /// template at its prompt length from the system's slot memo
-    /// ([`DistributedSystem::slot_form`]), and the templates form one
-    /// interleaved block that repeats `n_layers` times
-    /// ([`DistributedSystem::run_interleaved`]). This is the prompt-batch
-    /// twin of a mixed serving pass.
-    fn simulate_mixed_batch(
-        &self,
-        mode: InferenceMode,
-        workload: &BatchWorkload,
-    ) -> Result<SystemReport> {
-        let slots = workload
+        let shapes: Vec<SlotShape> = workload
             .requests()
             .iter()
-            .map(|spec| self.slot_form(mode, spec.tokens_per_pass(mode)))
-            .collect::<Result<Vec<_>>>()?;
-        let stats = self.run_interleaved(slots.iter().map(|slot| &*slot.lowered))?;
-        // The report's residency regime is the first request's plan;
-        // per-request plans can differ across a mixed batch (longer
-        // prompts enlarge the KV working set), and each slot stages
-        // weights according to its own plan.
-        Ok(crate::report::from_stats(
-            &self.chip,
-            self.n_chips,
-            mode,
-            self.cfg.n_layers * workload.n_requests(),
-            slots[0].residency,
-            stats,
-        ))
+            .map(|spec| match mode {
+                InferenceMode::Autoregressive => (mode, self.cfg.seq_len),
+                InferenceMode::Prompt => (mode, spec.prompt_len),
+            })
+            .collect();
+        let n_blocks = self.cfg.n_layers.checked_mul(shapes.len()).ok_or_else(block_overflow)?;
+        let (stats, residency) = self.run_slots(&shapes, self.cfg.n_layers)?;
+        Ok(self.report(mode, n_blocks, residency, stats))
+    }
+
+    fn report(
+        &self,
+        mode: InferenceMode,
+        n_blocks: usize,
+        residency: WeightResidency,
+        stats: RunStats,
+    ) -> SystemReport {
+        crate::report::from_stats(&self.chip, self.n_chips, mode, n_blocks, residency, stats)
     }
 
     /// A machine of this system's chips, with no fault plan.
@@ -276,28 +240,54 @@ impl DistributedSystem {
         Machine::homogeneous(self.chip, self.n_chips)
     }
 
-    /// One model pass over heterogeneous request slots, each lowered for
-    /// [`DistributedSystem::machine`]. The slots' lowered one-block
-    /// templates are concatenated on every chip into one interleaved
-    /// block ([`Lowered::concat`]), each slot's message and sync ids
-    /// shifted past the spans of the slots before it; no program is
-    /// rebuilt. The pass is `n_layers` repetitions of that block, so it
-    /// runs through [`Machine::run_periodic_lowered`], which proves the
-    /// fixed point or falls back to the exact full run by itself
+    /// `n_blocks` blocks of one pass over request slots of the given
+    /// `(mode, context)` shapes, in slot order, with the first slot's
+    /// residency regime. Every slot's lowered one-block form comes from
+    /// the system's memo ([`DistributedSystem::slot_form`]), so block
+    /// spans, batches and serving passes share one slot path
     /// (`DESIGN.md` §10).
-    pub(crate) fn run_interleaved<'a>(
+    ///
+    /// Uniform shapes run one slot's form `n_blocks x slots` times: each
+    /// request slot is one more block with shifted ids. Mixed shapes
+    /// concatenate the slots' forms on every chip into one interleaved
+    /// block ([`Lowered::concat`]), each slot's message and sync ids
+    /// shifted past the spans of the slots before it, and run that block
+    /// `n_blocks` times. Either way the periodic engine
+    /// ([`Machine::run_periodic_lowered`]) proves the fixed point or
+    /// falls back to the exact full run by itself.
+    pub(crate) fn run_slots(
         &self,
-        slots: impl IntoIterator<Item = &'a Lowered>,
-    ) -> Result<RunStats> {
-        let block = Lowered::concat(slots);
-        Ok(self.machine().run_periodic_lowered(&block, self.cfg.n_layers)?)
+        shapes: &[SlotShape],
+        n_blocks: usize,
+    ) -> Result<(RunStats, WeightResidency)> {
+        if shapes.is_empty() {
+            return Err(CoreError::InvalidConfig("a pass needs at least one slot".into()));
+        }
+        let uniform = shapes.iter().all(|shape| shape == &shapes[0]);
+        let forms = if uniform { &shapes[..1] } else { shapes }
+            .iter()
+            .map(|&(mode, seq)| self.slot_form(mode, seq))
+            .collect::<Result<Vec<_>>>()?;
+        let stats = if uniform {
+            let blocks = n_blocks.checked_mul(shapes.len()).ok_or_else(block_overflow)?;
+            self.machine().run_periodic_lowered(&forms[0].lowered, blocks)?
+        } else {
+            let block = Lowered::concat(forms.iter().map(|form| &*form.lowered));
+            self.machine().run_periodic_lowered(&block, n_blocks)?
+        };
+        Ok((stats, forms[0].residency))
     }
+}
+
+/// The error of a block count that does not fit in `usize`.
+fn block_overflow() -> CoreError {
+    CoreError::InvalidConfig("batched block count overflows usize".into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WeightResidency;
+    use crate::schedule::CompiledSchedule;
 
     #[test]
     fn single_vs_eight_chip_autoregressive() {

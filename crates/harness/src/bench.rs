@@ -294,13 +294,13 @@ pub fn run(quick: bool) -> BenchReport {
     );
 
     // --- Batched simulator entry: the same 8-chip machine serving a
-    // uniform batch of 8 requests over 8 blocks (64 block instances).
-    // Request-level periodicity reuses the single-request warmup, so the
-    // periodic path should sit near the single-request deep numbers; the
-    // full path simulates every instance.
+    // uniform batch of 8 requests over 8 blocks. A batch is a block
+    // count: 64 block instances of one template, so the periodic path
+    // should sit near the single-request deep numbers; the full path
+    // simulates every instance.
     let batch_programs = Scheduler::new(&cfg, 8, &chip)
         .expect("scheduler")
-        .batch_model_programs(InferenceMode::Autoregressive, 8, 8)
+        .model_programs(InferenceMode::Autoregressive, 8 * 8)
         .expect("programs");
     let block_template = Scheduler::new(&cfg, 8, &chip)
         .expect("scheduler")
@@ -315,7 +315,7 @@ pub fn run(quick: bool) -> BenchReport {
     push(
         "sim/8chip_ar_8blk_b8_periodic",
         best_of(s_reps, || {
-            std::hint::black_box(machine.run_batched(&block_template, 8, 8).expect("run_batched"));
+            std::hint::black_box(machine.run_periodic(&block_template, 8 * 8).expect("periodic"));
         }),
         s_reps,
     );

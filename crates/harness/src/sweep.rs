@@ -36,7 +36,7 @@
 
 use crate::record::{self, Cell, Cells, Format, Record, Table};
 use crate::table::{fmt_cycles, TextTable};
-use mtp_core::schedule::{BatchRegime, CompiledSchedule};
+use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{
     CoreError, DistributedSystem, FailPolicy, MemoryPlan, PartitionSpec, SystemReport,
     WeightResidency,
@@ -701,13 +701,6 @@ impl Scenario {
             topology,
             placement: self.placement,
             residency: plan.residency,
-            // The sweep axis is a uniform batch of the scenario's own
-            // workload shape, and a uniform batch of any size reuses the
-            // single-request template — the batch regime therefore never
-            // splits a key here. (Heterogeneous batches would carry
-            // their shape vector and get their own template; see
-            // `BatchRegime`.)
-            batch: BatchRegime::Uniform,
         })
     }
 
@@ -727,10 +720,9 @@ impl Scenario {
 /// Cache key of the engine's compiled-schedule store: the structural
 /// fields of a [`Scenario`] (model architecture with name and depth
 /// normalized away, mode, chip count, topology, placement) plus the
-/// weight-residency regime the memory plan selects and the batch regime
-/// (uniform batches of every size collapse onto the single-request
-/// template; batch size, like depth, only changes how often the template
-/// runs). See [`Scenario::schedule_key`].
+/// weight-residency regime the memory plan selects. Batch size, like
+/// depth, only changes how often the template runs, so it never splits
+/// a key. See [`Scenario::schedule_key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScheduleKey {
     structure: TransformerConfig,
@@ -739,7 +731,6 @@ pub struct ScheduleKey {
     topology: TopologySpec,
     placement: PlacementPolicy,
     residency: WeightResidency,
-    batch: BatchRegime,
 }
 
 /// A declarative cross product of scenario axes.

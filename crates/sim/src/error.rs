@@ -57,14 +57,6 @@ pub enum SimError {
         /// Chip that actually sent the message.
         actual: ChipId,
     },
-    /// A batched run's block count, `n_blocks * n_requests`, does not
-    /// fit in `usize`.
-    BlockCountOverflow {
-        /// Blocks per request.
-        n_blocks: usize,
-        /// Requests per block.
-        n_requests: usize,
-    },
     /// An extrapolated run's cycle or byte counters do not fit in `u64`
     /// at this depth.
     CycleOverflow {
@@ -109,9 +101,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::SenderMismatch { msg, expected, actual } => {
                 write!(f, "message {} expected from {expected} but sent by {actual}", msg.0)
-            }
-            SimError::BlockCountOverflow { n_blocks, n_requests } => {
-                write!(f, "{n_blocks} blocks x {n_requests} requests overflows the block count")
             }
             SimError::CycleOverflow { n_blocks } => {
                 write!(f, "cycle counters overflow u64 at {n_blocks} blocks")

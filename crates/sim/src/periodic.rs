@@ -261,60 +261,6 @@ impl Machine {
         }
         self.run_lowered(&template.repeat(n_blocks))
     }
-
-    /// Executes `n_blocks` Transformer blocks each serving a uniform
-    /// batch of `n_requests` interleaved requests, where every request's
-    /// per-block work lowers to the same per-chip `template` (the
-    /// *request slot*).
-    ///
-    /// A uniform batched block is the request-slot template instantiated
-    /// `n_requests` times with fresh message/sync identifiers — requests
-    /// are independent, so nothing else distinguishes them at the timing
-    /// level ("same shape, different data") — and a batched model pass is
-    /// therefore `n_blocks * n_requests` back-to-back instantiations of
-    /// one template. That is exactly the workload
-    /// [`Machine::run_periodic`]'s uniform-delta fixed point already
-    /// covers, so **request-level periodicity needs no new proof**: the
-    /// warmup cost is identical to the single-request pass and the
-    /// remaining `(n_blocks * n_requests) - k` repetitions extrapolate in
-    /// O(1), which is what makes batched sweeps cost the same as
-    /// single-request ones. With `n_requests == 1` this is
-    /// [`Machine::run_periodic`] verbatim — the batch=1 lockstep
-    /// guarantee, by construction.
-    ///
-    /// Like `run_periodic` (and deliberately unlike the validating
-    /// wrappers in `mtp-core`, which reject empty batches with a
-    /// configuration error), zero blocks *or* zero requests is the
-    /// machine-level degenerate case: an empty run with makespan 0.
-    ///
-    /// ```
-    /// use mtp_sim::{ChipSpec, Instr, Machine, Program};
-    /// use mtp_kernels::Kernel;
-    ///
-    /// let machine = Machine::homogeneous(ChipSpec::siracusa(), 1);
-    /// let slot = Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))]);
-    /// let batched = machine.run_batched(std::slice::from_ref(&slot), 24, 16)?;
-    /// let single = machine.run_periodic(std::slice::from_ref(&slot), 24)?;
-    /// assert_eq!(batched.makespan, 16 * single.makespan);
-    /// # Ok::<(), mtp_sim::SimError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::BlockCountOverflow`] when `n_blocks * n_requests`
-    /// overflows `usize`; otherwise the same conditions as
-    /// [`Machine::run_periodic`] on the concatenated programs.
-    pub fn run_batched(
-        &self,
-        template: &[Program],
-        n_blocks: usize,
-        n_requests: usize,
-    ) -> Result<RunStats> {
-        let total = n_blocks
-            .checked_mul(n_requests)
-            .ok_or(crate::SimError::BlockCountOverflow { n_blocks, n_requests })?;
-        self.run_periodic(template, total)
-    }
 }
 
 #[cfg(test)]
@@ -404,65 +350,6 @@ mod tests {
         let template =
             [Program::from_instrs([Instr::recv(1, 99)]), Program::from_instrs([Instr::Sync(0)])];
         assert!(matches!(m.run_periodic(&template, 8), Err(crate::SimError::Deadlock { .. })));
-    }
-
-    #[test]
-    fn batched_run_equals_concatenated_interleaving() {
-        // A 2-chip ping-pong template: a batch of B requests over N
-        // blocks must equal the full simulation of N*B id-shifted
-        // instantiations (block-major, request-interleaved — the same
-        // stream either way).
-        let m = machine(2);
-        let p0 = Program::from_instrs([
-            Instr::compute(Kernel::gemm(16, 128, 128)),
-            Instr::send(1, 0, 2048),
-            Instr::recv(1, 1),
-        ]);
-        let p1 = Program::from_instrs([
-            Instr::compute(Kernel::gemv(512, 128)),
-            Instr::recv(0, 0),
-            Instr::send(0, 1, 2048),
-        ]);
-        let template = [p0, p1];
-        for (n_blocks, n_requests) in [(1usize, 1usize), (3, 2), (2, 5), (8, 4)] {
-            let fast = m.run_batched(&template, n_blocks, n_requests).unwrap();
-            let full = m.run(&concat_shifted(&template, n_blocks * n_requests)).unwrap();
-            assert_eq!(fast, full, "n_blocks={n_blocks} n_requests={n_requests}");
-        }
-    }
-
-    #[test]
-    fn batch_of_one_is_run_periodic_verbatim() {
-        let m = machine(1);
-        let template =
-            [Program::from_instrs([Instr::compute(Kernel::gemv(256, 256)), Instr::Sync(0)])];
-        for n_blocks in [1usize, 5, 100] {
-            assert_eq!(
-                m.run_batched(&template, n_blocks, 1).unwrap(),
-                m.run_periodic(&template, n_blocks).unwrap(),
-                "n_blocks={n_blocks}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_an_empty_run() {
-        let m = machine(1);
-        let template = [Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))])];
-        let stats = m.run_batched(&template, 10, 0).unwrap();
-        assert_eq!(stats.makespan, 0);
-    }
-
-    #[test]
-    fn overflowing_batch_is_a_typed_error() {
-        let m = machine(1);
-        let template = [Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))])];
-        assert_eq!(
-            m.run_batched(&template, usize::MAX, 2),
-            Err(crate::SimError::BlockCountOverflow { n_blocks: usize::MAX, n_requests: 2 })
-        );
-        // The product, not either factor alone, decides.
-        assert!(m.run_batched(&template, usize::MAX, 0).is_ok());
     }
 
     fn machine_with_regime(n: usize, regime: crate::LinkRegime) -> Machine {

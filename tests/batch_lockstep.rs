@@ -3,12 +3,12 @@
 //!
 //! **Batch=1 lockstep** — a batch of one request must be *bit-identical*
 //! to the pre-batching single-request path at every layer: schedule
-//! programs ([`Scheduler::batch_block_programs`] vs
+//! programs (one block of [`Scheduler::model_programs`] vs
 //! [`Scheduler::block_programs`]), simulation (`RunStats` equality of
-//! [`DistributedSystem::simulate_batch`] vs `simulate_model`,
-//! [`CompiledSchedule::simulate_batched`] vs `simulate`, batched sweep
-//! scenarios vs unbatched ones) — across the default sweep grid, the
-//! deep presets, and all three residency regimes.
+//! [`DistributedSystem::simulate_batch`] vs `simulate_model` vs
+//! [`CompiledSchedule::simulate`], batched sweep scenarios vs unbatched
+//! ones) — across the default sweep grid, the deep presets, and all
+//! three residency regimes.
 //!
 //! **Batch exactness and isolation** — uniform batches must equal full
 //! event-driven simulation of the interleaved block-major program
@@ -48,12 +48,12 @@ fn default_grid_batch1_lockstep() {
             continue; // invalid partition for this chip count
         }
         let schip = scenario.chip();
-        // Schedule level: one-request batch programs are the block
-        // programs, with the same counter state after emission.
+        // Schedule level: one block of one request slot is the block
+        // programs.
         let mut batched = Scheduler::new(cfg, scenario.n_chips, &schip).unwrap();
         let mut single = Scheduler::new(cfg, scenario.n_chips, &schip).unwrap();
         assert_eq!(
-            batched.batch_block_programs(scenario.mode, 1).unwrap(),
+            batched.model_programs(scenario.mode, 1).unwrap(),
             single.block_programs(scenario.mode),
             "{} x{}",
             cfg.name,
@@ -95,11 +95,11 @@ fn deep_presets_and_regimes_batch1_lockstep() {
         let single = sys.simulate_model(mode).unwrap();
         assert_eq!(batched.stats, single.stats, "{} x{n_chips} {mode}", cfg.name);
         assert_eq!(batched.residency, single.residency);
-        // Compiled-schedule level too.
+        // The sweep's evaluator, with its steady-state memo, agrees.
         let compiled = CompiledSchedule::compile(&cfg, n_chips, &chip, None, mode).unwrap();
         assert_eq!(
-            compiled.simulate_batched(&chip, cfg.n_layers, 1).unwrap().stats,
             compiled.simulate(&chip, cfg.n_layers).unwrap().stats,
+            single.stats,
             "{} x{n_chips}",
             cfg.name
         );
@@ -127,8 +127,9 @@ fn engine_batch1_rows_equal_unbatched_rows() {
 // ---------------------------------------------------------------------
 
 /// Uniform batches across sizes, chip counts, modes, and residency
-/// regimes: the periodic request-level fast path must equal full
-/// event-driven simulation of the interleaved block-major stream.
+/// regimes: a batch of B requests over n blocks is n x B blocks, and the
+/// periodic engine on that count must equal full event-driven
+/// simulation of the interleaved block-major stream.
 #[test]
 fn uniform_batches_equal_full_interleaved_simulation() {
     let chip = ChipSpec::siracusa();
@@ -145,10 +146,10 @@ fn uniform_batches_equal_full_interleaved_simulation() {
         let template = Scheduler::new(&cfg, n_chips, &chip).unwrap().block_programs(mode);
         let full_programs = Scheduler::new(&cfg, n_chips, &chip)
             .unwrap()
-            .batch_model_programs(mode, n_blocks, batch)
+            .model_programs(mode, n_blocks * batch)
             .unwrap();
         let machine = Machine::homogeneous(chip, n_chips);
-        let fast = machine.run_batched(&template, n_blocks, batch).unwrap();
+        let fast = machine.run_periodic(&template, n_blocks * batch).unwrap();
         let full = machine.run(&full_programs).unwrap();
         assert_eq!(fast, full, "{} x{n_chips} {mode} blocks={n_blocks} batch={batch}", cfg.name);
     }
@@ -167,7 +168,7 @@ fn deep_batched_system_matches_explicit_full_simulation() {
         .unwrap();
     let programs = Scheduler::new(&cfg, 8, &chip)
         .unwrap()
-        .batch_model_programs(InferenceMode::Autoregressive, 96, 4)
+        .model_programs(InferenceMode::Autoregressive, 96 * 4)
         .unwrap();
     let full = Machine::homogeneous(chip, 8).run(&programs).unwrap();
     assert_eq!(fast.stats, full);
