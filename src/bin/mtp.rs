@@ -372,7 +372,15 @@ fn sweep_cmd(args: &[String], out: &mut impl Write) -> CliResult {
     let engine = if has_flag(args, "--serial") {
         SweepEngine::serial()
     } else if let Some(threads) = flag_value(args, "--threads") {
-        SweepEngine::with_threads(threads.parse()?)
+        let n: usize = threads.parse()?;
+        if n > MAX_SWEEP_THREADS {
+            return Err(format!(
+                "--threads {n} exceeds the budget of {MAX_SWEEP_THREADS} threads \
+                 (MAX_SWEEP_THREADS)"
+            )
+            .into());
+        }
+        SweepEngine::with_threads(n)
     } else {
         SweepEngine::new()
     };
@@ -558,6 +566,10 @@ fn serve_cmd(args: &[String], out: &mut impl Write) -> CliResult {
 /// keeps its arrival and latency records for the whole run, so the
 /// budget bounds the run's time and memory.
 const MAX_SERVE_REQUESTS: usize = 100_000;
+
+/// Most worker threads one `mtp sweep --threads` run may start: each is
+/// an OS thread, so the budget bounds what one flag can ask of the host.
+const MAX_SWEEP_THREADS: usize = 256;
 
 /// Most bandwidth points one `--link-bw` list may expand to: each point
 /// is scored in every design group, so the budget bounds the search's

@@ -272,6 +272,15 @@ fn over_budget_specs_are_rejected_naming_the_budget() {
         "{}",
         stderr(&out)
     );
+    // Rejected while parsing, before any engine or thread exists.
+    let out = mtp(&["sweep", "--threads", "100000000"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out)
+            .contains("--threads 100000000 exceeds the budget of 256 threads (MAX_SWEEP_THREADS)"),
+        "{}",
+        stderr(&out)
+    );
     let out = mtp(&["serve", "--models", "tinyllama", "--chips", "4", "--faults", "fail:1000:101"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
