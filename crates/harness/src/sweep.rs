@@ -466,8 +466,16 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a zero link bandwidth,
-    /// a zero-byte queue buffer, or a lossy drop rate of 1000‰ or more.
+    /// a zero-byte queue buffer, a lossy drop rate of 1000‰ or more, or
+    /// a batch whose block count does not fit in `usize`.
     pub fn validate(&self) -> Result<(), CoreError> {
+        if self.block_count().is_none() {
+            return Err(CoreError::InvalidConfig(format!(
+                "batch {} of the {} span overflows the block count",
+                self.batch,
+                self.span.label()
+            )));
+        }
         if self.link_bw_pct == 0 {
             return Err(CoreError::InvalidConfig(
                 "link bandwidth must be positive: 0% of the MIPI port is a zero-rate link \
@@ -637,14 +645,19 @@ impl Scenario {
     }
 
     /// Number of Transformer block instances this scenario simulates
-    /// (span blocks times the uniform batch size).
+    /// (span blocks times the uniform batch size). A count past `usize`
+    /// saturates; [`Scenario::validate`] rejects it.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
+        self.block_count().unwrap_or(usize::MAX)
+    }
+
+    fn block_count(&self) -> Option<usize> {
         let span_blocks = match self.span {
             Span::Block => 1,
             Span::Model => self.config.n_layers,
         };
-        span_blocks * self.batch
+        span_blocks.checked_mul(self.batch)
     }
 
     /// The compiled-schedule cache key: exactly the scenario fields a
@@ -2143,6 +2156,29 @@ mod tests {
         assert_eq!(results.rows.len(), 0);
         assert_eq!(results.skipped.len(), 1);
         assert!(results.skipped[0].reason.contains("bandwidth"), "{}", results.skipped[0].reason);
+    }
+
+    #[test]
+    fn a_batch_past_the_block_count_is_skipped_not_wrapped() {
+        // Eight model blocks times 2^61 + 1 requests is 2^64 + 8 block
+        // instances: a wrapping product would simulate eight.
+        let batch = (1usize << 61) + 1;
+        let huge =
+            Scenario::new(TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive, 8)
+                .with_span(Span::Model)
+                .with_batch(batch);
+        assert_eq!(huge.n_blocks(), usize::MAX);
+        assert!(huge.schedule_key().is_err());
+        let results = SweepEngine::new().run_scenarios(&[huge]);
+        assert_eq!(results.rows.len(), 0);
+        assert_eq!(
+            results.skipped[0].reason,
+            format!(
+                "invalid model configuration: batch {batch} of the model span overflows the \
+                 block count"
+            )
+        );
+        assert!(!results.skipped[0].overflow);
     }
 
     #[test]
