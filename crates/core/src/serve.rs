@@ -772,10 +772,11 @@ pub(crate) struct SlotForm {
 /// one-block form per `(mode, billed context)`, and each serving pass
 /// makespan per *ordered* slot-shape vector. It keeps lowered forms
 /// only, never a compiled schedule, whose program template would stay
-/// alive beside the form (`DESIGN.md` §12). A pass makespan is a function of the
-/// system and its slot shapes alone — not of the workload, the policy,
-/// the billing or the request-level fault profile, which only decide
-/// which shapes occur — so sharing it across runs is exact.
+/// alive beside the form (`DESIGN.md` §12). A pass makespan is a
+/// function of the system and its slot shapes alone — not of the
+/// workload, the policy, the billing or the request-level fault
+/// profile, which only decide which shapes occur — so sharing it across
+/// runs is exact.
 ///
 /// Slot forms are bounded by the workload validation: every slot's
 /// context is in `1..=seq_len`, so at most `2 x seq_len` forms. The pass

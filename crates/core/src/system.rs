@@ -241,8 +241,8 @@ impl DistributedSystem {
     }
 
     /// `n_blocks` blocks of one pass over request slots of the given
-    /// `(mode, context)` shapes, in slot order, with the first slot's
-    /// residency regime. Every slot's lowered one-block form comes from
+    /// `(mode, context)` shapes (at least one), in slot order, with the
+    /// first slot's residency regime. Every slot's lowered one-block form comes from
     /// the system's memo ([`DistributedSystem::slot_form`]), so block
     /// spans, batches and serving passes share one slot path
     /// (`DESIGN.md` §10).
@@ -260,9 +260,6 @@ impl DistributedSystem {
         shapes: &[SlotShape],
         n_blocks: usize,
     ) -> Result<(RunStats, WeightResidency)> {
-        if shapes.is_empty() {
-            return Err(CoreError::InvalidConfig("a pass needs at least one slot".into()));
-        }
         let uniform = shapes.iter().all(|shape| shape == &shapes[0]);
         let forms = if uniform { &shapes[..1] } else { shapes }
             .iter()
