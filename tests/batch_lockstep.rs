@@ -297,8 +297,9 @@ fn regime_boundary_uniform_equals_mirrored() {
 // Pins: block spans and batches, byte for byte, under every regime.
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64 of every counter a report carries: the full `RunStats`,
-/// the block count, the residency regime and the energy total.
+/// FNV-1a 64 of a report's makespan, sync phases, every chip's timing,
+/// traffic and link counters (these runs inject no faults), block
+/// count, residency regime and energy total.
 fn report_digest(report: &SystemReport) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut word = |w: u64| {
