@@ -27,18 +27,16 @@
 //!
 //! let batch = BatchWorkload::uniform(4, 16, 8);
 //! assert_eq!(batch.n_requests(), 4);
-//! assert!(batch.is_uniform_for(mtp_model::InferenceMode::Prompt));
 //! let mixed = BatchWorkload::new(vec![
 //!     RequestSpec { prompt_len: 16, decode_len: 8, arrival: 0 },
 //!     RequestSpec { prompt_len: 64, decode_len: 4, arrival: 2 },
 //! ])?;
-//! assert!(!mixed.is_uniform_for(mtp_model::InferenceMode::Prompt));
-//! assert!(mixed.is_uniform_for(mtp_model::InferenceMode::Autoregressive));
+//! assert_eq!(mixed.max_context(), 68);
 //! # Ok::<(), String>(())
 //! ```
 
 use crate::generate::{argmax_row, Embedding, TokenId};
-use crate::{reference, InferenceMode, KvCache, ModelWeights, TransformerConfig};
+use crate::{reference, KvCache, ModelWeights, TransformerConfig};
 use mtp_tensor::{Result, Tensor, TensorError};
 
 /// The shape of one request in a batch: how many prompt tokens it
@@ -65,17 +63,6 @@ impl RequestSpec {
     #[must_use]
     pub fn context_len(&self) -> usize {
         self.prompt_len + self.decode_len
-    }
-
-    /// Tokens one Transformer-block pass processes for this request in
-    /// the given mode: 1 per autoregressive decode step, the whole
-    /// prompt in prompt mode.
-    #[must_use]
-    pub fn tokens_per_pass(&self, mode: InferenceMode) -> usize {
-        match mode {
-            InferenceMode::Autoregressive => 1,
-            InferenceMode::Prompt => self.prompt_len,
-        }
     }
 }
 
@@ -128,26 +115,6 @@ impl BatchWorkload {
     #[must_use]
     pub fn requests(&self) -> &[RequestSpec] {
         &self.requests
-    }
-
-    /// `true` when every request presents the same per-block token count
-    /// in the given mode — the condition under which one request-slot
-    /// schedule template serves the whole batch. Autoregressive batches
-    /// are always uniform (every decode step processes one token);
-    /// prompt-mode batches are uniform when all prompt lengths agree.
-    /// Arrival offsets never affect uniformity (they are invisible to
-    /// the steady-state schedule).
-    #[must_use]
-    pub fn is_uniform_for(&self, mode: InferenceMode) -> bool {
-        let first = self.requests[0].tokens_per_pass(mode);
-        self.requests.iter().all(|r| r.tokens_per_pass(mode) == first)
-    }
-
-    /// Per-request per-block token counts in request order (the shape
-    /// vector heterogeneous batches are keyed by).
-    #[must_use]
-    pub fn tokens_per_pass(&self, mode: InferenceMode) -> Vec<usize> {
-        self.requests.iter().map(|r| r.tokens_per_pass(mode)).collect()
     }
 
     /// The longest per-request context any request reaches.
@@ -536,27 +503,6 @@ mod tests {
         let long = BatchWorkload::uniform(1, 20, 8);
         let err = long.validate_for(&small_cfg()).unwrap_err();
         assert!(err.contains("28"), "{err}");
-    }
-
-    #[test]
-    fn uniformity_per_mode() {
-        let mixed = BatchWorkload::new(vec![
-            RequestSpec { prompt_len: 4, decode_len: 1, arrival: 0 },
-            RequestSpec { prompt_len: 8, decode_len: 9, arrival: 3 },
-        ])
-        .unwrap();
-        // Autoregressive steps always process one token per pass.
-        assert!(mixed.is_uniform_for(InferenceMode::Autoregressive));
-        assert!(!mixed.is_uniform_for(InferenceMode::Prompt));
-        assert_eq!(mixed.tokens_per_pass(InferenceMode::Prompt), vec![4, 8]);
-        assert_eq!(mixed.tokens_per_pass(InferenceMode::Autoregressive), vec![1, 1]);
-        // Arrival offsets never break uniformity.
-        let staggered = BatchWorkload::new(vec![
-            RequestSpec { prompt_len: 4, decode_len: 2, arrival: 0 },
-            RequestSpec { prompt_len: 4, decode_len: 2, arrival: 5 },
-        ])
-        .unwrap();
-        assert!(staggered.is_uniform_for(InferenceMode::Prompt));
     }
 
     #[test]
