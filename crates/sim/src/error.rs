@@ -76,6 +76,15 @@ pub enum SimError {
         /// The first chip whose pricing differs.
         chip: ChipId,
     },
+    /// No steady state was proven, and the full run of `n_blocks`
+    /// template copies would materialize more executor ops than
+    /// [`crate::MAX_FULL_RUN_OPS`].
+    FullRunBudget {
+        /// The block count asked for.
+        n_blocks: usize,
+        /// Executor ops in one copy of the template.
+        ops_per_block: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -111,6 +120,12 @@ impl std::fmt::Display for SimError {
             SimError::FormPricingMismatch { chip } => {
                 write!(f, "{chip} prices kernels or DMA differently from the lowered form")
             }
+            SimError::FullRunBudget { n_blocks, ops_per_block } => write!(
+                f,
+                "a full run of {n_blocks} blocks of {ops_per_block} ops each exceeds the budget \
+                 of {} ops (MAX_FULL_RUN_OPS)",
+                crate::MAX_FULL_RUN_OPS
+            ),
         }
     }
 }

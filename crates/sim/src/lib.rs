@@ -58,7 +58,7 @@ pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON, MAX_SEEDED_FAULTS
 pub use gantt::{Trace, TraceEvent, TraceKind};
 pub use lower::Lowered;
 pub use memory::{MemPath, MemorySpec};
-pub use periodic::{WarmupCheckpoint, FULL_RUN_THRESHOLD};
+pub use periodic::{WarmupCheckpoint, FULL_RUN_THRESHOLD, MAX_FULL_RUN_OPS};
 pub use program::{id_span, ChipId, DmaTag, Instr, MsgId, Program};
 pub use sink::{MakespanOnly, TraceCollector, TraceSink};
 pub use symbolic::SymbolicMakespan;

@@ -107,6 +107,15 @@ pub(crate) struct SegmentRun {
 /// Callers answering depths from a kept [`SymbolicMakespan`] apply it too.
 pub const FULL_RUN_THRESHOLD: usize = 4;
 
+/// Executor ops a full run may materialize: when no steady state is
+/// proven, [`Machine::run_periodic`] concatenates `n_blocks` copies of
+/// the template (about 16 bytes per op, plus the executor's per-message
+/// state), and past this many ops it refuses with
+/// [`crate::SimError::FullRunBudget`] instead of allocating without
+/// bound. 2^22 ops is about 120 times the largest full run any test or
+/// benchmark asks for.
+pub const MAX_FULL_RUN_OPS: usize = 1 << 22;
+
 /// Warmup bound: if the state has not reached its uniform-delta fixed
 /// point after this many segments, the workload is treated as aperiodic
 /// and simulated in full.
@@ -229,7 +238,9 @@ impl Machine {
     /// Same conditions as [`Machine::run`] on the concatenated programs:
     /// [`crate::SimError::ProgramCountMismatch`], deadlocks, and
     /// malformed-program errors; plus [`crate::SimError::CycleOverflow`]
-    /// when an extrapolated counter does not fit in `u64`.
+    /// when an extrapolated counter does not fit in `u64`, and
+    /// [`crate::SimError::FullRunBudget`] when no steady state is proven
+    /// and the full run would pass [`MAX_FULL_RUN_OPS`].
     pub fn run_periodic(&self, template: &[Program], n_blocks: usize) -> Result<RunStats> {
         self.run_periodic_lowered(&self.lower(template)?, n_blocks)
     }
@@ -259,6 +270,10 @@ impl Machine {
                 Walk::Refused => {}
             }
         }
+        let ops_per_block = template.ops.len();
+        if ops_per_block.checked_mul(n_blocks).is_none_or(|ops| ops > MAX_FULL_RUN_OPS) {
+            return Err(crate::SimError::FullRunBudget { n_blocks, ops_per_block });
+        }
         self.run_lowered(&template.repeat(n_blocks))
     }
 }
@@ -280,6 +295,31 @@ mod tests {
             m.run_periodic(&[Program::new()], 10),
             Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
         ));
+    }
+
+    #[test]
+    fn full_run_past_the_op_budget_is_a_typed_error() {
+        // A contention-bearing regime proves no steady state, so every
+        // block count past the threshold falls back to the full run.
+        let mut chip = ChipSpec::siracusa();
+        chip.link_regime = crate::LinkRegime::Lossy { drop_per_mille: 10, nack_cycles: 100 };
+        let m = Machine::homogeneous(chip, 2);
+        let template = [
+            Program::from_instrs([Instr::compute(Kernel::gemv(64, 64)), Instr::send(1, 0, 256)]),
+            Program::from_instrs([Instr::recv(0, 0)]),
+        ];
+        let ops = m.lower(&template).unwrap().ops.len();
+        let fits = MAX_FULL_RUN_OPS / ops;
+        assert!(m.run_periodic(&template, 10).is_ok());
+        // Refused before anything is materialized, however large.
+        for n_blocks in [fits + 1, usize::MAX] {
+            assert_eq!(
+                m.run_periodic(&template, n_blocks),
+                Err(crate::SimError::FullRunBudget { n_blocks, ops_per_block: ops })
+            );
+        }
+        let err = m.run_periodic(&template, usize::MAX).unwrap_err().to_string();
+        assert!(err.contains("MAX_FULL_RUN_OPS"), "{err}");
     }
 
     #[test]
