@@ -652,11 +652,39 @@ impl CompiledSchedule {
     ///
     /// Propagates simulation errors; `n_blocks` must be at least 1.
     pub fn simulate(&self, chip: &ChipSpec, n_blocks: usize) -> Result<crate::SystemReport> {
+        let model = if n_blocks > FULL_RUN_THRESHOLD { self.steady_state(chip)? } else { None };
+        self.simulate_with(chip, n_blocks, model.as_deref())
+    }
+
+    /// [`CompiledSchedule::simulate`] plus whether the memo holds a
+    /// steady state for `chip` ([`CompiledSchedule::steady_state`]),
+    /// both from one memo lookup. Unlike `simulate` it consults the memo
+    /// at every depth, walking the timing class if no call has yet.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledSchedule::simulate`].
+    pub fn simulate_and_state(
+        &self,
+        chip: &ChipSpec,
+        n_blocks: usize,
+    ) -> Result<(crate::SystemReport, bool)> {
+        let model = self.steady_state(chip)?;
+        Ok((self.simulate_with(chip, n_blocks, model.as_deref())?, model.is_some()))
+    }
+
+    /// Simulates `n_blocks` blocks from `model` past the full-run
+    /// threshold, through the periodic engine otherwise.
+    fn simulate_with(
+        &self,
+        chip: &ChipSpec,
+        n_blocks: usize,
+        model: Option<&SymbolicMakespan>,
+    ) -> Result<crate::SystemReport> {
         if n_blocks == 0 {
             return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
         }
-        let model = if n_blocks > FULL_RUN_THRESHOLD { self.steady_state(chip)? } else { None };
-        let stats = match model {
+        let stats = match model.filter(|_| n_blocks > FULL_RUN_THRESHOLD) {
             Some(model) => model.eval(n_blocks)?,
             None => {
                 let machine = Machine::homogeneous(*chip, self.n_chips);
