@@ -39,6 +39,18 @@ pub struct BenchResult {
     pub min_ns: u64,
     /// Iterations measured.
     pub reps: usize,
+    /// Bytes one iteration writes, for throughput entries
+    /// (`serialize/...`); `None` for the rest.
+    pub bytes: Option<u64>,
+}
+
+impl BenchResult {
+    /// Throughput of a throughput entry: [`BenchResult::bytes`] per
+    /// best iteration, in MB/s.
+    #[must_use]
+    pub fn mb_per_s(&self) -> Option<f64> {
+        self.bytes.map(|bytes| bytes as f64 * 1e3 / self.min_ns.max(1) as f64)
+    }
 }
 
 /// A complete `mtp bench` run.
@@ -73,7 +85,7 @@ pub fn run(quick: bool) -> BenchReport {
     let (k_reps, s_reps, g_reps) = if quick { (12, 20, 2) } else { (60, 200, 8) };
     let mut results = Vec::new();
     let mut push = |name: &str, min_ns: u64, reps: usize| {
-        results.push(BenchResult { name: name.to_owned(), min_ns, reps });
+        results.push(BenchResult { name: name.to_owned(), min_ns, reps, bytes: None });
     };
 
     // --- Tensor kernels: the golden model's matmul-bound hot paths.
@@ -470,6 +482,24 @@ pub fn run(quick: bool) -> BenchReport {
         d_reps,
     );
 
+    // --- Serialization: the CSV and JSON tables of one fixed sweep
+    // result (the paper grid at three bandwidths and both placements,
+    // simulated once outside the timed loop), in MB/s of output.
+    let paper = SweepEngine::serial().run(
+        &SweepGrid::paper_default()
+            .with_link_bw_pcts(vec![50, 100, 200])
+            .with_placements(vec![PlacementPolicy::Auto, PlacementPolicy::ForceStreamed]),
+    );
+    let bytes = (paper.to_csv().len() + paper.to_json().len()) as u64;
+    results.push(BenchResult {
+        name: "serialize/paper_grid".to_owned(),
+        min_ns: best_of(s_reps, || {
+            std::hint::black_box((paper.to_csv(), paper.to_json()));
+        }),
+        reps: s_reps,
+        bytes: Some(bytes),
+    });
+
     BenchReport { profile, results }
 }
 
@@ -673,18 +703,22 @@ impl BenchReport {
         let mut out = format!("mtp bench ({} profile)\n", self.profile);
         for r in &self.results {
             out.push_str(&format!(
-                "  {:<34} min {:>12.3?}   ({} reps)\n",
+                "  {:<34} min {:>12.3?}   ({} reps)",
                 r.name,
                 std::time::Duration::from_nanos(r.min_ns),
                 r.reps
             ));
+            if let Some(mb_per_s) = r.mb_per_s() {
+                out.push_str(&format!("   {mb_per_s:.1} MB/s"));
+            }
+            out.push('\n');
         }
         out
     }
 
     /// Serializes the report as the committed `BENCH_*.json` "after"
     /// fragment: `{"schema", "profile", "benches": [{name, min_ns,
-    /// reps}]}`.
+    /// reps}]}`, throughput entries adding `mb_per_s`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!(
@@ -692,8 +726,10 @@ impl BenchReport {
             self.profile
         );
         for (i, r) in self.results.iter().enumerate() {
+            let throughput =
+                r.mb_per_s().map(|mb| format!(", \"mb_per_s\": {mb:.1}")).unwrap_or_default();
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"min_ns\": {}, \"reps\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"min_ns\": {}, \"reps\": {}{throughput}}}{}\n",
                 r.name,
                 r.min_ns,
                 r.reps,
@@ -747,7 +783,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 28);
+        assert_eq!(report.results.len(), 29);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }
@@ -810,8 +846,8 @@ mod tests {
         let report = BenchReport {
             profile: "quick",
             results: vec![
-                BenchResult { name: "kernel/a".into(), min_ns: 200, reps: 1 },
-                BenchResult { name: "kernel/new".into(), min_ns: 7, reps: 1 },
+                BenchResult { name: "kernel/a".into(), min_ns: 200, reps: 1, bytes: None },
+                BenchResult { name: "kernel/new".into(), min_ns: 7, reps: 1, bytes: None },
             ],
         };
         let baseline = vec![("kernel/a".to_owned(), 100)];
@@ -838,8 +874,8 @@ mod tests {
         let report = BenchReport {
             profile: "quick",
             results: vec![
-                BenchResult { name: "kernel/noisy".into(), min_ns: 180, reps: 1 },
-                BenchResult { name: "kernel/bad".into(), min_ns: 5000, reps: 1 },
+                BenchResult { name: "kernel/noisy".into(), min_ns: 180, reps: 1, bytes: None },
+                BenchResult { name: "kernel/bad".into(), min_ns: 5000, reps: 1, bytes: None },
             ],
         };
         let baseline = vec![("kernel/noisy".to_owned(), 100), ("kernel/bad".to_owned(), 100)];
@@ -868,11 +904,21 @@ mod tests {
     fn json_shape_is_stable() {
         let report = BenchReport {
             profile: "quick",
-            results: vec![BenchResult { name: "kernel/x".into(), min_ns: 42, reps: 3 }],
+            results: vec![
+                BenchResult { name: "kernel/x".into(), min_ns: 42, reps: 3, bytes: None },
+                BenchResult {
+                    name: "serialize/y".into(),
+                    min_ns: 2000,
+                    reps: 3,
+                    bytes: Some(5000),
+                },
+            ],
         };
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"mtp-bench-v1\""));
-        assert!(json.contains("\"name\": \"kernel/x\", \"min_ns\": 42, \"reps\": 3"));
+        assert!(json.contains("\"name\": \"kernel/x\", \"min_ns\": 42, \"reps\": 3},"));
+        assert!(json.contains("\"min_ns\": 2000, \"reps\": 3, \"mb_per_s\": 2500.0}"));
+        assert!(report.render().contains("2500.0 MB/s"));
         assert!(json.ends_with("}\n"));
         assert!(report.render().contains("kernel/x"));
     }

@@ -47,6 +47,12 @@
 # six runs share slot templates and pass makespans. BENCH_20.json is the
 # first baseline carrying it; against older baselines it is reported as
 # "not in baseline" and skipped.
+#
+# The suite also includes serialize/paper_grid: the CSV and JSON tables
+# of one fixed paper-grid sweep result, reported in MB/s too, guarding
+# the table writer's fmt-free number and label paths. BENCH_25.json is
+# the first baseline carrying it; against older baselines it is
+# reported as "not in baseline" and skipped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
