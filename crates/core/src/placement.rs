@@ -31,13 +31,22 @@ pub enum WeightResidency {
     Resident,
 }
 
+impl WeightResidency {
+    /// The regime's name in tables and output rows: `streamed`,
+    /// `double-buffered` or `resident` (also its `Display` form).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            WeightResidency::Streamed => "streamed",
+            WeightResidency::DoubleBuffered => "double-buffered",
+            WeightResidency::Resident => "resident",
+        }
+    }
+}
+
 impl std::fmt::Display for WeightResidency {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WeightResidency::Streamed => write!(f, "streamed"),
-            WeightResidency::DoubleBuffered => write!(f, "double-buffered"),
-            WeightResidency::Resident => write!(f, "resident"),
-        }
+        f.write_str(self.label())
     }
 }
 

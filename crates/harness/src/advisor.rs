@@ -28,13 +28,14 @@
 //! nothing in the report depends on wall clock, so two runs render, CSV,
 //! and JSON byte-identically.
 
+use crate::fxhash::FxHashMap;
 use crate::record::{self, Cell, Cells, Format, Record};
 use crate::sweep::{PlacementPolicy, Scenario, ScheduleKey, Span, TopologySpec};
 use crate::table::TextTable;
 use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, SystemReport};
 use mtp_model::{InferenceMode, TransformerConfig};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Real-time constraints for a full-model inference pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,7 +254,7 @@ pub fn advise(
         }
     }
 
-    let mut schedules: HashMap<ScheduleKey, CompiledSchedule> = HashMap::new();
+    let mut schedules: FxHashMap<ScheduleKey, CompiledSchedule> = FxHashMap::default();
     let mut candidates = Vec::new();
     let mut skipped = Vec::new();
     for &n_chips in &chip_counts {
@@ -286,9 +287,8 @@ pub fn advise(
                 for &link_bw_pct in &link_bw_pcts {
                     let point = DesignPoint { topology, placement, n_chips, link_bw_pct };
                     base.link_bw_pct = link_bw_pct;
-                    let chip = base.chip();
-                    let symbolic = compiled.steady_state(&chip)?.is_some();
-                    let report = compiled.simulate(&chip, base.n_blocks())?;
+                    let (report, symbolic) =
+                        compiled.simulate_and_state(&base.chip(), base.n_blocks())?;
                     let feasible = constraints.satisfied_by(&report);
                     candidates.push(Candidate { point, report, pareto: false, feasible, symbolic });
                 }
@@ -344,15 +344,15 @@ impl Record for AdviseRow<'_> {
         let a = self.advice;
         let c = &a.candidates[self.index];
         w.cell(Cell::Str(&a.model));
-        w.cell(Cell::Str(&a.mode.to_string()));
+        w.cell(Cell::Str(a.mode.label()));
         w.cell(Cell::Int(c.point.n_chips as u64));
-        w.cell(Cell::Str(&c.point.topology.label()));
+        w.text(|out| c.point.topology.write_label(out));
         w.cell(Cell::Str(c.point.placement.label()));
         w.cell(Cell::Int(u64::from(c.point.link_bw_pct)));
         w.cell(Cell::Int(c.makespan()));
         w.cell(Cell::Real(c.report.runtime_ms()));
         w.cell(Cell::Real(c.report.energy_mj()));
-        w.cell(Cell::Str(&c.report.residency.to_string()));
+        w.cell(Cell::Str(c.report.residency.label()));
         w.cell(Cell::Bit(c.symbolic));
         w.cell(Cell::Bit(c.pareto));
         w.cell(Cell::Bit(c.feasible));

@@ -32,6 +32,7 @@ pub mod bench;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+mod fxhash;
 pub mod headline;
 mod record;
 pub mod serve;

@@ -34,6 +34,7 @@
 //! assert!(results.rows[1].report.speedup_over(&results.rows[0].report) > 8.0);
 //! ```
 
+use crate::fxhash::{self, FxHashMap};
 use crate::record::{self, Cell, Cells, Format, Record, Table};
 use crate::table::{fmt_cycles, TextTable};
 use mtp_core::schedule::CompiledSchedule;
@@ -45,7 +46,6 @@ use mtp_kernels::CalibratedCostModel;
 use mtp_link::Topology;
 use mtp_model::{InferenceMode, TransformerConfig};
 use mtp_sim::{ChipSpec, ChipStats, FaultPlan, LinkRegime, SimError};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -188,10 +188,18 @@ impl TopologySpec {
     /// serialized rows.
     #[must_use]
     pub fn label(self) -> String {
+        record::spelled(|out| self.write_label(out))
+    }
+
+    /// Appends [`TopologySpec::label`] to a row.
+    pub(crate) fn write_label(self, out: &mut Vec<u8>) {
         match self {
-            TopologySpec::PaperDefault => "hier4".to_owned(),
-            TopologySpec::Hierarchical { group_size } => format!("hier{group_size}"),
-            TopologySpec::Flat => "flat".to_owned(),
+            TopologySpec::PaperDefault => out.extend_from_slice(b"hier4"),
+            TopologySpec::Hierarchical { group_size } => {
+                out.extend_from_slice(b"hier");
+                record::push_int(out, group_size as u64);
+            }
+            TopologySpec::Flat => out.extend_from_slice(b"flat"),
         }
     }
 
@@ -551,55 +559,52 @@ impl Scenario {
         )
     }
 
-    /// The span column value of serialized rows: the span label alone
-    /// for single-request scenarios (keeping batch-free output
+    /// Appends the span column value of serialized rows: the span label
+    /// alone for single-request scenarios (keeping batch-free output
     /// byte-identical to the pre-batching engine, as the pinned FNV
     /// checksums require), suffixed with `@bN` for batched ones.
     /// Faulted scenarios further append `#<fault-label>` (and
     /// `!<policy>` for non-abort failover), so the fault axis rides in
     /// an existing column and fault-free rows serialize byte-identically
     /// under the pinned 21-column header.
-    #[must_use]
-    pub fn span_batch_label(&self) -> String {
-        let mut label = if self.batch == 1 {
-            self.span.label().to_owned()
-        } else {
-            format!("{}@b{}", self.span.label(), self.batch)
-        };
+    pub(crate) fn write_span_batch_label(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.span.label().as_bytes());
+        if self.batch != 1 {
+            out.extend_from_slice(b"@b");
+            record::push_int(out, self.batch as u64);
+        }
         if !self.faults.is_empty() {
-            label.push('#');
-            label.push_str(&self.faults.label());
+            out.push(b'#');
+            out.extend_from_slice(self.faults.label().as_bytes());
             if self.fail_policy != FailPolicy::Abort {
-                label.push('!');
-                label.push_str(self.fail_policy.label());
+                out.push(b'!');
+                out.extend_from_slice(self.fail_policy.label().as_bytes());
             }
         }
-        label
     }
 
-    /// The model column value of serialized rows: the configuration name
-    /// alone under the analytic cost model (byte-identical to the
-    /// pre-calibration engine), suffixed with `@cal` for calibrated
-    /// rows so the two cost sources never mix silently in one table.
-    #[must_use]
-    pub fn model_label(&self) -> String {
-        match self.cost_source {
-            CostSourceKind::Analytic => self.config.name.clone(),
-            CostSourceKind::Calibrated => format!("{}@cal", self.config.name),
+    /// Appends the model column value of serialized rows and tables: the
+    /// configuration name alone under the analytic cost model
+    /// (byte-identical to the pre-calibration engine), suffixed with
+    /// `@cal` for calibrated rows so the two cost sources never mix
+    /// silently in one table.
+    pub(crate) fn write_model_label(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.config.name.as_bytes());
+        if self.cost_source == CostSourceKind::Calibrated {
+            out.extend_from_slice(b"@cal");
         }
     }
 
-    /// The link column value of serialized rows and tables: the bare
-    /// bandwidth percentage under the default affine regime (keeping
-    /// affine output byte-identical to the pre-regime engine, as the
-    /// pinned FNV checksums require), suffixed with `@<regime>` for
-    /// every other regime (for example `100@q2048`).
-    #[must_use]
-    pub fn link_label(&self) -> String {
-        if self.link_regime == LinkRegime::Affine {
-            self.link_bw_pct.to_string()
-        } else {
-            format!("{}@{}", self.link_bw_pct, self.link_regime.label())
+    /// Appends the link column value of serialized rows and tables: the
+    /// bare bandwidth percentage under the default affine regime
+    /// (keeping affine output byte-identical to the pre-regime engine,
+    /// as the pinned FNV checksums require), suffixed with `@<regime>`
+    /// for every other regime (for example `100@q2048`).
+    pub(crate) fn write_link_label(&self, out: &mut Vec<u8>) {
+        record::push_int(out, u64::from(self.link_bw_pct));
+        if self.link_regime != LinkRegime::Affine {
+            out.push(b'@');
+            out.extend_from_slice(self.link_regime.label().as_bytes());
         }
     }
 
@@ -1044,10 +1049,13 @@ pub struct SkippedScenario {
     pub scenario: Scenario,
     /// Human-readable reason (the underlying error's message).
     pub reason: String,
-    /// `true` when the point did simulate but its cycle or byte counters
-    /// left `u64` ([`mtp_sim::SimError::CounterOverflow`] or
-    /// [`mtp_sim::SimError::CycleOverflow`]): unlike an invalid point,
-    /// the grid asked for a number no row can hold.
+    /// `true` when the point is valid but its answer is past a bound:
+    /// its cycle or byte counters left `u64`
+    /// ([`mtp_sim::SimError::CounterOverflow`] or
+    /// [`mtp_sim::SimError::CycleOverflow`]), or its full run would pass
+    /// [`mtp_sim::MAX_FULL_RUN_OPS`] ([`mtp_sim::SimError::FullRunBudget`]).
+    /// Unlike an invalid point, the grid asked for a number no row can
+    /// hold.
     pub overflow: bool,
 }
 
@@ -1083,21 +1091,21 @@ impl Record for SweepRow {
         let s = &self.scenario;
         let r = &*self.report;
         let b = r.breakdown();
-        w.cell(Cell::Str(&s.model_label()));
-        w.cell(Cell::Str(&s.mode.to_string()));
+        w.text(|out| s.write_model_label(out));
+        w.cell(Cell::Str(s.mode.label()));
         w.cell(Cell::Int(s.n_chips as u64));
-        w.cell(Cell::Str(&s.topology.label()));
+        w.text(|out| s.topology.write_label(out));
         w.cell(Cell::Str(s.placement.label()));
         // A bare number under the affine regime (the pre-regime
         // spelling), a `pct@regime` string otherwise.
         if s.link_regime == LinkRegime::Affine {
             w.cell(Cell::Int(u64::from(s.link_bw_pct)));
         } else {
-            w.cell(Cell::Str(&s.link_label()));
+            w.text(|out| s.write_link_label(out));
         }
-        w.cell(Cell::Str(&s.span_batch_label()));
+        w.text(|out| s.write_span_batch_label(out));
         w.cell(Cell::Int(r.n_blocks as u64));
-        w.cell(Cell::Str(&r.residency.to_string()));
+        w.cell(Cell::Str(r.residency.label()));
         w.cell(Cell::Int(r.stats.makespan));
         w.cell(Cell::Real(r.runtime_ms()));
         for cycles in [b.compute, b.dma_l3_l2, b.dma_l2_l1, b.c2c, b.idle] {
@@ -1174,12 +1182,12 @@ impl SweepResults {
             let s = &row.scenario;
             let r = &row.report;
             t.row(vec![
-                s.model_label(),
+                record::spelled(|out| s.write_model_label(out)),
                 s.mode.to_string(),
                 s.n_chips.to_string(),
                 s.topology.label(),
                 s.placement.label().to_owned(),
-                s.link_label(),
+                record::spelled(|out| s.write_link_label(out)),
                 s.batch.to_string(),
                 s.faults.label(),
                 r.residency.to_string(),
@@ -1208,14 +1216,18 @@ impl SweepResults {
 
 /// Outcome of one simulated grid point, shared across scenarios that
 /// provably produce the same report; a failure keeps its message and
-/// whether it was a counter overflow.
+/// whether it was an answer past a bound ([`SkippedScenario::overflow`]).
 type SimOutcome = Result<Arc<SystemReport>, (String, bool)>;
 
 fn outcome(result: Result<SystemReport, CoreError>) -> SimOutcome {
     result.map(Arc::new).map_err(|e| {
         let overflow = matches!(
             e,
-            CoreError::Sim(SimError::CounterOverflow { .. } | SimError::CycleOverflow { .. })
+            CoreError::Sim(
+                SimError::CounterOverflow { .. }
+                    | SimError::CycleOverflow { .. }
+                    | SimError::FullRunBudget { .. }
+            )
         );
         (e.to_string(), overflow)
     })
@@ -1277,8 +1289,8 @@ impl StreamSummary {
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
-    cache: Mutex<HashMap<Scenario, Arc<SystemReport>>>,
-    schedules: Mutex<HashMap<ScheduleKey, Arc<CompiledSchedule>>>,
+    cache: Mutex<FxHashMap<Scenario, Arc<SystemReport>>>,
+    schedules: Mutex<FxHashMap<ScheduleKey, Arc<CompiledSchedule>>>,
 }
 
 impl Default for SweepEngine {
@@ -1307,8 +1319,8 @@ impl SweepEngine {
     pub fn with_threads(threads: usize) -> Self {
         SweepEngine {
             threads: threads.max(1),
-            cache: Mutex::new(HashMap::new()),
-            schedules: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
+            schedules: Mutex::default(),
         }
     }
 
@@ -1359,20 +1371,28 @@ impl SweepEngine {
     pub fn run_scenarios(&self, scenarios: &[Scenario]) -> SweepResults {
         let started = std::time::Instant::now();
 
-        // Phase 1: under the lock, collect the unique not-yet-cached
-        // points to simulate (first occurrence of each scenario wins;
-        // the scenario value itself is the hashed key, so this phase
-        // allocates nothing per point).
-        let mut to_run: Vec<&Scenario> = Vec::new();
-        {
+        // Phase 1: one hash per input point maps it to its first
+        // occurrence, then one cache acquisition probes each distinct
+        // point once. The scenario value itself is the key, so this
+        // phase allocates nothing per point.
+        let mut first: FxHashMap<&Scenario, usize> = fxhash::map_with_capacity(scenarios.len());
+        let mut distinct: Vec<&Scenario> = Vec::new();
+        let index: Vec<usize> = scenarios
+            .iter()
+            .map(|s| {
+                *first.entry(s).or_insert_with(|| {
+                    distinct.push(s);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        drop(first);
+        let mut outcomes: Vec<Option<SimOutcome>> = {
             let cache = self.cache.lock().expect("sweep cache poisoned");
-            let mut claimed: HashSet<&Scenario> = HashSet::new();
-            for s in scenarios {
-                if !cache.contains_key(s) && claimed.insert(s) {
-                    to_run.push(s);
-                }
-            }
-        }
+            distinct.iter().map(|s| cache.get(*s).map(|report| Ok(Arc::clone(report)))).collect()
+        };
+        let run_of: Vec<usize> = (0..distinct.len()).filter(|&d| outcomes[d].is_none()).collect();
+        let to_run: Vec<&Scenario> = run_of.iter().map(|&d| distinct[d]).collect();
 
         // Phase 2: resolve each point's compiled schedule in one batch.
         // A single lock acquisition snapshots the already-cached
@@ -1384,7 +1404,7 @@ impl SweepEngine {
         // acquisition publishes the new templates after the workers
         // finish; the hot loop never touches the mutex.
         let keys: Vec<Option<ScheduleKey>> = to_run.iter().map(|s| s.schedule_key().ok()).collect();
-        let mut unique: HashMap<&ScheduleKey, usize> = HashMap::new();
+        let mut unique: FxHashMap<&ScheduleKey, usize> = fxhash::map_with_capacity(keys.len());
         let slot_of: Vec<Option<usize>> = keys
             .iter()
             .map(|key| {
@@ -1416,7 +1436,7 @@ impl SweepEngine {
         // report through an `Arc`.
         type SimKey<'s> =
             (usize, u32, usize, LinkRegime, &'s FaultPlan, FailPolicy, CostSourceKind);
-        let mut sims: HashMap<SimKey<'_>, usize> = HashMap::new();
+        let mut sims: FxHashMap<SimKey<'_>, usize> = fxhash::map_with_capacity(to_run.len());
         let sim_of: Vec<Option<usize>> = to_run
             .iter()
             .zip(&slot_of)
@@ -1504,52 +1524,56 @@ impl SweepEngine {
             }
         }
 
-        // Phase 4: fold results into the cache and assemble rows in input
-        // order, all under one cache acquisition. A row counts as
-        // "simulated" only for the first occurrence of a scenario this
+        // Phase 4: fill the cache once per freshly simulated point (one
+        // acquisition), then assemble rows in input order. A row counts
+        // as "simulated" only for the first occurrence of a point this
         // run produced; every other successful row is a cache hit (a
         // prior run's report or a within-run duplicate). Failed points
         // are skipped wherever they occur, so `unique_simulated +
         // cache_hits == rows.len()` always holds.
-        let mut failures: HashMap<&Scenario, (String, bool)> = HashMap::new();
-        let mut fresh: HashSet<&Scenario> = HashSet::new();
-        let mut rows = Vec::new();
-        let mut skipped = Vec::new();
-        let mut cache_hits = 0usize;
+        let mut fresh = vec![false; distinct.len()];
+        let mut failed = 0;
         {
             let mut cache = self.cache.lock().expect("sweep cache poisoned");
-            for (&scenario, slot) in to_run.iter().zip(&slots) {
-                match slot.lock().expect("sweep slot poisoned").take() {
-                    Some(Ok(report)) => {
-                        cache.insert(scenario.clone(), report);
-                        fresh.insert(scenario);
+            for (&d, slot) in run_of.iter().zip(&slots) {
+                let outcome = slot
+                    .lock()
+                    .expect("sweep slot poisoned")
+                    .take()
+                    .expect("worker filled its slot");
+                match &outcome {
+                    Ok(report) => {
+                        cache.insert(distinct[d].clone(), Arc::clone(report));
+                        fresh[d] = true;
                     }
-                    Some(Err(failure)) => {
-                        failures.insert(scenario, failure);
-                    }
-                    None => unreachable!("worker exited without filling its slot"),
+                    Err(_) => failed += 1,
                 }
+                outcomes[d] = Some(outcome);
             }
-            for s in scenarios {
-                if let Some(report) = cache.get(s) {
-                    if !fresh.remove(s) {
+        }
+        let mut rows = Vec::with_capacity(scenarios.len());
+        let mut skipped = Vec::new();
+        let mut cache_hits = 0usize;
+        for (s, &d) in scenarios.iter().zip(&index) {
+            match outcomes[d].as_ref().expect("every distinct point has an outcome") {
+                Ok(report) => {
+                    if !std::mem::take(&mut fresh[d]) {
                         cache_hits += 1;
                     }
                     rows.push(SweepRow { scenario: s.clone(), report: Arc::clone(report) });
-                } else {
-                    let (reason, overflow) = failures
-                        .get(s)
-                        .cloned()
-                        .unwrap_or_else(|| ("unknown failure".to_owned(), false));
-                    skipped.push(SkippedScenario { scenario: s.clone(), reason, overflow });
                 }
+                Err((reason, overflow)) => skipped.push(SkippedScenario {
+                    scenario: s.clone(),
+                    reason: reason.clone(),
+                    overflow: *overflow,
+                }),
             }
         }
         SweepResults {
             rows,
             skipped,
             cache_hits,
-            unique_simulated: to_run.len() - failures.len(),
+            unique_simulated: to_run.len() - failed,
             elapsed: started.elapsed(),
         }
     }
@@ -2042,8 +2066,9 @@ mod tests {
         // Batch is the innermost axis.
         assert_eq!(scenarios[0].batch, 1);
         assert_eq!(scenarios[1].batch, 4);
-        assert_eq!(scenarios[0].span_batch_label(), "block");
-        assert_eq!(scenarios[1].span_batch_label(), "block@b4");
+        let span = |s: &Scenario| record::spelled(|out| s.write_span_batch_label(out));
+        assert_eq!(span(&scenarios[0]), "block");
+        assert_eq!(span(&scenarios[1]), "block@b4");
         assert_ne!(scenarios[0].key(), scenarios[1].key());
         let results = SweepEngine::new().run(&grid);
         let csv = results.to_csv();
@@ -2214,8 +2239,9 @@ mod tests {
         // stays batch).
         assert_eq!(scenarios[0].link_regime, LinkRegime::Affine);
         assert_eq!(scenarios[1].link_regime, queued);
-        assert_eq!(scenarios[0].link_label(), "100");
-        assert_eq!(scenarios[1].link_label(), "100@q262144");
+        let link = |s: &Scenario| record::spelled(|out| s.write_link_label(out));
+        assert_eq!(link(&scenarios[0]), "100");
+        assert_eq!(link(&scenarios[1]), "100@q262144");
         assert_ne!(scenarios[0].key(), scenarios[1].key());
         let results = SweepEngine::new().run(&grid);
         assert_eq!(results.rows.len(), 2, "{:?}", results.skipped);

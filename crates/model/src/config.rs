@@ -38,12 +38,21 @@ pub enum InferenceMode {
     Prompt,
 }
 
+impl InferenceMode {
+    /// The mode's name in tables and output rows: `autoregressive` or
+    /// `prompt` (also its `Display` form).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            InferenceMode::Autoregressive => "autoregressive",
+            InferenceMode::Prompt => "prompt",
+        }
+    }
+}
+
 impl std::fmt::Display for InferenceMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InferenceMode::Autoregressive => write!(f, "autoregressive"),
-            InferenceMode::Prompt => write!(f, "prompt"),
-        }
+        f.write_str(self.label())
     }
 }
 

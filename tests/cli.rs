@@ -291,6 +291,46 @@ fn over_budget_specs_are_rejected_naming_the_budget() {
     );
 }
 
+/// A batch whose steady state is not proven falls back to the full run,
+/// which would materialize one copy of the block per instance: past
+/// `MAX_FULL_RUN_OPS` the sweep refuses with a typed exit 1 before
+/// allocating, streamed or not. The queued link regime with a finite
+/// buffer never proves a steady state.
+#[test]
+fn a_full_run_past_the_op_budget_is_refused_naming_the_budget() {
+    for batches in ["1000000", "1000000000000"] {
+        for stream in [false, true] {
+            let mut args = vec![
+                "sweep",
+                "--models",
+                "tinyllama",
+                "--modes",
+                "ar",
+                "--chips",
+                "8",
+                "--topologies",
+                "hier4",
+                "--link-regime",
+                "queued:262144",
+                "--span",
+                "model",
+                "--batches",
+                batches,
+            ];
+            if stream {
+                args.push("--stream");
+            }
+            let out = mtp(&args);
+            assert_eq!(out.status.code(), Some(1), "{batches} {stream}");
+            assert!(
+                stderr(&out).contains("exceeds the budget of 4194304 ops (MAX_FULL_RUN_OPS)"),
+                "{}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
 /// The retry budget accepts its own value.
 #[test]
 fn serve_retry_budget_accepts_its_limit() {

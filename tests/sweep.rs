@@ -15,7 +15,7 @@
 use mtp::core::{DistributedSystem, MemoryPlan, PartitionSpec, WeightResidency};
 use mtp::harness::sweep::{
     CostSourceKind, ModelPreset, PlacementPolicy, Scenario, Span, SweepEngine, SweepGrid,
-    TopologySpec, CSV_HEADER,
+    SweepResults, TopologySpec, CSV_HEADER,
 };
 use mtp::harness::{fig4, fig5, fig6, headline, table1};
 use mtp::model::{InferenceMode, TransformerConfig};
@@ -414,6 +414,91 @@ proptest! {
                 prop_assert_eq!(mutated_key, key, "single-chip topology is not structural");
             } else {
                 prop_assert!(mutated_key != key, "structural change must split the key");
+            }
+        }
+    }
+}
+
+/// The differential pool of [`prop_run_scenarios_equals_one_engine_per_scenario`]:
+/// valid block and model spans sharing and splitting schedules, a
+/// queued link, a faulted point, and two invalid points (a chip count
+/// that divides no head count and a zero-rate link, which only a
+/// literal construction can smuggle in).
+fn differential_pool() -> Vec<Scenario> {
+    let ar = InferenceMode::Autoregressive;
+    let tiny = || TransformerConfig::tiny_llama_42m();
+    let base = Scenario::new(tiny(), ar, 2);
+    vec![
+        Scenario::new(tiny(), ar, 1),
+        base.clone(),
+        base.clone().with_topology(TopologySpec::Flat),
+        base.clone().with_link_bw_pct(50).unwrap(),
+        Scenario::new(tiny().with_seq_len(16), InferenceMode::Prompt, 4),
+        base.clone().with_span(Span::Model).with_batch(2),
+        base.clone().with_link_regime(mtp::sim::LinkRegime::Queued {
+            buffer_bytes: u64::MAX,
+            discipline: mtp::sim::QueueDiscipline::Backpressure,
+        }),
+        base.clone().with_faults(mtp::sim::FaultPlan::parse("stall:0:100:500").unwrap()),
+        Scenario::new(tiny(), ar, 3),
+        Scenario { link_bw_pct: 0, ..base },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One engine run over a random list (duplicates and invalid points
+    /// included) gives exactly what a fresh engine per scenario gives:
+    /// the same rows and skips in input order, one simulation per
+    /// distinct valid scenario and a cache hit for every repeat. The
+    /// same engine then answers the list again entirely from its cache.
+    #[test]
+    fn prop_run_scenarios_equals_one_engine_per_scenario(
+        len in 0usize..10,
+        seed in 0..=u64::MAX,
+        threads in 1usize..3,
+    ) {
+        let pool = differential_pool();
+        let mut rng = mtp::tensor::SplitMix64::new(seed);
+        let list: Vec<Scenario> =
+            (0..len).map(|_| pool[(rng.next_u64() % pool.len() as u64) as usize].clone()).collect();
+
+        let mut rows = Vec::new();
+        let mut skipped = Vec::new();
+        let mut distinct_rows: Vec<&Scenario> = Vec::new();
+        for s in &list {
+            let alone = SweepEngine::serial().run_scenarios(std::slice::from_ref(s));
+            prop_assert_eq!(alone.rows.len() + alone.skipped.len(), 1);
+            if !alone.rows.is_empty() && !distinct_rows.contains(&s) {
+                distinct_rows.push(s);
+            }
+            rows.extend(alone.rows);
+            skipped.extend(alone.skipped);
+        }
+        let expected = SweepResults {
+            cache_hits: rows.len() - distinct_rows.len(),
+            unique_simulated: distinct_rows.len(),
+            rows,
+            skipped,
+            elapsed: std::time::Duration::ZERO,
+        };
+
+        let engine = SweepEngine::with_threads(threads);
+        for run in 0..2 {
+            let got = engine.run_scenarios(&list);
+            prop_assert_eq!(got.to_csv(), expected.to_csv(), "run {}", run);
+            prop_assert_eq!(got.to_json(), expected.to_json(), "run {}", run);
+            let skips = |r: &SweepResults| -> Vec<(Scenario, String, bool)> {
+                r.skipped.iter().map(|s| (s.scenario.clone(), s.reason.clone(), s.overflow)).collect()
+            };
+            prop_assert_eq!(skips(&got), skips(&expected), "run {}", run);
+            if run == 0 {
+                prop_assert_eq!(got.unique_simulated, expected.unique_simulated);
+                prop_assert_eq!(got.cache_hits, expected.cache_hits);
+            } else {
+                prop_assert_eq!(got.unique_simulated, 0);
+                prop_assert_eq!(got.cache_hits, got.rows.len());
             }
         }
     }
