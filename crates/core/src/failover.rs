@@ -24,8 +24,7 @@
 //! aborted epoch (see `DESIGN.md` §14).
 
 use crate::schedule::CompiledSchedule;
-use crate::{CoreError, DistributedSystem, Result, SystemReport};
-use mtp_model::InferenceMode;
+use crate::{CoreError, Result, SystemReport};
 use mtp_sim::{ChipSpec, ChipStats, FaultPlan, Machine, RunStats, SimError};
 
 /// Response to a chip fail-stop surfaced during a faulted simulation.
@@ -103,7 +102,7 @@ impl CompiledSchedule {
             return self.simulate(chip, n_blocks);
         }
         let machine = Machine::homogeneous(*chip, self.n_chips()).with_faults(faults.clone());
-        match machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks) {
+        match machine.run_periodic_lowered(self.lowered(), n_blocks) {
             Ok(stats) => Ok(self.faulted_report(chip, n_blocks, stats)),
             Err(SimError::ChipFailed { chip: failed, at }) => {
                 self.fail_over(chip, n_blocks, policy, failed.0, at)
@@ -122,13 +121,13 @@ impl CompiledSchedule {
         at: u64,
     ) -> Result<SystemReport> {
         let healthy = Machine::homogeneous(*chip, self.n_chips());
-        let template = self.lowered_for(&healthy)?;
+        let template = self.lowered();
         match policy {
             FailPolicy::Abort => {
                 Err(CoreError::Sim(SimError::ChipFailed { chip: mtp_sim::ChipId(failed), at }))
             }
             FailPolicy::Restart => {
-                let mut stats = healthy.run_periodic_lowered(&template, n_blocks)?;
+                let mut stats = healthy.run_periodic_lowered(template, n_blocks)?;
                 for c in &mut stats.per_chip {
                     c.finish_cycles += at;
                 }
@@ -142,12 +141,12 @@ impl CompiledSchedule {
                 // can only stretch the timeline, so this never counts a
                 // block the fleet had not finished *starting*; the
                 // block in flight is lost either way).
-                let per_block = healthy.run_periodic_lowered(&template, 1)?.makespan.max(1);
+                let per_block = healthy.run_periodic_lowered(template, 1)?.makespan.max(1);
                 let completed =
                     usize::try_from(at / per_block).unwrap_or(usize::MAX).min(n_blocks - 1);
                 let remaining = n_blocks - completed;
                 let mut stats = if completed > 0 {
-                    healthy.run_periodic_lowered(&template, completed)?
+                    healthy.run_periodic_lowered(template, completed)?
                 } else {
                     RunStats {
                         makespan: 0,
@@ -155,7 +154,7 @@ impl CompiledSchedule {
                         sync_phases: 0,
                     }
                 };
-                let replay = healthy.run_periodic_lowered(&template, remaining)?;
+                let replay = healthy.run_periodic_lowered(template, remaining)?;
                 for (into, from) in stats.per_chip.iter_mut().zip(&replay.per_chip) {
                     into.accumulate(from);
                     into.finish_cycles = at + from.finish_cycles;
@@ -181,41 +180,20 @@ impl CompiledSchedule {
     }
 }
 
-impl DistributedSystem {
-    /// [`DistributedSystem::simulate_blocks`] under a fault plan with
-    /// the given failover policy — see
-    /// [`CompiledSchedule::simulate_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioning and simulation errors; a fail-stop under
-    /// [`FailPolicy::Abort`] surfaces as [`CoreError::Sim`] wrapping
-    /// [`SimError::ChipFailed`].
-    pub fn simulate_blocks_faulted(
-        &self,
-        mode: InferenceMode,
-        n_blocks: usize,
-        faults: &FaultPlan,
-        policy: FailPolicy,
-    ) -> Result<SystemReport> {
-        let compiled = CompiledSchedule::compile(
-            self.config(),
-            self.n_chips(),
-            self.chip(),
-            self.topology().cloned(),
-            mode,
-        )?;
-        compiled.simulate_faulted(self.chip(), n_blocks, faults, policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtp_model::TransformerConfig;
+    use crate::DistributedSystem;
+    use mtp_model::{InferenceMode, TransformerConfig};
 
     fn sys(n: usize) -> DistributedSystem {
         DistributedSystem::paper_default(TransformerConfig::tiny_llama_42m(), n).unwrap()
+    }
+
+    /// The system's block schedule in `mode`, compiled as the sweep
+    /// engine compiles it.
+    fn compiled(sys: &DistributedSystem, mode: InferenceMode) -> CompiledSchedule {
+        CompiledSchedule::compile(sys.config(), sys.n_chips(), sys.chip(), None, mode).unwrap()
     }
 
     #[test]
@@ -236,10 +214,10 @@ mod tests {
     fn empty_plan_is_bit_identical_to_the_fault_free_path() {
         let sys = sys(4);
         let mode = InferenceMode::Autoregressive;
+        let c = compiled(&sys, mode);
         let plain = sys.simulate_blocks(mode, 12).unwrap();
         for policy in [FailPolicy::Abort, FailPolicy::Restart, FailPolicy::SpareChip] {
-            let faulted =
-                sys.simulate_blocks_faulted(mode, 12, &FaultPlan::none(), policy).unwrap();
+            let faulted = c.simulate_faulted(sys.chip(), 12, &FaultPlan::none(), policy).unwrap();
             assert_eq!(faulted.stats, plain.stats);
         }
     }
@@ -248,9 +226,10 @@ mod tests {
     fn transient_faults_recover_without_failover() {
         let sys = sys(4);
         let mode = InferenceMode::Autoregressive;
+        let c = compiled(&sys, mode);
         let plan = FaultPlan::parse("stall:0:10000:5000+slow:1:0:50000:150").unwrap();
         let plain = sys.simulate_blocks(mode, 8).unwrap();
-        let faulted = sys.simulate_blocks_faulted(mode, 8, &plan, FailPolicy::Abort).unwrap();
+        let faulted = c.simulate_faulted(sys.chip(), 8, &plan, FailPolicy::Abort).unwrap();
         assert!(faulted.stats.makespan > plain.stats.makespan);
         assert!(faulted.stats.total_fault_stall_cycles() > 0);
         assert_eq!(faulted.stats.total_downtime_cycles(), 0);
@@ -260,8 +239,8 @@ mod tests {
     fn abort_surfaces_the_typed_fail_stop() {
         let sys = sys(4);
         let plan = FaultPlan::parse("failstop:2:50000").unwrap();
-        let err = sys
-            .simulate_blocks_faulted(InferenceMode::Autoregressive, 64, &plan, FailPolicy::Abort)
+        let err = compiled(&sys, InferenceMode::Autoregressive)
+            .simulate_faulted(sys.chip(), 64, &plan, FailPolicy::Abort)
             .unwrap_err();
         match err {
             CoreError::Sim(SimError::ChipFailed { chip, at }) => {
@@ -276,10 +255,11 @@ mod tests {
     fn restart_pays_the_detection_time_as_downtime() {
         let sys = sys(4);
         let mode = InferenceMode::Autoregressive;
+        let c = compiled(&sys, mode);
         let plan = FaultPlan::parse("failstop:1:80000").unwrap();
         let plain = sys.simulate_blocks(mode, 64).unwrap();
-        let restarted = sys.simulate_blocks_faulted(mode, 64, &plan, FailPolicy::Restart).unwrap();
-        let at = match sys.simulate_blocks_faulted(mode, 64, &plan, FailPolicy::Abort) {
+        let restarted = c.simulate_faulted(sys.chip(), 64, &plan, FailPolicy::Restart).unwrap();
+        let at = match c.simulate_faulted(sys.chip(), 64, &plan, FailPolicy::Abort) {
             Err(CoreError::Sim(SimError::ChipFailed { at, .. })) => at,
             other => panic!("expected a fail-stop, got {other:?}"),
         };
@@ -292,6 +272,7 @@ mod tests {
     fn spare_chip_loses_only_the_block_in_flight() {
         let sys = sys(4);
         let mode = InferenceMode::Autoregressive;
+        let c = compiled(&sys, mode);
         let n_blocks = 64usize;
         let plain = sys.simulate_blocks(mode, n_blocks).unwrap();
         // Fail mid-run so a healthy prefix of blocks exists to keep.
@@ -300,9 +281,9 @@ mod tests {
             at: plain.stats.makespan / 2,
         }]);
         let restarted =
-            sys.simulate_blocks_faulted(mode, n_blocks, &plan, FailPolicy::Restart).unwrap();
+            c.simulate_faulted(sys.chip(), n_blocks, &plan, FailPolicy::Restart).unwrap();
         let spared =
-            sys.simulate_blocks_faulted(mode, n_blocks, &plan, FailPolicy::SpareChip).unwrap();
+            c.simulate_faulted(sys.chip(), n_blocks, &plan, FailPolicy::SpareChip).unwrap();
         // Replaying only the remaining blocks beats restarting from
         // scratch, and both recoveries cost at least the plain run.
         assert!(spared.stats.makespan < restarted.stats.makespan);
@@ -320,10 +301,11 @@ mod tests {
     fn failover_is_deterministic() {
         let sys = sys(4);
         let mode = InferenceMode::Autoregressive;
+        let c = compiled(&sys, mode);
         let plan = FaultPlan::parse("failstop:3:123456+stall:0:1000:2000").unwrap();
         for policy in [FailPolicy::Restart, FailPolicy::SpareChip] {
-            let a = sys.simulate_blocks_faulted(mode, 48, &plan, policy).unwrap();
-            let b = sys.simulate_blocks_faulted(mode, 48, &plan, policy).unwrap();
+            let a = c.simulate_faulted(sys.chip(), 48, &plan, policy).unwrap();
+            let b = c.simulate_faulted(sys.chip(), 48, &plan, policy).unwrap();
             assert_eq!(a.stats, b.stats);
         }
     }

@@ -25,9 +25,8 @@ use mtp_sim::{
     ChipId, ChipSpec, DmaTag, Instr, LinkRegime, Lowered, Machine, MemPath, MsgId, Program,
     SymbolicMakespan, WarmupCheckpoint, FULL_RUN_THRESHOLD,
 };
-use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 // Partial outputs are requantized to the deployment dtype before hitting
 // the wire (the energy-optimal choice for a 100 pJ/B link), so reduce and
@@ -452,20 +451,22 @@ impl Memo {
 }
 
 /// A one-block schedule compiled once and reusable across every scenario
-/// that shares its structure: the per-chip instruction template plus the
-/// residency regime and mode it was lowered for, the template's
-/// pre-costed executor form ([`mtp_sim::Lowered`]), built on the first
-/// simulation and replayed by every later one, and a steady-state memo.
+/// that shares its structure: the template lowered once, for the
+/// compile chip's pricing, into the executor's form
+/// ([`mtp_sim::Lowered`]), the scheduler it was built from, the mode,
+/// and a steady-state memo. It keeps no instruction template;
+/// [`CompiledSchedule::template`] rebuilds one on demand.
 ///
-/// [`CompiledSchedule::simulate`] is the one evaluator the sweep engine
-/// and the advisor call. The memo keeps one walk per *timing class*
-/// ([`CompiledSchedule::steady_state`]), so depth variants, bandwidths
-/// that price every send alike, placements sharing a template and the
-/// one-chip topology collapse reuse one walk with no grouping by the
-/// caller. The sweep engine keys its template cache on exactly the
-/// fields that reach this compilation: model structure, mode, chip count,
-/// topology, placement, and the residency regime the memory plan selects
-/// (the only path through which model depth shapes the template).
+/// [`CompiledSchedule::simulate`] is the one evaluator the sweep engine,
+/// the advisor and serving call. The memo keeps one walk per *timing
+/// class* ([`CompiledSchedule::steady_state`]), so depth variants,
+/// bandwidths that price every send alike, placements sharing a template
+/// and the one-chip topology collapse reuse one walk with no grouping by
+/// the caller. The sweep engine keys its cache on exactly the fields
+/// that reach this compilation: model structure, mode, chip count,
+/// topology, placement, cost source, and the residency regime the memory
+/// plan selects (the only path through which model depth shapes the
+/// template).
 ///
 /// ```
 /// use mtp_core::schedule::CompiledSchedule;
@@ -485,23 +486,22 @@ impl Memo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
-    template: Vec<Program>,
-    residency: WeightResidency,
+    /// The scheduler as it stood before building the template.
+    scheduler: Scheduler,
     mode: InferenceMode,
-    n_chips: usize,
-    /// The template lowered for the first machine that simulated it.
-    lowered: OnceLock<Lowered>,
+    /// The template lowered for the compile chip, shared with clones.
+    lowered: Arc<Lowered>,
     /// The template's distinct send sizes, ascending: all a walk reads
-    /// of the link under the affine regime.
+    /// of the link under the affine link regime.
     send_sizes: Vec<u64>,
     /// The steady-state memo, shared with clones (they walk alike).
     memo: Arc<Mutex<Memo>>,
 }
 
 impl CompiledSchedule {
-    /// Lowers one steady-state block of `cfg` over `n_chips` chips of
-    /// type `chip` into a reusable template; `topology` overrides the
-    /// paper's default reduction tree.
+    /// Builds one steady-state block of `cfg` over `n_chips` chips of
+    /// type `chip` and lowers it for `chip`'s pricing; `topology`
+    /// overrides the paper's default reduction tree.
     ///
     /// # Errors
     ///
@@ -517,8 +517,7 @@ impl CompiledSchedule {
         if let Some(t) = topology {
             scheduler = scheduler.with_topology(t);
         }
-        let residency = scheduler.plan().residency;
-        let template = scheduler.block_programs(mode);
+        let template = scheduler.clone().block_programs(mode);
         let mut send_sizes: Vec<u64> = template
             .iter()
             .flat_map(Program::instrs)
@@ -529,30 +528,31 @@ impl CompiledSchedule {
             .collect();
         send_sizes.sort_unstable();
         send_sizes.dedup();
-        Ok(CompiledSchedule {
-            template,
-            residency,
-            mode,
-            n_chips,
-            lowered: OnceLock::new(),
-            send_sizes,
-            memo: Arc::default(),
-        })
+        let lowered = Arc::new(Machine::homogeneous(*chip, n_chips).lower(&template)?);
+        Ok(CompiledSchedule { scheduler, mode, lowered, send_sizes, memo: Arc::default() })
     }
 
-    /// The per-chip one-block instruction template.
+    /// The per-chip one-block instruction template, rebuilt from the
+    /// scheduler: the programs [`CompiledSchedule::lowered`] was
+    /// lowered from.
     #[must_use]
-    pub fn template(&self) -> &[Program] {
-        &self.template
+    pub fn template(&self) -> Vec<Program> {
+        self.scheduler.clone().block_programs(self.mode)
     }
 
-    /// The residency regime the template was lowered for.
+    /// The template's executor form, priced for the compile chip.
+    #[must_use]
+    pub fn lowered(&self) -> &Lowered {
+        &self.lowered
+    }
+
+    /// The residency regime the template was built for.
     #[must_use]
     pub fn residency(&self) -> WeightResidency {
-        self.residency
+        self.scheduler.plan().residency
     }
 
-    /// The inference mode the template was lowered for.
+    /// The inference mode the template was built for.
     #[must_use]
     pub fn mode(&self) -> InferenceMode {
         self.mode
@@ -561,41 +561,7 @@ impl CompiledSchedule {
     /// Number of chips the template spans.
     #[must_use]
     pub fn n_chips(&self) -> usize {
-        self.n_chips
-    }
-
-    /// The template lowered for `machine`: the cached form when `machine`
-    /// prices kernels and DMA like the machine that first asked (link
-    /// bandwidth, regime and faults never matter), a fresh lowering
-    /// otherwise (a calibrated cost model on a schedule first simulated
-    /// with the analytic one, or the other way round).
-    ///
-    /// # Errors
-    ///
-    /// [`mtp_sim::SimError::ProgramCountMismatch`] when `machine` does
-    /// not span the template's chip count.
-    pub fn lowered_for(&self, machine: &Machine) -> Result<Cow<'_, Lowered>> {
-        if let Some(cached) = self.lowered.get() {
-            if cached.priced_for(machine) {
-                return Ok(Cow::Borrowed(cached));
-            }
-            return Ok(Cow::Owned(machine.lower(&self.template)?));
-        }
-        let form = machine.lower(&self.template)?;
-        match self.lowered.set(form) {
-            Ok(()) => Ok(Cow::Borrowed(self.lowered.get().expect("just set"))),
-            // Another thread cached its form first, possibly for a
-            // machine that prices differently: use ours unless it is
-            // the same pricing.
-            Err(form) => {
-                let cached = self.lowered.get().expect("set failed because a form is cached");
-                Ok(if cached.priced_for(machine) {
-                    Cow::Borrowed(cached)
-                } else {
-                    Cow::Owned(form)
-                })
-            }
-        }
+        self.lowered.n_chips()
     }
 
     /// The steady state of this template on a machine of `chip`s, from
@@ -607,7 +573,8 @@ impl CompiledSchedule {
     ///
     /// # Errors
     ///
-    /// Propagates lowering errors.
+    /// [`mtp_sim::SimError::FormPricingMismatch`] when `chip` prices
+    /// kernels or DMA unlike the compile chip.
     pub fn steady_state(&self, chip: &ChipSpec) -> Result<Option<Arc<SymbolicMakespan>>> {
         if !chip.link_regime.contention_free() {
             return Ok(None);
@@ -618,11 +585,11 @@ impl CompiledSchedule {
         }
         // Walk outside the lock; a class another worker kept meanwhile
         // keeps its entry.
-        self.memo().walks += 1;
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let model = SymbolicMakespan::derive_lowered(&machine, &*self.lowered_for(&machine)?)?
-            .map(Arc::new);
-        Ok(self.memo().keep(rest, link, model))
+        let machine = Machine::homogeneous(*chip, self.n_chips());
+        let model = SymbolicMakespan::derive_lowered(&machine, &self.lowered)?.map(Arc::new);
+        let mut memo = self.memo();
+        memo.walks += 1;
+        Ok(memo.keep(rest, link, model))
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -644,13 +611,16 @@ impl CompiledSchedule {
     /// engine. Bit-identical to [`mtp_sim::Machine::run_periodic`] on the
     /// template either way.
     ///
-    /// `chip` may differ from the compilation chip only in ways that do
-    /// not affect the schedule (in practice: link bandwidth, regime and
-    /// cost source, which the sweep engine varies without recompiling).
+    /// `chip` may differ from the compile chip only in its link:
+    /// bandwidth and regime, which the sweep engine and the advisor vary
+    /// without recompiling. The form is priced once, so another cost
+    /// source or DMA engine is another schedule.
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors; `n_blocks` must be at least 1.
+    /// [`mtp_sim::SimError::FormPricingMismatch`] when `chip` prices
+    /// kernels or DMA unlike the compile chip; otherwise propagates
+    /// simulation errors; `n_blocks` must be at least 1.
     pub fn simulate(&self, chip: &ChipSpec, n_blocks: usize) -> Result<crate::SystemReport> {
         let model = if n_blocks > FULL_RUN_THRESHOLD { self.steady_state(chip)? } else { None };
         self.simulate_with(chip, n_blocks, model.as_deref())
@@ -686,17 +656,15 @@ impl CompiledSchedule {
         }
         let stats = match model.filter(|_| n_blocks > FULL_RUN_THRESHOLD) {
             Some(model) => model.eval(n_blocks)?,
-            None => {
-                let machine = Machine::homogeneous(*chip, self.n_chips);
-                machine.run_periodic_lowered(&*self.lowered_for(&machine)?, n_blocks)?
-            }
+            None => Machine::homogeneous(*chip, self.n_chips())
+                .run_periodic_lowered(&self.lowered, n_blocks)?,
         };
         Ok(crate::report::from_stats(
             chip,
-            self.n_chips,
+            self.n_chips(),
             self.mode,
             n_blocks,
-            self.residency,
+            self.residency(),
             stats,
         ))
     }
@@ -708,8 +676,8 @@ impl CompiledSchedule {
     ///
     /// # Errors
     ///
-    /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only;
-    /// template problems yield a non-converged checkpoint and surface
+    /// [`mtp_sim::SimError::FormPricingMismatch`] only, as
+    /// [`CompiledSchedule::steady_state`]; template problems yield a non-converged checkpoint and surface
     /// from the exact simulation [`CompiledSchedule::simulate_from`]
     /// falls back to.
     pub fn warmup(&self, chip: &ChipSpec) -> Result<WarmupCheckpoint> {
@@ -983,7 +951,7 @@ mod tests {
             let machine = Machine::homogeneous(chip, 1);
             for n in [5, 8, 96] {
                 let report = compiled.simulate(&chip, n).unwrap();
-                assert_eq!(report.stats, machine.run_periodic(&compiled.template, n).unwrap());
+                assert_eq!(report.stats, machine.run_periodic(&compiled.template(), n).unwrap());
             }
         }
         assert_eq!(compiled.walks(), 1);
@@ -1034,7 +1002,7 @@ mod tests {
         assert_eq!(compiled.memo().len(), 8);
         assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 8);
         chip.link.latency_cycles = 0;
-        let direct = Machine::homogeneous(chip, 2).run_periodic(&compiled.template, 9).unwrap();
+        let direct = Machine::homogeneous(chip, 2).run_periodic(&compiled.template(), 9).unwrap();
         assert_eq!(compiled.simulate(&chip, 9).unwrap().stats, direct);
         assert_eq!(compiled.walks(), MAX_TIMING_CLASSES + 9, "class 0 was forgotten");
     }

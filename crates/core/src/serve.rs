@@ -43,9 +43,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::schedule::CompiledSchedule;
-use crate::{CoreError, DistributedSystem, Result, WeightResidency};
+use crate::{CoreError, DistributedSystem, Result};
 use mtp_model::{InferenceMode, ServeWorkload};
-use mtp_sim::Lowered;
 
 /// How arriving requests are admitted into the fleet's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -721,31 +720,30 @@ impl DistributedSystem {
         Ok(self.serve_memo().keep_pass(shapes, cycles))
     }
 
-    /// One slot's one-block template at `seq` tokens in `mode`, compiled
-    /// and lowered for [`DistributedSystem::machine`] on the first ask
-    /// and kept in the system's memo with its residency regime. The only
-    /// place a fault-free slot template is compiled: block spans, batches
-    /// and serving passes all take their slots from here.
-    pub(crate) fn slot_form(&self, mode: InferenceMode, seq: usize) -> Result<SlotForm> {
+    /// One slot's one-block schedule at `seq` tokens in `mode`, compiled
+    /// for the system's chips on the first ask and kept in the system's
+    /// memo. The only place a fault-free slot schedule is compiled: block
+    /// spans, batches and serving passes all take their slots from here.
+    pub(crate) fn slot_form(
+        &self,
+        mode: InferenceMode,
+        seq: usize,
+    ) -> Result<Arc<CompiledSchedule>> {
         debug_assert!((1..=self.config().seq_len).contains(&seq), "slot context {seq}");
-        if let Some(form) = self.serve_memo().tables().slots.get(&(mode, seq)) {
-            return Ok(form.clone());
+        if let Some(compiled) = self.serve_memo().tables().slots.get(&(mode, seq)) {
+            return Ok(Arc::clone(compiled));
         }
-        // Compile and lower outside the lock; a form another thread kept
+        // Compile outside the lock; a schedule another thread kept
         // meanwhile keeps its entry.
         let cfg = self.config().clone().with_seq_len(seq);
-        let compiled = CompiledSchedule::compile(
+        let compiled = Arc::new(CompiledSchedule::compile(
             &cfg,
             self.n_chips(),
             self.chip(),
             self.topology().cloned(),
             mode,
-        )?;
-        let form = SlotForm {
-            lowered: Arc::new(self.machine().lower(compiled.template())?),
-            residency: compiled.residency(),
-        };
-        Ok(self.serve_memo().tables().slots.entry((mode, seq)).or_insert(form).clone())
+        )?);
+        Ok(Arc::clone(self.serve_memo().tables().slots.entry((mode, seq)).or_insert(compiled)))
     }
 }
 
@@ -759,29 +757,21 @@ pub(crate) type SlotShape = (InferenceMode, usize);
 /// further.
 const MAX_PASS_SHAPES: usize = 4096;
 
-/// A slot's one-block template lowered for the system's machine, with
-/// the residency regime its memory plan selected.
-#[derive(Clone)]
-pub(crate) struct SlotForm {
-    pub(crate) lowered: Arc<Lowered>,
-    pub(crate) residency: WeightResidency,
-}
-
 /// The memo a [`DistributedSystem`] owns, shared by its block spans,
-/// batches and serving runs and by its clones: each slot's lowered
-/// one-block form per `(mode, billed context)`, and each serving pass
-/// makespan per *ordered* slot-shape vector. It keeps lowered forms
-/// only, never a compiled schedule, whose program template would stay
-/// alive beside the form (`DESIGN.md` §12). A pass makespan is a
+/// batches and serving runs and by its clones: each slot's compiled
+/// one-block schedule per `(mode, billed context)`, and each serving
+/// pass makespan per *ordered* slot-shape vector. A compiled schedule
+/// keeps its lowered form and no program template (`DESIGN.md` §12).
+/// A pass makespan is a
 /// function of the system and its slot shapes alone — not of the
 /// workload, the policy, the billing or the request-level fault
 /// profile, which only decide which shapes occur — so sharing it across
 /// runs is exact.
 ///
-/// Slot forms are bounded by the workload validation: every slot's
-/// context is in `1..=seq_len`, so at most `2 x seq_len` forms. The pass
-/// table is bounded by [`MAX_PASS_SHAPES`]. Look-ups and inserts hold
-/// the lock; compiling, lowering and simulating never do, and when two
+/// Slot schedules are bounded by the workload validation: every slot's
+/// context is in `1..=seq_len`, so at most `2 x seq_len` schedules. The
+/// pass table is bounded by [`MAX_PASS_SHAPES`]. Look-ups and inserts
+/// hold the lock; compiling and simulating never do, and when two
 /// threads compute the same entry the first insert wins (both computed
 /// the same value). A system allocates its memo on first use, so one that
 /// never simulates or clones allocates nothing for it.
@@ -792,7 +782,7 @@ pub(crate) struct ServeMemo {
 
 #[derive(Default)]
 struct MemoTables {
-    slots: HashMap<SlotShape, SlotForm>,
+    slots: HashMap<SlotShape, Arc<CompiledSchedule>>,
     passes: HashMap<Vec<SlotShape>, u64>,
 }
 
@@ -1260,18 +1250,34 @@ mod tests {
     #[test]
     fn solo_prefill_baseline_takes_its_slot_from_the_memo() {
         // The unloaded baseline a serving study compares against leaves
-        // its slot form in the memo and no pass entry (a batch reports
-        // full stats, not one makespan); a serve meeting that prompt
-        // length then reuses the very form.
+        // its slot schedule in the memo and no pass entry (a batch
+        // reports full stats, not one makespan); a serve meeting that
+        // prompt length then reuses the very schedule.
         let (sys, p) = (sys(4), 16);
         sys.simulate_batch(InferenceMode::Prompt, &BatchWorkload::uniform(1, p, 0)).unwrap();
         assert_eq!(memo_len(&sys), (1, 0));
-        let form =
-            || Arc::clone(&sys.serve_memo().tables().slots[&(InferenceMode::Prompt, p)].lowered);
+        let form = || Arc::clone(&sys.serve_memo().tables().slots[&(InferenceMode::Prompt, p)]);
         let baseline = form();
         let policy = BatchPolicy::Continuous { max_slots: 2 };
         sys.simulate_serve(&saturated(3, p, 2), policy, Billing::PerRequest).unwrap();
         assert!(Arc::ptr_eq(&baseline, &form()), "the serve compiled its prefill slot again");
+    }
+
+    #[test]
+    fn a_repeated_slot_compiles_once_and_clones_share_it() {
+        let (sys, ar) = (sys(4), InferenceMode::Autoregressive);
+        let first = sys.slot_form(ar, 32).unwrap();
+        let clone = sys.clone();
+        for asked in [sys.slot_form(ar, 32).unwrap(), clone.slot_form(ar, 32).unwrap()] {
+            assert!(Arc::ptr_eq(&first, &asked), "the slot was compiled again");
+        }
+        assert_eq!(memo_len(&sys), (1, 0));
+        assert_eq!(memo_len(&clone), (1, 0));
+        // The kept schedule is the slot's own compilation.
+        let cfg = sys.config().clone().with_seq_len(32);
+        let fresh = CompiledSchedule::compile(&cfg, 4, sys.chip(), None, ar).unwrap();
+        assert_eq!(first.lowered(), fresh.lowered());
+        assert_eq!(first.residency(), fresh.residency());
     }
 
     #[test]

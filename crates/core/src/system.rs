@@ -4,7 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::serve::{ServeMemo, SlotShape};
-use crate::{CoreError, MemoryPlan, PartitionSpec, Result, SystemReport, WeightResidency};
+use crate::{CoreError, PartitionSpec, Result, SystemReport, WeightResidency};
 use mtp_energy::EnergyParams;
 use mtp_link::Topology;
 use mtp_model::{BatchWorkload, InferenceMode, TransformerConfig};
@@ -26,8 +26,8 @@ use mtp_sim::{ChipSpec, Lowered, Machine, RunStats};
 /// # Ok::<(), mtp_core::CoreError>(())
 /// ```
 ///
-/// A system owns one memo (`DESIGN.md` §12): the lowered slot forms its
-/// block spans, batches and serving passes run, and the serving pass
+/// A system owns one memo (`DESIGN.md` §12): the compiled slot schedules
+/// its block spans, batches and serving passes run, and the serving pass
 /// makespans, each computed once for the system and its clones, which
 /// share the memo.
 #[derive(Debug)]
@@ -114,16 +114,6 @@ impl DistributedSystem {
     /// The slot and pass memo this system shares with its clones.
     pub(crate) fn serve_memo(&self) -> &Arc<ServeMemo> {
         self.memo.get_or_init(Arc::default)
-    }
-
-    /// The memory plan this system's scheduler will use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partition errors.
-    pub fn memory_plan(&self) -> Result<MemoryPlan> {
-        let spec = PartitionSpec::new(&self.cfg, self.n_chips)?;
-        MemoryPlan::decide(&self.cfg, &spec, &self.chip)
     }
 
     /// Energy-model constants derived from the chip specification.
@@ -242,8 +232,8 @@ impl DistributedSystem {
 
     /// `n_blocks` blocks of one pass over request slots of the given
     /// `(mode, context)` shapes (at least one), in slot order, with the
-    /// first slot's residency regime. Every slot's lowered one-block form comes from
-    /// the system's memo ([`DistributedSystem::slot_form`]), so block
+    /// first slot's residency regime. Every slot's compiled one-block
+    /// schedule comes from the system's memo ([`DistributedSystem::slot_form`]), so block
     /// spans, batches and serving passes share one slot path
     /// (`DESIGN.md` §10).
     ///
@@ -267,12 +257,12 @@ impl DistributedSystem {
             .collect::<Result<Vec<_>>>()?;
         let stats = if uniform {
             let blocks = n_blocks.checked_mul(shapes.len()).ok_or_else(block_overflow)?;
-            self.machine().run_periodic_lowered(&forms[0].lowered, blocks)?
+            self.machine().run_periodic_lowered(forms[0].lowered(), blocks)?
         } else {
-            let block = Lowered::concat(forms.iter().map(|form| &*form.lowered));
+            let block = Lowered::concat(forms.iter().map(|form| form.lowered()));
             self.machine().run_periodic_lowered(&block, n_blocks)?
         };
-        Ok((stats, forms[0].residency))
+        Ok((stats, forms[0].residency()))
     }
 }
 
@@ -430,8 +420,7 @@ mod tests {
                     .unwrap()
                 })
                 .collect();
-            let forms: Vec<_> = compiled.iter().map(|c| c.lowered_for(&machine).unwrap()).collect();
-            let block = Lowered::concat(forms.iter().map(|form| &**form));
+            let block = Lowered::concat(compiled.iter().map(CompiledSchedule::lowered));
             assert_eq!(report.stats, machine.run_periodic_lowered(&block, cfg.n_layers).unwrap());
             // Asked again, the memo answers with the same stats.
             let again = sys.simulate_batch(InferenceMode::Prompt, &mixed).unwrap();

@@ -112,7 +112,7 @@ impl ServeScenario {
 
     /// [`ServeScenario::run`] on `sys`, which must be this scenario's
     /// model on `n_chips` chips; its serving memo may already hold the
-    /// slot forms and pass makespans of earlier runs.
+    /// slot schedules and pass makespans of earlier runs.
     fn run_on(&self, sys: &DistributedSystem) -> Result<(ServeReport, u64), String> {
         let workload = ServeWorkload::open_loop(
             &self.process,
@@ -455,13 +455,6 @@ impl ServeGrid {
         }
     }
 
-    /// Replaces the model axis.
-    #[must_use]
-    pub fn with_models(mut self, models: Vec<ModelPreset>) -> Self {
-        self.models = models;
-        self
-    }
-
     /// Replaces the chip-count axis.
     #[must_use]
     pub fn with_chip_counts(mut self, chip_counts: Vec<usize>) -> Self {
@@ -552,7 +545,7 @@ impl ServeGrid {
 /// one [`DistributedSystem`] per `(model, chip count)`, so every
 /// scenario on that fleet — whatever its arrivals, policy, billing or
 /// fault profile — and its solo-prefill baseline share the system's
-/// serving memo of slot forms and pass makespans. The engine's own cache
+/// serving memo of slot schedules and pass makespans. The engine's own cache
 /// deduplicates repeated scenarios across runs (the warm engine of the
 /// determinism proof answers without re-simulating).
 #[derive(Debug, Default)]

@@ -38,10 +38,7 @@ use crate::fxhash::{self, FxHashMap};
 use crate::record::{self, Cell, Cells, Format, Record, Table};
 use crate::table::{fmt_cycles, TextTable};
 use mtp_core::schedule::CompiledSchedule;
-use mtp_core::{
-    CoreError, DistributedSystem, FailPolicy, MemoryPlan, PartitionSpec, SystemReport,
-    WeightResidency,
-};
+use mtp_core::{CoreError, FailPolicy, MemoryPlan, PartitionSpec, SystemReport, WeightResidency};
 use mtp_kernels::CalibratedCostModel;
 use mtp_link::Topology;
 use mtp_model::{InferenceMode, TransformerConfig};
@@ -627,26 +624,24 @@ impl Scenario {
     }
 
     /// Runs the scenario once (uncached; the engine is the cached entry
-    /// point).
+    /// point) through the engine's evaluator: the key's checks, then one
+    /// compiled schedule. Span blocks times the uniform batch size: each
+    /// block instance is one request slot, so a batched span is exactly a
+    /// deeper single-request span over the same template (the
+    /// request-level periodicity argument, DESIGN.md §10).
     ///
     /// # Errors
     ///
-    /// Propagates partitioning, topology, and simulation errors.
+    /// Propagates validation, partitioning, topology, and simulation
+    /// errors, in that order.
     pub fn run(&self) -> Result<SystemReport, CoreError> {
-        self.validate()?;
-        let mut sys = DistributedSystem::with_chip(self.config.clone(), self.n_chips, self.chip())?;
-        if let Some(t) = self.topology.build(self.n_chips)? {
-            sys = sys.with_topology(t);
-        }
-        // Span blocks times the uniform batch size: each block instance
-        // is one request slot, so a batched span is exactly a deeper
-        // single-request span over the same template (the request-level
-        // periodicity argument, DESIGN.md §10).
-        if self.faults.is_empty() {
-            sys.simulate_blocks(self.mode, self.n_blocks())
-        } else {
-            sys.simulate_blocks_faulted(self.mode, self.n_blocks(), &self.faults, self.fail_policy)
-        }
+        self.schedule_key()?;
+        self.compile_schedule()?.simulate_faulted(
+            &self.chip(),
+            self.n_blocks(),
+            &self.faults,
+            self.fail_policy,
+        )
     }
 
     /// Number of Transformer block instances this scenario simulates
@@ -672,20 +667,21 @@ impl Scenario {
     /// display-only; depth shapes the template only through the residency
     /// regime, which is computed from the real configuration and included
     /// in the key), and `link_bw_pct`, `link_regime`, `span`, `faults`,
-    /// `fail_policy`, and `cost_source` are
-    /// excluded (the link speed, timing regime, fault plan, and kernel
-    /// pricing change machine timing,
-    /// never the schedule; the span only
-    /// changes how many times the template runs). Two scenarios with
-    /// equal keys lower to bit-identical templates, so the sweep engine
-    /// compiles once per key. Hygiene is locked by the
-    /// `schedule_key_hygiene` property suite in `tests/sweep.rs`.
+    /// and `fail_policy` are excluded (the link speed, timing regime and
+    /// fault plan change machine timing, never the schedule; the span
+    /// only changes how many times the template runs). The cost source
+    /// stays in: a compiled schedule is lowered once, for one pricing.
+    /// Two scenarios with equal keys compile to bit-identical schedules,
+    /// so the sweep engine compiles once per key. Hygiene is locked by
+    /// the `schedule_key_hygiene` property suite in `tests/sweep.rs`.
     ///
     /// # Errors
     ///
-    /// Propagates partition-divisibility errors (a scenario without a
-    /// valid partition has no schedule) and [`Scenario::validate`]
-    /// failures (an invalid axis value has no simulation either).
+    /// Propagates [`Scenario::validate`] failures (an invalid axis value
+    /// has no simulation), then partition-divisibility errors (a scenario
+    /// without a valid partition has no schedule), then, on one chip, the
+    /// topology's construction error (more chips report it from
+    /// [`Scenario::compile_schedule`]).
     pub fn schedule_key(&self) -> Result<ScheduleKey, CoreError> {
         self.validate()?;
         let chip = self.chip();
@@ -708,10 +704,16 @@ impl Scenario {
             dtype: c.dtype,
         };
         // A single chip emits no communication at all, so the reduction
-        // topology is structurally irrelevant there: every topology
-        // lowers to the bit-identical template (locked by
-        // `single_chip_topologies_share_template_and_simulation`).
-        let topology = if self.n_chips == 1 { TopologySpec::PaperDefault } else { self.topology };
+        // topology is structurally irrelevant there: every topology that
+        // builds lowers to the bit-identical template (locked by
+        // `single_chip_topologies_share_template_and_simulation`). One
+        // that does not build must not share a valid topology's key.
+        let topology = if self.n_chips == 1 {
+            self.topology.build(1)?;
+            TopologySpec::PaperDefault
+        } else {
+            self.topology
+        };
         Ok(ScheduleKey {
             structure,
             mode: self.mode,
@@ -719,6 +721,7 @@ impl Scenario {
             topology,
             placement: self.placement,
             residency: plan.residency,
+            cost_source: self.cost_source,
         })
     }
 
@@ -737,10 +740,13 @@ impl Scenario {
 
 /// Cache key of the engine's compiled-schedule store: the structural
 /// fields of a [`Scenario`] (model architecture with name and depth
-/// normalized away, mode, chip count, topology, placement) plus the
-/// weight-residency regime the memory plan selects. Batch size, like
-/// depth, only changes how often the template runs, so it never splits
-/// a key. See [`Scenario::schedule_key`].
+/// normalized away, mode, chip count, topology, placement), the
+/// weight-residency regime the memory plan selects, and the cost source
+/// the schedule is priced with, so every cached schedule has exactly one
+/// pricing. The chips a keyed schedule runs on may differ only in their
+/// link bandwidth and regime. Batch size, like depth, only changes how
+/// often the template runs, so it never splits a key. See
+/// [`Scenario::schedule_key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScheduleKey {
     structure: TransformerConfig,
@@ -749,6 +755,7 @@ pub struct ScheduleKey {
     topology: TopologySpec,
     placement: PlacementPolicy,
     residency: WeightResidency,
+    cost_source: CostSourceKind,
 }
 
 /// A declarative cross product of scenario axes.
@@ -1217,20 +1224,25 @@ impl SweepResults {
 /// Outcome of one simulated grid point, shared across scenarios that
 /// provably produce the same report; a failure keeps its message and
 /// whether it was an answer past a bound ([`SkippedScenario::overflow`]).
-type SimOutcome = Result<Arc<SystemReport>, (String, bool)>;
+type SimOutcome = Result<Arc<SystemReport>, Skip>;
+
+/// A skipped point's reason and overflow flag ([`SkippedScenario`]).
+type Skip = (String, bool);
 
 fn outcome(result: Result<SystemReport, CoreError>) -> SimOutcome {
-    result.map(Arc::new).map_err(|e| {
-        let overflow = matches!(
-            e,
-            CoreError::Sim(
-                SimError::CounterOverflow { .. }
-                    | SimError::CycleOverflow { .. }
-                    | SimError::FullRunBudget { .. }
-            )
-        );
-        (e.to_string(), overflow)
-    })
+    result.map(Arc::new).map_err(skip)
+}
+
+fn skip(e: CoreError) -> Skip {
+    let overflow = matches!(
+        e,
+        CoreError::Sim(
+            SimError::CounterOverflow { .. }
+                | SimError::CycleOverflow { .. }
+                | SimError::FullRunBudget { .. }
+        )
+    );
+    (e.to_string(), overflow)
 }
 
 /// Scenarios per bounded batch of [`SweepEngine::run_streamed`]: large
@@ -1403,60 +1415,53 @@ impl SweepEngine {
         // simulating keeps the fresh template cache-hot). One more
         // acquisition publishes the new templates after the workers
         // finish; the hot loop never touches the mutex.
-        let keys: Vec<Option<ScheduleKey>> = to_run.iter().map(|s| s.schedule_key().ok()).collect();
+        //
+        // Scenarios sharing a schedule, link bandwidth, link regime,
+        // depth, and fault plan (plus failover policy) produce identical
+        // reports (the schedule plus the bandwidth-scaled, regime-tagged,
+        // fault-injected chip fully determine the simulation — the
+        // remaining scenario fields are display-only), so such groups
+        // simulate once and share the report through an `Arc`. A point
+        // without a key (an invalid axis value, partition, or one-chip
+        // topology) is routed straight to its key's error.
+        let keys: Vec<Result<ScheduleKey, Skip>> =
+            to_run.iter().map(|s| s.schedule_key().map_err(skip)).collect();
         let mut unique: FxHashMap<&ScheduleKey, usize> = fxhash::map_with_capacity(keys.len());
-        let slot_of: Vec<Option<usize>> = keys
+        type SimKey<'s> = (usize, u32, usize, LinkRegime, &'s FaultPlan, FailPolicy);
+        let mut sims: FxHashMap<SimKey<'_>, usize> = fxhash::map_with_capacity(to_run.len());
+        let route: Vec<Result<(usize, usize), Skip>> = to_run
             .iter()
-            .map(|key| {
-                key.as_ref().map(|key| {
-                    let slot = unique.len();
-                    *unique.entry(key).or_insert(slot)
-                })
+            .zip(&keys)
+            .map(|(s, key)| {
+                let key = key.as_ref().map_err(Clone::clone)?;
+                let slot = unique.len();
+                let slot = *unique.entry(key).or_insert(slot);
+                let sim = sims.len();
+                let sim = *sims
+                    .entry((
+                        slot,
+                        s.link_bw_pct,
+                        s.n_blocks(),
+                        s.link_regime,
+                        &s.faults,
+                        s.fail_policy,
+                    ))
+                    .or_insert(sim);
+                Ok((slot, sim))
             })
             .collect();
-        let sched_slots: Vec<OnceLock<Option<Arc<CompiledSchedule>>>> =
+        let sched_slots: Vec<OnceLock<Result<Arc<CompiledSchedule>, Skip>>> =
             (0..unique.len()).map(|_| OnceLock::new()).collect();
         {
             let schedules = self.schedules.lock().expect("schedule cache poisoned");
             if !schedules.is_empty() {
                 for (key, &slot) in &unique {
                     if let Some(compiled) = schedules.get(*key) {
-                        let _ = sched_slots[slot].set(Some(Arc::clone(compiled)));
+                        let _ = sched_slots[slot].set(Ok(Arc::clone(compiled)));
                     }
                 }
             }
         }
-
-        // Scenarios sharing a template, link bandwidth, link regime,
-        // depth, fault plan (plus failover policy), and cost source
-        // produce identical reports (the template plus the
-        // bandwidth-scaled, regime-tagged, fault-injected chip fully
-        // determine the simulation — the remaining scenario fields are
-        // display-only), so such groups simulate once and share the
-        // report through an `Arc`.
-        type SimKey<'s> =
-            (usize, u32, usize, LinkRegime, &'s FaultPlan, FailPolicy, CostSourceKind);
-        let mut sims: FxHashMap<SimKey<'_>, usize> = fxhash::map_with_capacity(to_run.len());
-        let sim_of: Vec<Option<usize>> = to_run
-            .iter()
-            .zip(&slot_of)
-            .map(|(s, slot)| {
-                slot.map(|slot| {
-                    let sim = sims.len();
-                    *sims
-                        .entry((
-                            slot,
-                            s.link_bw_pct,
-                            s.n_blocks(),
-                            s.link_regime,
-                            &s.faults,
-                            s.fail_policy,
-                            s.cost_source,
-                        ))
-                        .or_insert(sim)
-                })
-            })
-            .collect();
         let sim_slots: Vec<OnceLock<SimOutcome>> =
             (0..sims.len()).map(|_| OnceLock::new()).collect();
         drop(sims);
@@ -1471,15 +1476,14 @@ impl SweepEngine {
         let worker = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(scenario) = to_run.get(i) else { break };
-            let outcome = match (slot_of[i], sim_of[i]) {
-                (Some(slot), Some(sim)) => sim_slots[sim]
+            let outcome = match &route[i] {
+                Ok((slot, sim)) => sim_slots[*sim]
                     .get_or_init(|| {
-                        // Compilation failures (e.g. a topology error)
-                        // fall back to the uncached path, which reports
-                        // the exact error.
-                        let compiled = sched_slots[slot]
-                            .get_or_init(|| scenario.compile_schedule().ok().map(Arc::new))
-                            .as_ref();
+                        // A compilation error (a topology that does not
+                        // build) is every keyed point's skip reason.
+                        let compiled = sched_slots[*slot].get_or_init(|| {
+                            scenario.compile_schedule().map(Arc::new).map_err(skip)
+                        });
                         match compiled {
                             // Depth variants, bandwidths that price alike
                             // and placements sharing this template reuse
@@ -1487,18 +1491,17 @@ impl SweepEngine {
                             // takes the fault-free path, and a fail-stop
                             // under the abort policy becomes this
                             // scenario's typed skip reason.
-                            Some(compiled) => outcome(compiled.simulate_faulted(
+                            Ok(compiled) => outcome(compiled.simulate_faulted(
                                 &scenario.chip(),
                                 scenario.n_blocks(),
                                 &scenario.faults,
                                 scenario.fail_policy,
                             )),
-                            None => outcome(scenario.run()),
+                            Err(reason) => Err(reason.clone()),
                         }
                     })
                     .clone(),
-                // No valid partition: report the scenario's own error.
-                _ => outcome(scenario.run()),
+                Err(reason) => Err(reason.clone()),
             };
             *slots[i].lock().expect("sweep slot poisoned") = Some(outcome);
         };
@@ -1518,7 +1521,7 @@ impl SweepEngine {
         {
             let mut schedules = self.schedules.lock().expect("schedule cache poisoned");
             for (key, &slot) in &unique {
-                if let Some(Some(compiled)) = sched_slots[slot].get() {
+                if let Some(Ok(compiled)) = sched_slots[slot].get() {
                     schedules.entry((*key).clone()).or_insert_with(|| Arc::clone(compiled));
                 }
             }

@@ -239,12 +239,6 @@ impl TransformerConfig {
         self.n_kv_heads * self.head_dim()
     }
 
-    /// Query heads sharing one K/V head (`1` for classic MHA).
-    #[must_use]
-    pub fn gqa_group_size(&self) -> usize {
-        self.n_heads / self.n_kv_heads
-    }
-
     /// The same configuration with a different sequence length (the paper
     /// uses `S = 128` for autoregressive TinyLlama but `S = 16` in prompt
     /// mode).

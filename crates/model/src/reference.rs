@@ -153,21 +153,6 @@ pub fn attention_heads_into(
     }
 }
 
-/// Applies rotary embeddings head-by-head to a `[S x (h*P)]` slab whose
-/// rows start at absolute position `pos0`. The steady-state paths mutate
-/// their slabs directly with [`kernels::rope_heads_inplace`]; this
-/// copying wrapper remains for callers that need the input preserved.
-///
-/// # Errors
-///
-/// Never fails (the `Result` is kept for call-site compatibility);
-/// malformed head widths panic as in [`kernels::rope_heads_inplace`].
-pub fn apply_rope_heads(t: &Tensor, head_dim: usize, pos0: usize) -> Result<Tensor> {
-    let mut out = t.clone();
-    kernels::rope_heads_inplace(&mut out, head_dim, pos0);
-    Ok(out)
-}
-
 /// Row-wise normalization of `t` according to the model's [`NormKind`].
 #[must_use]
 pub fn normalize(t: &Tensor, kind: NormKind, gamma: &[f32], beta: &[f32]) -> Tensor {

@@ -243,13 +243,6 @@ impl RunStats {
         self.per_chip.iter().map(|c| c.c2c_retransmits).sum()
     }
 
-    /// Total packets forced through after exhausting the go-back-N retry
-    /// budget (lossy link regime; 0 otherwise).
-    #[must_use]
-    pub fn total_gave_up(&self) -> u64 {
-        self.per_chip.iter().map(|c| c.c2c_gave_up).sum()
-    }
-
     /// Total cycles chips were frozen by transient stall faults.
     #[must_use]
     pub fn total_fault_stall_cycles(&self) -> u64 {
@@ -266,12 +259,6 @@ impl RunStats {
     #[must_use]
     pub fn total_fault_link_cycles(&self) -> u64 {
         self.per_chip.iter().map(|c| c.fault_link_cycles).sum()
-    }
-
-    /// Total sends stretched by link-degrade windows across all chips.
-    #[must_use]
-    pub fn total_fault_transfers_affected(&self) -> u64 {
-        self.per_chip.iter().map(|c| c.fault_transfers_affected).sum()
     }
 
     /// Total cycles of work lost to fail-stops and replayed elsewhere

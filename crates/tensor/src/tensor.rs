@@ -117,12 +117,6 @@ impl<E: TensorElement> TensorBase<E> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<E> {
-        self.data
-    }
-
     /// Element at `(row, col)` of a matrix.
     ///
     /// # Panics

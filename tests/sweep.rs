@@ -12,13 +12,16 @@
 //! 4. **Grid scale** — the default `mtp sweep` grid yields at least 48
 //!    valid scenarios end to end.
 
-use mtp::core::{DistributedSystem, MemoryPlan, PartitionSpec, WeightResidency};
+use mtp::core::{
+    CoreError, DistributedSystem, FailPolicy, MemoryPlan, PartitionSpec, WeightResidency,
+};
 use mtp::harness::sweep::{
     CostSourceKind, ModelPreset, PlacementPolicy, Scenario, Span, SweepEngine, SweepGrid,
     SweepResults, TopologySpec, CSV_HEADER,
 };
 use mtp::harness::{fig4, fig5, fig6, headline, table1};
 use mtp::model::{InferenceMode, TransformerConfig};
+use mtp::sim::{Machine, SimError};
 use proptest::prelude::*;
 
 fn mixed_grid() -> SweepGrid {
@@ -126,12 +129,12 @@ fn serial_and_parallel_engines_agree() {
     assert_eq!(serial.to_json(), parallel.to_json());
 }
 
-/// Analytic and calibrated scenarios share one compiled schedule, which
-/// caches one lowered form. Workers that lower it at the same time for
-/// the two cost models must each still simulate on their own pricing:
-/// every row of a many-thread two-source sweep equals the row of a
-/// serial single-source sweep (the calibrated model is measured once per
-/// process, so both runs price with the same one).
+/// Analytic and calibrated scenarios key separate compiled schedules,
+/// each lowered once for its own pricing: a two-source grid caches one
+/// schedule per source for each structure, and every row of a
+/// many-thread two-source sweep equals the row of a serial single-source
+/// sweep (the calibrated model is measured once per process, so both
+/// runs price with the same one).
 #[test]
 fn mixed_cost_sources_on_many_threads_match_serial_single_source_runs() {
     let grid = |sources| {
@@ -147,11 +150,14 @@ fn mixed_cost_sources_on_many_threads_match_serial_single_source_runs() {
     };
     let both = grid(vec![CostSourceKind::Analytic, CostSourceKind::Calibrated]);
     // Fresh engines start with empty schedule caches, so every round
-    // races the first lowering of each schedule again.
+    // races the first compilation of each schedule again.
     for _ in 0..4 {
-        let mixed = SweepEngine::with_threads(8).run(&both);
+        let engine = SweepEngine::with_threads(8);
+        let mixed = engine.run(&both);
         for source in [CostSourceKind::Analytic, CostSourceKind::Calibrated] {
-            let serial = SweepEngine::serial().run(&grid(vec![source]));
+            let single = SweepEngine::serial();
+            let serial = single.run(&grid(vec![source]));
+            assert_eq!(2 * single.cached_schedules_len(), engine.cached_schedules_len());
             let rows: Vec<_> =
                 mixed.rows.iter().filter(|r| r.scenario.cost_source == source).collect();
             assert_eq!(rows.len(), serial.rows.len());
@@ -161,6 +167,144 @@ fn mixed_cost_sources_on_many_threads_match_serial_single_source_runs() {
             }
         }
     }
+}
+
+/// Invalid points skip with the reasons and overflow flags the engine
+/// reported when it re-ran each one outside its schedule cache; the
+/// uncached `Scenario::run` and `SweepEngine::run_one` return the same
+/// errors. An invalid partition wins over an invalid topology.
+#[test]
+fn invalid_points_skip_with_pinned_reasons() {
+    let ar = InferenceMode::Autoregressive;
+    let hier1 = TopologySpec::Hierarchical { group_size: 1 };
+    let tiny = |n| Scenario::new(TransformerConfig::tiny_llama_42m(), ar, n);
+    let bert = Scenario::new(TransformerConfig::mobile_bert(), InferenceMode::Prompt, 8);
+    let mut zero_bw = tiny(4);
+    zero_bw.link_bw_pct = 0;
+    let partition = "8 chips cannot evenly share 4 attention heads";
+    let topology = "topology construction failed: group size 1 is too small (minimum 2)";
+    let cases = [
+        (bert.clone(), partition, false),
+        (tiny(4).with_topology(hier1), topology, false),
+        (bert.with_topology(hier1), partition, false),
+        (tiny(1).with_topology(hier1), topology, false),
+        (
+            tiny(4)
+                .with_topology(hier1)
+                .with_faults(mtp::sim::FaultPlan::parse("stall:0:1000:5000").unwrap()),
+            topology,
+            false,
+        ),
+        (
+            zero_bw,
+            "invalid model configuration: link bandwidth must be positive: 0% of the MIPI port \
+             is a zero-rate link with unbounded transfer time",
+            false,
+        ),
+        (
+            tiny(8)
+                .with_faults(mtp::sim::FaultPlan::parse("stall:0:1:18446744073709551000").unwrap()),
+            "simulation failed: chip0 cycle or byte counters overflow u64",
+            true,
+        ),
+    ];
+    let all: Vec<Scenario> = cases.iter().map(|(s, ..)| s.clone()).collect();
+    for threads in [1, 4] {
+        let together = SweepEngine::with_threads(threads).run_scenarios(&all);
+        assert!(together.rows.is_empty());
+        assert_eq!(together.skipped.len(), cases.len());
+        for (skip, (scenario, reason, overflow)) in together.skipped.iter().zip(&cases) {
+            assert_eq!(&skip.scenario, scenario);
+            assert_eq!((skip.reason.as_str(), skip.overflow), (*reason, *overflow));
+        }
+    }
+    for (scenario, reason, overflow) in &cases {
+        let alone = SweepEngine::serial().run_scenarios(std::slice::from_ref(scenario));
+        let skip = &alone.skipped[0];
+        assert_eq!((skip.reason.as_str(), skip.overflow), (*reason, *overflow));
+        assert_eq!(scenario.run().unwrap_err().to_string(), *reason);
+        assert_eq!(SweepEngine::new().run_one(scenario).unwrap_err().to_string(), *reason);
+    }
+}
+
+/// A topology that does not build never shares a valid topology's
+/// schedule, even on one chip, where every valid topology does: the
+/// invalid point skips whichever point the engine meets first.
+#[test]
+fn an_invalid_one_chip_topology_skips_beside_a_valid_one() {
+    let valid =
+        Scenario::new(TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive, 1);
+    let invalid = valid.clone().with_topology(TopologySpec::Hierarchical { group_size: 1 });
+    for pair in [[valid.clone(), invalid.clone()], [invalid.clone(), valid.clone()]] {
+        let results = SweepEngine::serial().run_scenarios(&pair);
+        assert_eq!(results.rows.len(), 1);
+        assert_eq!(results.rows[0].scenario, valid);
+        assert_eq!(results.skipped.len(), 1);
+        assert_eq!(results.skipped[0].scenario, invalid);
+    }
+}
+
+/// A compiled schedule's form is its template lowered for the compile
+/// chip, over every model preset, chip count, topology, placement and
+/// cost source.
+#[test]
+fn compiled_form_equals_lowering_its_template() {
+    let presets = [
+        ModelPreset::TinyLlama,
+        ModelPreset::TinyLlamaScaled64h,
+        ModelPreset::TinyLlamaGqa(2),
+        ModelPreset::TinyLlamaDeep(24),
+        ModelPreset::MobileBert,
+        ModelPreset::MobileBertDeep(4),
+    ];
+    let mut compiled_count = 0;
+    for preset in presets {
+        for mode in [InferenceMode::Autoregressive, InferenceMode::Prompt] {
+            for n in [1usize, 2, 4, 8] {
+                for topology in [TopologySpec::PaperDefault, TopologySpec::Flat] {
+                    for placement in [PlacementPolicy::Auto, PlacementPolicy::ForceStreamed] {
+                        for cost in [CostSourceKind::Analytic, CostSourceKind::Calibrated] {
+                            let s = Scenario::new(preset.config(mode), mode, n)
+                                .with_topology(topology)
+                                .with_placement(placement)
+                                .with_cost_source(cost);
+                            let Ok(compiled) = s.compile_schedule() else { continue };
+                            let machine = Machine::homogeneous(s.chip(), n);
+                            let direct = machine.lower(&compiled.template()).unwrap();
+                            assert_eq!(compiled.lowered(), &direct, "{}", s.key());
+                            compiled_count += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(compiled_count >= 300, "only {compiled_count} schedules compiled");
+}
+
+/// A schedule is priced once: a chip that prices kernels differently is
+/// a typed error from every evaluator, never a panic or a re-lowering.
+#[test]
+fn differently_priced_chips_are_refused_by_every_evaluator() {
+    let ar = InferenceMode::Autoregressive;
+    let analytic = Scenario::new(TransformerConfig::tiny_llama_42m(), ar, 4);
+    let compiled = analytic.compile_schedule().unwrap();
+    let other = analytic.with_cost_source(CostSourceKind::Calibrated).chip();
+    let refused = |r: Result<_, CoreError>| {
+        matches!(r, Err(CoreError::Sim(SimError::FormPricingMismatch { .. })))
+    };
+    for n in [1, 96] {
+        assert!(refused(compiled.simulate(&other, n).map(drop)), "simulate at {n}");
+    }
+    assert!(refused(compiled.steady_state(&other).map(drop)), "steady_state");
+    for faults in ["none", "stall:0:1000:5000", "failstop:1:50000"] {
+        let plan = mtp::sim::FaultPlan::parse(faults).unwrap();
+        for policy in [FailPolicy::Abort, FailPolicy::SpareChip] {
+            let r = compiled.simulate_faulted(&other, 8, &plan, policy).map(drop);
+            assert!(refused(r), "simulate_faulted under {faults}");
+        }
+    }
+    assert_eq!(compiled.walks(), 0, "a refused chip walks nothing");
 }
 
 /// The pre-refactor fig4/fig5/fig6 harness simulated each point as

@@ -14,7 +14,7 @@
 //!    must equal the evaluated stats' makespan at every depth;
 //! 5. the steady-state memo of a compiled schedule: every `(bandwidth,
 //!    depth)` answer equals `run_periodic`, and chips priced by different
-//!    kernel cost models never share an entry.
+//!    kernel cost models never share a schedule.
 //!
 //! Scenarios whose fixed point is not provable (the symbolic model
 //! returns `None`) are skipped here — the periodic lockstep suite
@@ -22,9 +22,10 @@
 //! a fixed point for most of its scenarios, which the tests assert.
 
 use mtp::core::schedule::{CompiledSchedule, Scheduler};
+use mtp::core::CoreError;
 use mtp::harness::sweep::{CostSourceKind, Scenario, Span, SweepGrid};
 use mtp::model::{InferenceMode, TransformerConfig};
-use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program, SymbolicMakespan};
+use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program, SimError, SymbolicMakespan};
 use proptest::prelude::*;
 
 /// Concatenates a template `n_blocks` times with fresh ids per block —
@@ -123,7 +124,7 @@ fn assert_grid_symbolic(grid: &SweepGrid, min_proven: usize) {
         if assert_symbolic_lockstep(
             &chip,
             scenario.n_chips,
-            compiled.template(),
+            &compiled.template(),
             &probe_depths(scenario.n_blocks()),
             &context,
         ) {
@@ -174,7 +175,7 @@ fn memo_matches_run_periodic_at_every_bandwidth_and_depth() {
             for n in [1, 3, 5, 8, 96, 300] {
                 assert_eq!(
                     compiled.simulate(&scaled, n).unwrap().stats,
-                    machine.run_periodic(compiled.template(), n).unwrap(),
+                    machine.run_periodic(&compiled.template(), n).unwrap(),
                     "{mode} bw {pct}% n_blocks={n}"
                 );
             }
@@ -188,8 +189,9 @@ fn memo_matches_run_periodic_at_every_bandwidth_and_depth() {
 
 #[test]
 fn analytic_and_calibrated_chips_get_separate_entries() {
-    // The sweep shares one schedule between both cost sources; their
-    // kernels price differently, so each walks its own steady state.
+    // Each cost source keys its own schedule, priced once: each walks
+    // its own steady state, and the other source's chip is refused
+    // rather than priced again.
     let model = |cost| {
         Scenario::new(TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive, 2)
             .with_span(Span::Model)
@@ -197,21 +199,24 @@ fn analytic_and_calibrated_chips_get_separate_entries() {
     };
     let analytic = model(CostSourceKind::Analytic);
     let calibrated = model(CostSourceKind::Calibrated);
-    assert_eq!(analytic.schedule_key().unwrap(), calibrated.schedule_key().unwrap());
-    let compiled = analytic.compile_schedule().unwrap();
+    assert_ne!(analytic.schedule_key().unwrap(), calibrated.schedule_key().unwrap());
     let mut makespans = Vec::new();
-    for s in [&analytic, &calibrated, &analytic, &calibrated] {
-        let chip = s.chip();
-        let n = s.n_blocks();
-        let stats = compiled.simulate(&chip, n).unwrap().stats;
-        let cold = Machine::homogeneous(chip, 2).run_periodic(compiled.template(), n).unwrap();
-        assert_eq!(stats, cold, "{:?}", s.cost_source);
-        makespans.push(stats.makespan);
+    for (s, other) in [(&analytic, &calibrated), (&calibrated, &analytic)] {
+        let compiled = s.compile_schedule().unwrap();
+        let (chip, n) = (s.chip(), s.n_blocks());
+        let cold = Machine::homogeneous(chip, 2).run_periodic(&compiled.template(), n).unwrap();
+        for _ in 0..2 {
+            assert_eq!(compiled.simulate(&chip, n).unwrap().stats, cold, "{:?}", s.cost_source);
+        }
+        // The repeat answers from the schedule's own entry.
+        assert_eq!(compiled.walks(), 1);
+        assert!(matches!(
+            compiled.simulate(&other.chip(), n),
+            Err(CoreError::Sim(SimError::FormPricingMismatch { .. }))
+        ));
+        makespans.push(cold.makespan);
     }
     assert_ne!(makespans[0], makespans[1], "the cost sources price kernels differently");
-    // One walk each: neither answers from the other's entry, and the
-    // repeats answer from their own.
-    assert_eq!(compiled.walks(), 2);
 }
 
 proptest! {
