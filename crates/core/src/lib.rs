@@ -26,6 +26,7 @@
 //! - [`functional`]: value-level distributed execution, verified against
 //!   the golden model in `mtp-model`;
 //! - [`schedule`]: lowers one block into per-chip [`mtp_sim::Program`]s;
+//! - [`memo`]: the bounded memo every compiled-schedule store is built on;
 //! - [`system`]: ties everything together and produces [`report`]s with
 //!   latency, runtime breakdown, and energy;
 //! - [`baseline`]: pipeline-parallel and weight-replicated baselines for
@@ -52,6 +53,7 @@ pub mod baseline;
 mod error;
 pub mod failover;
 pub mod functional;
+pub mod memo;
 pub mod placement;
 pub mod quantized;
 pub mod report;

@@ -26,7 +26,7 @@ use mtp_sim::{
     SymbolicMakespan, WarmupCheckpoint, FULL_RUN_THRESHOLD,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 // Partial outputs are requantized to the deployment dtype before hitting
 // the wire (the energy-optimal choice for a 100 pJ/B link), so reduce and
@@ -414,39 +414,39 @@ fn timing_class(chip: &ChipSpec, send_sizes: &[u64]) -> (ChipSpec, Vec<u64>) {
 /// memo afresh past this, so it never grows with the grid.
 const MAX_TIMING_CLASSES: usize = 256;
 
-/// One timing class's walk result: `None` when the walk proved no fixed
-/// point.
-type Walked = Option<Arc<SymbolicMakespan>>;
+/// One timing class's walk, run once however many threads ask for it:
+/// it holds `None` when the walk proved no fixed point.
+type Walked = Arc<OnceLock<Option<Arc<SymbolicMakespan>>>>;
 
 #[derive(Debug, Default)]
 struct Memo {
-    /// Each timing class's walk result, by link signature and then by
-    /// chip: a design space has many link settings but few chips.
+    /// Each timing class's walk, by link signature and then by chip: a
+    /// design space has many link settings but few chips.
     classes: HashMap<Vec<u64>, Vec<(ChipSpec, Walked)>>,
     /// Walks run: the memo's misses.
     walks: usize,
 }
 
 impl Memo {
-    fn get(&self, chip: &ChipSpec, link: &[u64]) -> Option<Walked> {
-        self.classes.get(link)?.iter().find(|(c, _)| c == chip).map(|(_, model)| model.clone())
+    fn get(&self, chip: &ChipSpec, link: &[u64]) -> Option<&Walked> {
+        self.classes.get(link)?.iter().find(|(c, _)| c == chip).map(|(_, walked)| walked)
     }
 
     fn len(&self) -> usize {
         self.classes.values().map(Vec::len).sum()
     }
 
-    /// Keeps `model` for the class unless it already holds one, which
-    /// then wins.
-    fn keep(&mut self, chip: ChipSpec, link: Vec<u64>, model: Walked) -> Walked {
+    /// The class's walk, added unwalked if the memo holds none.
+    fn class(&mut self, chip: ChipSpec, link: Vec<u64>) -> Walked {
         if let Some(kept) = self.get(&chip, &link) {
-            return kept;
+            return Arc::clone(kept);
         }
         if self.len() == MAX_TIMING_CLASSES {
             self.classes.clear();
         }
-        self.classes.entry(link).or_default().push((chip, model.clone()));
-        model
+        let walked = Walked::default();
+        self.classes.entry(link).or_default().push((chip, Arc::clone(&walked)));
+        walked
     }
 }
 
@@ -462,7 +462,7 @@ impl Memo {
 /// class* ([`CompiledSchedule::steady_state`]), so depth variants,
 /// bandwidths that price every send alike, placements sharing a template
 /// and the one-chip topology collapse reuse one walk with no grouping by
-/// the caller. The sweep engine keys its cache on exactly the fields
+/// the caller. The sweep engine keys its store on exactly the fields
 /// that reach this compilation: model structure, mode, chip count,
 /// topology, placement, cost source, and the residency regime the memory
 /// plan selects (the only path through which model depth shapes the
@@ -574,22 +574,28 @@ impl CompiledSchedule {
     /// # Errors
     ///
     /// [`mtp_sim::SimError::FormPricingMismatch`] when `chip` prices
-    /// kernels or DMA unlike the compile chip.
+    /// kernels or DMA unlike the compile chip, under every link regime.
     pub fn steady_state(&self, chip: &ChipSpec) -> Result<Option<Arc<SymbolicMakespan>>> {
+        let machine = || Machine::homogeneous(*chip, self.n_chips());
         if !chip.link_regime.contention_free() {
+            machine().check_form(&self.lowered)?;
             return Ok(None);
         }
         let (rest, link) = timing_class(chip, &self.send_sizes);
-        if let Some(model) = self.memo().get(&rest, &link) {
-            return Ok(model);
+        if let Some(model) = self.memo().get(&rest, &link).and_then(|walked| walked.get()) {
+            return Ok(model.clone());
         }
-        // Walk outside the lock; a class another worker kept meanwhile
-        // keeps its entry.
-        let machine = Machine::homogeneous(*chip, self.n_chips());
-        let model = SymbolicMakespan::derive_lowered(&machine, &self.lowered)?.map(Arc::new);
-        let mut memo = self.memo();
-        memo.walks += 1;
-        Ok(memo.keep(rest, link, model))
+        // Walk outside the memo's lock, once per class: a thread asking
+        // for a class another one is walking waits for that walk.
+        let machine = machine();
+        machine.check_form(&self.lowered)?;
+        let walked = self.memo().class(rest, link);
+        let model = walked.get_or_init(|| {
+            self.memo().walks += 1;
+            // The pricing check above is the walk's only error.
+            SymbolicMakespan::derive_lowered(&machine, &self.lowered).ok().flatten().map(Arc::new)
+        });
+        Ok(model.clone())
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
@@ -981,9 +987,9 @@ mod tests {
         });
         backward.reverse();
         assert_eq!((forward, backward), (expect.clone(), expect));
-        // A race may walk one class twice, but it keeps one entry.
+        // Racing threads walk each class once and keep one entry.
         assert_eq!(shared.memo().len(), serial.memo().len());
-        assert!(shared.walks() >= shared.memo().len());
+        assert_eq!(shared.walks(), serial.walks());
     }
 
     #[test]

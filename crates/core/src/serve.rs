@@ -39,9 +39,9 @@
 //! latency definitions, and `tests/serving_lockstep.rs` for the proof
 //! suite.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
+use crate::memo::Memo;
 use crate::schedule::CompiledSchedule;
 use crate::{CoreError, DistributedSystem, Result};
 use mtp_model::{InferenceMode, ServeWorkload};
@@ -710,14 +710,11 @@ impl DistributedSystem {
 
     /// Pass makespan for a slot-shape vector, from the system's memo:
     /// one pass over `n_layers` blocks of the slots
-    /// ([`DistributedSystem::run_slots`]), simulated outside the memo's
-    /// lock on the first ask.
+    /// ([`DistributedSystem::run_slots`]), simulated on the first ask.
     fn pass_makespan(&self, shapes: &[SlotShape]) -> Result<u64> {
-        if let Some(&cycles) = self.serve_memo().tables().passes.get(shapes) {
-            return Ok(cycles);
-        }
-        let cycles = self.run_slots(shapes, self.config().n_layers)?.0.makespan;
-        Ok(self.serve_memo().keep_pass(shapes, cycles))
+        self.serve_memo().passes.get_or_try_insert_with(shapes, || {
+            Ok(self.run_slots(shapes, self.config().n_layers)?.0.makespan)
+        })
     }
 
     /// One slot's one-block schedule at `seq` tokens in `mode`, compiled
@@ -730,20 +727,12 @@ impl DistributedSystem {
         seq: usize,
     ) -> Result<Arc<CompiledSchedule>> {
         debug_assert!((1..=self.config().seq_len).contains(&seq), "slot context {seq}");
-        if let Some(compiled) = self.serve_memo().tables().slots.get(&(mode, seq)) {
-            return Ok(Arc::clone(compiled));
-        }
-        // Compile outside the lock; a schedule another thread kept
-        // meanwhile keeps its entry.
-        let cfg = self.config().clone().with_seq_len(seq);
-        let compiled = Arc::new(CompiledSchedule::compile(
-            &cfg,
-            self.n_chips(),
-            self.chip(),
-            self.topology().cloned(),
-            mode,
-        )?);
-        Ok(Arc::clone(self.serve_memo().tables().slots.entry((mode, seq)).or_insert(compiled)))
+        self.serve_memo().slots.get_or_try_insert_with(&(mode, seq), || {
+            let cfg = self.config().clone().with_seq_len(seq);
+            let topology = self.topology().cloned();
+            CompiledSchedule::compile(&cfg, self.n_chips(), self.chip(), topology, mode)
+                .map(Arc::new)
+        })
     }
 }
 
@@ -760,61 +749,21 @@ const MAX_PASS_SHAPES: usize = 4096;
 /// The memo a [`DistributedSystem`] owns, shared by its block spans,
 /// batches and serving runs and by its clones: each slot's compiled
 /// one-block schedule per `(mode, billed context)`, and each serving
-/// pass makespan per *ordered* slot-shape vector. A compiled schedule
-/// keeps its lowered form and no program template (`DESIGN.md` §12).
-/// A pass makespan is a
-/// function of the system and its slot shapes alone — not of the
-/// workload, the policy, the billing or the request-level fault
-/// profile, which only decide which shapes occur — so sharing it across
-/// runs is exact.
-///
-/// Slot schedules are bounded by the workload validation: every slot's
-/// context is in `1..=seq_len`, so at most `2 x seq_len` schedules. The
-/// pass table is bounded by [`MAX_PASS_SHAPES`]. Look-ups and inserts
-/// hold the lock; compiling and simulating never do, and when two
-/// threads compute the same entry the first insert wins (both computed
-/// the same value). A system allocates its memo on first use, so one that
-/// never simulates or clones allocates nothing for it.
-#[derive(Default)]
+/// pass makespan per *ordered* slot-shape vector (`DESIGN.md` §12). A
+/// pass makespan is a function of the system and its slot shapes alone,
+/// never of the workload, policy, billing or fault profile that produced
+/// them, so sharing it across runs is exact. Validated contexts lie in
+/// `1..=seq_len`, so the slot table never reaches its `2 x seq_len`
+/// bound.
+#[derive(Debug)]
 pub(crate) struct ServeMemo {
-    tables: Mutex<MemoTables>,
-}
-
-#[derive(Default)]
-struct MemoTables {
-    slots: HashMap<SlotShape, Arc<CompiledSchedule>>,
-    passes: HashMap<Vec<SlotShape>, u64>,
+    slots: Memo<SlotShape, Arc<CompiledSchedule>>,
+    passes: Memo<Vec<SlotShape>, u64>,
 }
 
 impl ServeMemo {
-    fn tables(&self) -> MutexGuard<'_, MemoTables> {
-        // Entries are inserted whole, so a panicking holder leaves none
-        // half written.
-        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Keeps `cycles` for `shapes` unless the table already holds a
-    /// makespan for them, which then wins; a full table starts afresh.
-    fn keep_pass(&self, shapes: &[SlotShape], cycles: u64) -> u64 {
-        let mut tables = self.tables();
-        if let Some(&kept) = tables.passes.get(shapes) {
-            return kept;
-        }
-        if tables.passes.len() >= MAX_PASS_SHAPES {
-            tables.passes.clear();
-        }
-        tables.passes.insert(shapes.to_vec(), cycles);
-        cycles
-    }
-}
-
-impl std::fmt::Debug for ServeMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tables = self.tables();
-        f.debug_struct("ServeMemo")
-            .field("slots", &tables.slots.len())
-            .field("passes", &tables.passes.len())
-            .finish()
+    pub(crate) fn new(seq_len: usize) -> Self {
+        ServeMemo { slots: Memo::new(2 * seq_len), passes: Memo::new(MAX_PASS_SHAPES) }
     }
 }
 
@@ -1223,8 +1172,8 @@ mod tests {
     }
 
     fn memo_len(sys: &DistributedSystem) -> (usize, usize) {
-        let tables = sys.serve_memo().tables();
-        (tables.slots.len(), tables.passes.len())
+        let memo = sys.serve_memo();
+        (memo.slots.len(), memo.passes.len())
     }
 
     #[test]
@@ -1256,7 +1205,7 @@ mod tests {
         let (sys, p) = (sys(4), 16);
         sys.simulate_batch(InferenceMode::Prompt, &BatchWorkload::uniform(1, p, 0)).unwrap();
         assert_eq!(memo_len(&sys), (1, 0));
-        let form = || Arc::clone(&sys.serve_memo().tables().slots[&(InferenceMode::Prompt, p)]);
+        let form = || sys.slot_form(InferenceMode::Prompt, p).unwrap();
         let baseline = form();
         let policy = BatchPolicy::Continuous { max_slots: 2 };
         sys.simulate_serve(&saturated(3, p, 2), policy, Billing::PerRequest).unwrap();
@@ -1291,22 +1240,25 @@ mod tests {
         // Fill the table one short of the cap with shapes no two-slot
         // run meets: the run's first new shape fills it, the next one
         // starts it afresh.
+        let passes = &sys.serve_memo().passes;
+        let keep = |shape: &[SlotShape], cycles| {
+            passes.get_or_try_insert_with(shape, || Ok::<_, CoreError>(cycles)).unwrap()
+        };
         for i in 0..MAX_PASS_SHAPES - 1 {
-            let kept = sys.serve_memo().keep_pass(&[(InferenceMode::Prompt, i + 1); 3], 1);
-            assert_eq!(kept, 1);
+            assert_eq!(keep(&[(InferenceMode::Prompt, i + 1); 3], 1), 1);
         }
         assert_eq!(memo_len(&sys).1, MAX_PASS_SHAPES - 1);
         let report = sys.simulate_serve(&mixed_load(), policy, Billing::PerRequest).unwrap();
         assert_eq!(report, fresh);
-        let tables = sys.serve_memo().tables();
-        assert!(tables.passes.len() < MAX_PASS_SHAPES);
-        assert!(tables.passes.keys().all(|shape| shape.len() <= 2), "the filler is gone");
-        assert!(tables.slots.len() <= 2 * sys.config().seq_len);
-        drop(tables);
+        assert!(passes.len() < MAX_PASS_SHAPES);
+        let filler =
+            |i| passes.get_or_try_insert_with(&[(InferenceMode::Prompt, i); 3][..], || Err(()));
+        assert!((1..MAX_PASS_SHAPES).all(|i| filler(i).is_err()), "the filler is gone");
+        assert!(memo_len(&sys).0 <= 2 * sys.config().seq_len);
         // The first insert of a shape wins.
         let shape = [(InferenceMode::Autoregressive, 9); 2];
-        assert_eq!(sys.serve_memo().keep_pass(&shape, 7), 7);
-        assert_eq!(sys.serve_memo().keep_pass(&shape, 8), 7);
+        assert_eq!(keep(&shape, 7), 7);
+        assert_eq!(keep(&shape, 8), 7);
     }
 
     #[test]

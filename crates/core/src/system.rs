@@ -113,7 +113,7 @@ impl DistributedSystem {
 
     /// The slot and pass memo this system shares with its clones.
     pub(crate) fn serve_memo(&self) -> &Arc<ServeMemo> {
-        self.memo.get_or_init(Arc::default)
+        self.memo.get_or_init(|| Arc::new(ServeMemo::new(self.cfg.seq_len)))
     }
 
     /// Energy-model constants derived from the chip specification.

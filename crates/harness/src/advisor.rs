@@ -13,7 +13,8 @@
 //! interactive even for thousand-point spaces:
 //!
 //! 1. **Schedule reuse** — candidates sharing a
-//!    [`Scenario::schedule_key`] compile one [`CompiledSchedule`]
+//!    [`Scenario::schedule_key`] take one [`CompiledSchedule`] from a
+//!    serial [`SweepEngine`]'s store, the sweep's own get-or-compile
 //!    (bandwidth never changes a template, and a single chip collapses
 //!    every topology).
 //! 2. **Symbolic scoring** — every point scores through
@@ -27,15 +28,15 @@
 //! Output is deterministic: candidates enumerate in fixed axis order and
 //! nothing in the report depends on wall clock, so two runs render, CSV,
 //! and JSON byte-identically.
+//!
+//! [`CompiledSchedule`]: mtp_core::schedule::CompiledSchedule
+//! [`CompiledSchedule::simulate`]: mtp_core::schedule::CompiledSchedule::simulate
 
-use crate::fxhash::FxHashMap;
 use crate::record::{self, Cell, Cells, Format, Record};
-use crate::sweep::{PlacementPolicy, Scenario, ScheduleKey, Span, TopologySpec};
+use crate::sweep::{PlacementPolicy, Scenario, Span, SweepEngine, TopologySpec};
 use crate::table::TextTable;
-use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, SystemReport};
 use mtp_model::{InferenceMode, TransformerConfig};
-use std::collections::hash_map::Entry;
 
 /// Real-time constraints for a full-model inference pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,7 +181,7 @@ pub struct Advice {
     /// with the fewest chips, ties broken by makespan, then energy, then
     /// enumeration order.
     pub recommended: Option<usize>,
-    /// Distinct schedule templates compiled (the [`ScheduleKey`] cache's
+    /// Distinct schedule templates compiled (the [`crate::sweep::ScheduleKey`] cache's
     /// hit rate is `candidates.len() - compiled` per bandwidth group).
     pub compiled: usize,
     /// Steady-state walks run (memo misses across all schedules) — the
@@ -254,7 +255,7 @@ pub fn advise(
         }
     }
 
-    let mut schedules: FxHashMap<ScheduleKey, CompiledSchedule> = FxHashMap::default();
+    let engine = SweepEngine::serial();
     let mut candidates = Vec::new();
     let mut skipped = Vec::new();
     for &n_chips in &chip_counts {
@@ -274,15 +275,12 @@ pub fn advise(
                         continue;
                     }
                 };
-                let compiled = match schedules.entry(key) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => match base.compile_schedule() {
-                        Ok(c) => e.insert(c),
-                        Err(err) => {
-                            skipped.push(skip(err.to_string()));
-                            continue;
-                        }
-                    },
+                let compiled = match engine.schedule(&base, &key) {
+                    Ok(c) => c,
+                    Err(err) => {
+                        skipped.push(skip(err.to_string()));
+                        continue;
+                    }
                 };
                 for &link_bw_pct in &link_bw_pcts {
                     let point = DesignPoint { topology, placement, n_chips, link_bw_pct };
@@ -320,8 +318,8 @@ pub fn advise(
         candidates,
         skipped,
         recommended,
-        compiled: schedules.len(),
-        warmups: schedules.values().map(|c| c.walks()).sum(),
+        compiled: engine.cached_schedules_len(),
+        warmups: engine.schedules.values().iter().map(|c| c.walks()).sum(),
     })
 }
 

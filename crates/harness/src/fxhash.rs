@@ -11,8 +11,11 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// Builds [`FxHasher`]s.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// A `HashMap` keyed through [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// An empty [`FxHashMap`] with room for `capacity` entries.
 pub(crate) fn map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {

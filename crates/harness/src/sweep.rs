@@ -34,9 +34,10 @@
 //! assert!(results.rows[1].report.speedup_over(&results.rows[0].report) > 8.0);
 //! ```
 
-use crate::fxhash::{self, FxHashMap};
+use crate::fxhash::{self, FxBuildHasher, FxHashMap};
 use crate::record::{self, Cell, Cells, Format, Record, Table};
 use crate::table::{fmt_cycles, TextTable};
+use mtp_core::memo::Memo;
 use mtp_core::schedule::CompiledSchedule;
 use mtp_core::{CoreError, FailPolicy, MemoryPlan, PartitionSpec, SystemReport, WeightResidency};
 use mtp_kernels::CalibratedCostModel;
@@ -623,10 +624,10 @@ impl Scenario {
         chip
     }
 
-    /// Runs the scenario once (uncached; the engine is the cached entry
-    /// point) through the engine's evaluator: the key's checks, then one
-    /// compiled schedule. Span blocks times the uniform batch size: each
-    /// block instance is one request slot, so a batched span is exactly a
+    /// Runs the scenario once on a fresh serial engine
+    /// ([`SweepEngine::run_one`]): the key's checks, then one compiled
+    /// schedule. Span blocks times the uniform batch size: each block
+    /// instance is one request slot, so a batched span is exactly a
     /// deeper single-request span over the same template (the
     /// request-level periodicity argument, DESIGN.md §10).
     ///
@@ -635,13 +636,7 @@ impl Scenario {
     /// Propagates validation, partitioning, topology, and simulation
     /// errors, in that order.
     pub fn run(&self) -> Result<SystemReport, CoreError> {
-        self.schedule_key()?;
-        self.compile_schedule()?.simulate_faulted(
-            &self.chip(),
-            self.n_blocks(),
-            &self.faults,
-            self.fail_policy,
-        )
+        SweepEngine::serial().run_one(self)
     }
 
     /// Number of Transformer block instances this scenario simulates
@@ -1229,10 +1224,6 @@ type SimOutcome = Result<Arc<SystemReport>, Skip>;
 /// A skipped point's reason and overflow flag ([`SkippedScenario`]).
 type Skip = (String, bool);
 
-fn outcome(result: Result<SystemReport, CoreError>) -> SimOutcome {
-    result.map(Arc::new).map_err(skip)
-}
-
 fn skip(e: CoreError) -> Skip {
     let overflow = matches!(
         e,
@@ -1287,22 +1278,24 @@ impl StreamSummary {
     }
 }
 
+/// Compiled schedules one engine keeps, far above any grid's distinct
+/// structures; past it the store starts afresh.
+const MAX_SCHEDULES: usize = 1024;
+
 /// The parallel, caching sweep runner.
 ///
-/// The engine owns two caches that persist across `run` calls: a
-/// scenario-key report cache (re-running an overlapping grid only
-/// simulates the new points) and a [`ScheduleKey`]-keyed compiled-schedule
-/// cache (every scenario sharing a block template — depth variants,
-/// link-bandwidth variants, repeated structures — compiles it once).
-/// Within one run, duplicate scenarios are simulated once; unique points
-/// are distributed over `threads` scoped worker threads, which read the
-/// run's schedules from a pre-resolved snapshot, so the hot loop never
-/// touches a lock.
+/// The engine owns two stores that persist across runs: a scenario
+/// report cache (re-running an overlapping grid only simulates the new
+/// points) and a [`ScheduleKey`]-keyed [`Memo`] of compiled schedules,
+/// from which every run, [`SweepEngine::run_one`] and the advisor take
+/// theirs (depth, bandwidth and repeated-structure variants compile
+/// once). Within one run, `threads` scoped workers claim simulations:
+/// points that differ only in display fields share one.
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
     cache: Mutex<FxHashMap<Scenario, Arc<SystemReport>>>,
-    schedules: Mutex<FxHashMap<ScheduleKey, Arc<CompiledSchedule>>>,
+    pub(crate) schedules: Memo<ScheduleKey, Arc<CompiledSchedule>, FxBuildHasher>,
 }
 
 impl Default for SweepEngine {
@@ -1332,7 +1325,7 @@ impl SweepEngine {
         SweepEngine {
             threads: threads.max(1),
             cache: Mutex::default(),
-            schedules: Mutex::default(),
+            schedules: Memo::new(MAX_SCHEDULES),
         }
     }
 
@@ -1354,14 +1347,30 @@ impl SweepEngine {
     }
 
     /// Number of compiled block templates currently cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule-cache lock was poisoned, which indicates a
-    /// simulator bug.
     #[must_use]
     pub fn cached_schedules_len(&self) -> usize {
-        self.schedules.lock().expect("schedule cache poisoned").len()
+        self.schedules.len()
+    }
+
+    /// `scenario`'s compiled schedule, by its `key`, from the engine's
+    /// store: compiled on the first ask; an error keeps nothing.
+    pub(crate) fn schedule(
+        &self,
+        scenario: &Scenario,
+        key: &ScheduleKey,
+    ) -> Result<Arc<CompiledSchedule>, CoreError> {
+        self.schedules.get_or_try_insert_with(key, || scenario.compile_schedule().map(Arc::new))
+    }
+
+    /// Simulates `scenario`, keyed `key`, on its stored schedule, whose
+    /// steady-state memo every scenario sharing the template reuses.
+    fn simulate(&self, scenario: &Scenario, key: &ScheduleKey) -> Result<SystemReport, CoreError> {
+        self.schedule(scenario, key)?.simulate_faulted(
+            &scenario.chip(),
+            scenario.n_blocks(),
+            &scenario.faults,
+            scenario.fail_policy,
+        )
     }
 
     /// Runs every scenario of the grid. Never fails as a whole: invalid
@@ -1404,108 +1413,42 @@ impl SweepEngine {
             distinct.iter().map(|s| cache.get(*s).map(|report| Ok(Arc::clone(report)))).collect()
         };
         let run_of: Vec<usize> = (0..distinct.len()).filter(|&d| outcomes[d].is_none()).collect();
-        let to_run: Vec<&Scenario> = run_of.iter().map(|&d| distinct[d]).collect();
 
-        // Phase 2: resolve each point's compiled schedule in one batch.
-        // A single lock acquisition snapshots the already-cached
-        // templates into per-key slots; the remaining templates are
-        // compiled lazily by whichever worker needs the key first
-        // (compilation is a pure function of the key, so any winner
-        // builds the same template — and compiling right before
-        // simulating keeps the fresh template cache-hot). One more
-        // acquisition publishes the new templates after the workers
-        // finish; the hot loop never touches the mutex.
-        //
-        // Scenarios sharing a schedule, link bandwidth, link regime,
-        // depth, and fault plan (plus failover policy) produce identical
-        // reports (the schedule plus the bandwidth-scaled, regime-tagged,
-        // fault-injected chip fully determine the simulation — the
-        // remaining scenario fields are display-only), so such groups
-        // simulate once and share the report through an `Arc`. A point
-        // without a key (an invalid axis value, partition, or one-chip
-        // topology) is routed straight to its key's error.
-        let keys: Vec<Result<ScheduleKey, Skip>> =
-            to_run.iter().map(|s| s.schedule_key().map_err(skip)).collect();
-        let mut unique: FxHashMap<&ScheduleKey, usize> = fxhash::map_with_capacity(keys.len());
-        type SimKey<'s> = (usize, u32, usize, LinkRegime, &'s FaultPlan, FailPolicy);
-        let mut sims: FxHashMap<SimKey<'_>, usize> = fxhash::map_with_capacity(to_run.len());
-        let route: Vec<Result<(usize, usize), Skip>> = to_run
+        // Phase 2: route each point to a simulation. The schedule plus
+        // the bandwidth-scaled, regime-tagged, fault-injected chip and the
+        // depth fully determine a report (the other fields are
+        // display-only), so points sharing them simulate once and share
+        // the report through an `Arc`. A point without a key (an invalid
+        // axis value, partition, or one-chip topology) gets its key's error.
+        type SimKey<'s> = (ScheduleKey, u32, usize, LinkRegime, &'s FaultPlan, FailPolicy);
+        let mut sim_of: FxHashMap<SimKey<'_>, usize> = fxhash::map_with_capacity(run_of.len());
+        let mut sims: Vec<(&Scenario, ScheduleKey)> = Vec::new();
+        let route: Vec<Result<usize, Skip>> = run_of
             .iter()
-            .zip(&keys)
-            .map(|(s, key)| {
-                let key = key.as_ref().map_err(Clone::clone)?;
-                let slot = unique.len();
-                let slot = *unique.entry(key).or_insert(slot);
-                let sim = sims.len();
-                let sim = *sims
-                    .entry((
-                        slot,
-                        s.link_bw_pct,
-                        s.n_blocks(),
-                        s.link_regime,
-                        &s.faults,
-                        s.fail_policy,
-                    ))
-                    .or_insert(sim);
-                Ok((slot, sim))
+            .map(|&d| {
+                let s = distinct[d];
+                let key = s.schedule_key().map_err(skip)?;
+                let sim =
+                    (key, s.link_bw_pct, s.n_blocks(), s.link_regime, &s.faults, s.fail_policy);
+                Ok(*sim_of.entry(sim).or_insert_with_key(|sim| {
+                    sims.push((s, sim.0.clone()));
+                    sims.len() - 1
+                }))
             })
             .collect();
-        let sched_slots: Vec<OnceLock<Result<Arc<CompiledSchedule>, Skip>>> =
-            (0..unique.len()).map(|_| OnceLock::new()).collect();
-        {
-            let schedules = self.schedules.lock().expect("schedule cache poisoned");
-            if !schedules.is_empty() {
-                for (key, &slot) in &unique {
-                    if let Some(compiled) = schedules.get(*key) {
-                        let _ = sched_slots[slot].set(Ok(Arc::clone(compiled)));
-                    }
-                }
-            }
-        }
-        let sim_slots: Vec<OnceLock<SimOutcome>> =
-            (0..sims.len()).map(|_| OnceLock::new()).collect();
-        drop(sims);
+        drop(sim_of);
 
-        // Phase 3: simulate unique points in parallel. Workers claim
-        // indices from an atomic counter and write into pre-assigned
-        // slots, so the outcome is independent of scheduling order; a
-        // single-worker run executes inline (no thread spawn).
-        let slots: Vec<Mutex<Option<SimOutcome>>> =
-            to_run.iter().map(|_| Mutex::new(None)).collect();
+        // Phase 3: workers claim simulations from an atomic counter and
+        // write pre-assigned slots, so the outcome is independent of
+        // scheduling order; a single worker runs inline.
+        let done: Vec<OnceLock<SimOutcome>> = sims.iter().map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let worker = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(scenario) = to_run.get(i) else { break };
-            let outcome = match &route[i] {
-                Ok((slot, sim)) => sim_slots[*sim]
-                    .get_or_init(|| {
-                        // A compilation error (a topology that does not
-                        // build) is every keyed point's skip reason.
-                        let compiled = sched_slots[*slot].get_or_init(|| {
-                            scenario.compile_schedule().map(Arc::new).map_err(skip)
-                        });
-                        match compiled {
-                            // Depth variants, bandwidths that price alike
-                            // and placements sharing this template reuse
-                            // its steady-state memo; an empty fault plan
-                            // takes the fault-free path, and a fail-stop
-                            // under the abort policy becomes this
-                            // scenario's typed skip reason.
-                            Ok(compiled) => outcome(compiled.simulate_faulted(
-                                &scenario.chip(),
-                                scenario.n_blocks(),
-                                &scenario.faults,
-                                scenario.fail_policy,
-                            )),
-                            Err(reason) => Err(reason.clone()),
-                        }
-                    })
-                    .clone(),
-                Err(reason) => Err(reason.clone()),
-            };
-            *slots[i].lock().expect("sweep slot poisoned") = Some(outcome);
+            let Some((scenario, key)) = sims.get(i) else { break };
+            let _ = done[i].set(self.simulate(scenario, key).map(Arc::new).map_err(skip));
         };
-        let workers = self.threads.min(to_run.len());
+        let workers = self.threads.min(sims.len());
         if workers == 1 {
             worker();
         } else if workers > 1 {
@@ -1514,17 +1457,6 @@ impl SweepEngine {
                     scope.spawn(worker);
                 }
             });
-        }
-
-        // Publish the templates this run compiled (one lock acquisition;
-        // keys already present keep their existing template).
-        {
-            let mut schedules = self.schedules.lock().expect("schedule cache poisoned");
-            for (key, &slot) in &unique {
-                if let Some(Ok(compiled)) = sched_slots[slot].get() {
-                    schedules.entry((*key).clone()).or_insert_with(|| Arc::clone(compiled));
-                }
-            }
         }
 
         // Phase 4: fill the cache once per freshly simulated point (one
@@ -1538,12 +1470,10 @@ impl SweepEngine {
         let mut failed = 0;
         {
             let mut cache = self.cache.lock().expect("sweep cache poisoned");
-            for (&d, slot) in run_of.iter().zip(&slots) {
-                let outcome = slot
-                    .lock()
-                    .expect("sweep slot poisoned")
-                    .take()
-                    .expect("worker filled its slot");
+            for (&d, route) in run_of.iter().zip(route) {
+                let outcome = route.and_then(|sim| {
+                    done[sim].get().expect("a worker ran every simulation").clone()
+                });
                 match &outcome {
                     Ok(report) => {
                         cache.insert(distinct[d].clone(), Arc::clone(report));
@@ -1576,7 +1506,7 @@ impl SweepEngine {
             rows,
             skipped,
             cache_hits,
-            unique_simulated: to_run.len() - failed,
+            unique_simulated: run_of.len() - failed,
             elapsed: started.elapsed(),
         }
     }
@@ -1698,16 +1628,18 @@ impl SweepEngine {
         Ok(summary)
     }
 
-    /// Runs (or recalls) a single scenario.
+    /// Runs (or recalls) a single scenario, on the engine's stored
+    /// schedule for its key.
     ///
     /// # Errors
     ///
-    /// Propagates the scenario's partitioning/topology/simulation error.
+    /// Propagates the scenario's validation, partitioning, topology and
+    /// simulation errors, in that order.
     pub fn run_one(&self, scenario: &Scenario) -> Result<SystemReport, CoreError> {
         if let Some(hit) = self.cache.lock().expect("sweep cache poisoned").get(scenario) {
             return Ok(SystemReport::clone(hit));
         }
-        let report = scenario.run()?;
+        let report = self.simulate(scenario, &scenario.schedule_key()?)?;
         self.cache
             .lock()
             .expect("sweep cache poisoned")
@@ -2008,18 +1940,27 @@ mod tests {
         // Two stream chunks of the deep grid: the second re-simulates
         // evicted rows from the memos, which walk once per timing class
         // (one chip sends nothing, so its two bandwidths are one class).
+        // On many threads, workers racing to compile one key must all
+        // simulate on the schedule the store kept, or a class walks twice.
         let grid = SweepGrid::deep_default().scenarios();
         let scenarios: Vec<Scenario> =
             grid.iter().cycle().take(STREAM_CHUNK + grid.len()).cloned().collect();
-        let engine = SweepEngine::serial();
-        let mut csv = Vec::new();
-        engine.run_streamed(&scenarios, &mut csv).unwrap();
-        let schedules = engine.schedules.lock().unwrap();
-        assert_eq!(schedules.len(), 11);
-        for compiled in schedules.values() {
-            // Each walk keeps at most one entry, so this bounds the memo.
-            let classes = if compiled.n_chips() == 1 { 1 } else { 2 };
-            assert_eq!(compiled.walks(), classes, "{} chips", compiled.n_chips());
+        for threads in [1, 2, 8] {
+            let engine = SweepEngine::with_threads(threads);
+            let mut csv = Vec::new();
+            engine.run_streamed(&scenarios, &mut csv).unwrap();
+            let schedules = engine.schedules.values();
+            assert_eq!(schedules.len(), 11);
+            for compiled in schedules {
+                // Each walk keeps at most one entry, so this bounds the memo.
+                let classes = if compiled.n_chips() == 1 { 1 } else { 2 };
+                assert_eq!(
+                    compiled.walks(),
+                    classes,
+                    "{} chips, {threads} threads",
+                    compiled.n_chips()
+                );
+            }
         }
     }
 

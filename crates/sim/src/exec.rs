@@ -207,7 +207,7 @@ impl Machine {
     ///
     /// [`SimError::ProgramCountMismatch`] or
     /// [`SimError::FormPricingMismatch`].
-    pub(crate) fn check_form(&self, form: &Lowered) -> Result<()> {
+    pub fn check_form(&self, form: &Lowered) -> Result<()> {
         self.check_count(form.n_chips())?;
         match form.mispriced_chip(self) {
             Some(chip) => Err(SimError::FormPricingMismatch { chip: ChipId(chip) }),

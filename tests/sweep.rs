@@ -286,22 +286,30 @@ fn compiled_form_equals_lowering_its_template() {
 /// a typed error from every evaluator, never a panic or a re-lowering.
 #[test]
 fn differently_priced_chips_are_refused_by_every_evaluator() {
+    // Under every link regime, the contention-bearing ones included,
+    // whose steady state walks nothing.
     let ar = InferenceMode::Autoregressive;
     let analytic = Scenario::new(TransformerConfig::tiny_llama_42m(), ar, 4);
     let compiled = analytic.compile_schedule().unwrap();
-    let other = analytic.with_cost_source(CostSourceKind::Calibrated).chip();
     let refused = |r: Result<_, CoreError>| {
         matches!(r, Err(CoreError::Sim(SimError::FormPricingMismatch { .. })))
     };
-    for n in [1, 96] {
-        assert!(refused(compiled.simulate(&other, n).map(drop)), "simulate at {n}");
-    }
-    assert!(refused(compiled.steady_state(&other).map(drop)), "steady_state");
-    for faults in ["none", "stall:0:1000:5000", "failstop:1:50000"] {
-        let plan = mtp::sim::FaultPlan::parse(faults).unwrap();
-        for policy in [FailPolicy::Abort, FailPolicy::SpareChip] {
-            let r = compiled.simulate_faulted(&other, 8, &plan, policy).map(drop);
-            assert!(refused(r), "simulate_faulted under {faults}");
+    for regime in ["affine", "queued:262144", "lossy:5"] {
+        let other = analytic
+            .clone()
+            .with_cost_source(CostSourceKind::Calibrated)
+            .with_link_regime(mtp::sim::LinkRegime::parse(regime).unwrap())
+            .chip();
+        for n in [1, 96] {
+            assert!(refused(compiled.simulate(&other, n).map(drop)), "simulate at {n}, {regime}");
+        }
+        assert!(refused(compiled.steady_state(&other).map(drop)), "steady_state, {regime}");
+        for faults in ["none", "stall:0:1000:5000", "failstop:1:50000"] {
+            let plan = mtp::sim::FaultPlan::parse(faults).unwrap();
+            for policy in [FailPolicy::Abort, FailPolicy::SpareChip] {
+                let r = compiled.simulate_faulted(&other, 8, &plan, policy).map(drop);
+                assert!(refused(r), "simulate_faulted under {faults}, {regime}");
+            }
         }
     }
     assert_eq!(compiled.walks(), 0, "a refused chip walks nothing");
@@ -413,6 +421,25 @@ fn deep_grid_warm_resume_rows_equal_direct_simulation() {
         assert_eq!(row.report.n_blocks, direct.n_blocks);
         assert_eq!(row.report.residency, direct.residency);
     }
+}
+
+/// `run_one` takes its schedule from the engine's store, so a following
+/// run over the same schedule key compiles nothing new.
+#[test]
+fn run_one_leaves_its_schedule_in_the_store() {
+    let engine = SweepEngine::new();
+    let base = Scenario::new(TransformerConfig::tiny_llama_42m(), InferenceMode::Autoregressive, 8);
+    let one = engine.run_one(&base).unwrap();
+    assert_eq!(engine.cached_schedules_len(), 1);
+    let same_key = [
+        base.clone(),
+        base.clone().with_link_bw_pct(50).unwrap(),
+        base.clone().with_span(Span::Model),
+    ];
+    let results = engine.run_scenarios(&same_key);
+    assert_eq!(engine.cached_schedules_len(), 1, "the run compiled its key again");
+    assert_eq!(results.rows[0].report.stats, one.stats);
+    assert_eq!((results.unique_simulated, results.cache_hits), (2, 1));
 }
 
 #[test]
