@@ -5,27 +5,29 @@ use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// One key's value, and the lock its first asker computes it under while
+/// later askers wait.
+type Cell<V> = Arc<(OnceLock<V>, Mutex<()>)>;
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Guards hold no data but the map, whose entries are inserted whole;
+    // a cell a panicking caller left empty is computed again.
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A map from keys to values computed on the first ask, shared between
 /// threads and bounded: an insert into a full memo starts it afresh, so
 /// a long run of ever-new keys never grows it past `cap` entries.
 ///
-/// Look-ups and inserts hold the lock; computing never does. When two
-/// threads compute one key, the first insert wins and both get the kept
-/// value back, so whatever a value accumulates (a schedule's
-/// steady-state memo) is accumulated once.
+/// Each key is computed once, outside the map's lock: a thread asking
+/// for a key another thread is computing waits for that computation and
+/// gets back the kept value, so whatever a value accumulates (a
+/// schedule's steady-state memo) is accumulated once.
 pub struct Memo<K, V, S = RandomState> {
     cap: usize,
-    map: Mutex<HashMap<K, V, S>>,
-}
-
-impl<K, V, S> Memo<K, V, S> {
-    fn map(&self) -> MutexGuard<'_, HashMap<K, V, S>> {
-        // Entries are inserted whole, so a panicking holder leaves none
-        // half written.
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    map: Mutex<HashMap<K, Cell<V>, S>>,
 }
 
 impl<K: Hash + Eq, V: Clone, S: BuildHasher + Default> Memo<K, V, S> {
@@ -35,8 +37,9 @@ impl<K: Hash + Eq, V: Clone, S: BuildHasher + Default> Memo<K, V, S> {
         Memo { cap: cap.max(1), map: Mutex::default() }
     }
 
-    /// The value kept for `key`, computing it outside the lock on a miss.
-    /// A computation error is returned and keeps nothing.
+    /// The value kept for `key`, computed on the first ask. A computation
+    /// error is returned and keeps nothing; a caller that waited on it
+    /// computes afresh. `compute` must not ask for `key` itself.
     ///
     /// # Errors
     ///
@@ -50,25 +53,40 @@ impl<K: Hash + Eq, V: Clone, S: BuildHasher + Default> Memo<K, V, S> {
         K: Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
     {
-        if let Some(kept) = self.map().get(key) {
+        let mut map = lock(&self.map);
+        let cell = match map.get(key) {
+            Some(cell) => match cell.0.get() {
+                Some(kept) => return Ok(kept.clone()),
+                None => Arc::clone(cell),
+            },
+            None => {
+                if map.len() >= self.cap {
+                    map.clear();
+                }
+                Arc::clone(map.entry(key.to_owned()).or_default())
+            }
+        };
+        drop(map);
+        let _computing = lock(&cell.1);
+        if let Some(kept) = cell.0.get() {
             return Ok(kept.clone());
         }
-        let value = compute()?;
-        let mut map = self.map();
-        if let Some(kept) = map.get(key) {
-            return Ok(kept.clone());
+        match compute() {
+            Ok(value) => Ok(cell.0.get_or_init(|| value).clone()),
+            Err(e) => {
+                let mut map = lock(&self.map);
+                if map.get(key).is_some_and(|kept| Arc::ptr_eq(kept, &cell)) {
+                    map.remove(key);
+                }
+                Err(e)
+            }
         }
-        if map.len() >= self.cap {
-            map.clear();
-        }
-        map.insert(key.to_owned(), value.clone());
-        Ok(value)
     }
 
-    /// Entries kept.
+    /// Entries kept, counting any still being computed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map().len()
+        lock(&self.map).len()
     }
 
     /// `true` when no entry is kept.
@@ -77,24 +95,26 @@ impl<K: Hash + Eq, V: Clone, S: BuildHasher + Default> Memo<K, V, S> {
         self.len() == 0
     }
 
-    /// The kept values, in no particular order.
+    /// The values kept so far, in no particular order.
     #[must_use]
     pub fn values(&self) -> Vec<V> {
-        self.map().values().cloned().collect()
+        lock(&self.map).values().filter_map(|cell| cell.0.get().cloned()).collect()
     }
 }
 
 /// Prints the entry count, not the entries.
 impl<K, V, S> std::fmt::Debug for Memo<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.map().len())
+        write!(f, "{}", lock(&self.map).len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Barrier};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn a_full_memo_starts_afresh_and_the_first_insert_wins() {
@@ -107,6 +127,10 @@ mod tests {
         assert_eq!(memo.len(), 1, "the fourth key started the memo afresh");
         assert_eq!(memo.get_or_try_insert_with(&3, || Ok::<_, ()>(31)), Ok(30));
         assert_eq!(format!("{memo:?}"), "1");
+        // An error keeps nothing: the next ask computes.
+        assert_eq!(memo.get_or_try_insert_with(&4, || Err(())), Err(()));
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.get_or_try_insert_with(&4, || Ok::<_, ()>(40)), Ok(40));
         // Slices look up the vectors they own as.
         let shapes: Memo<Vec<u8>, u8> = Memo::new(4);
         assert_eq!(shapes.get_or_try_insert_with(&[1, 2][..], || Ok::<_, ()>(3)), Ok(3));
@@ -114,19 +138,20 @@ mod tests {
     }
 
     #[test]
-    fn racing_threads_all_get_the_kept_value() {
-        // Both threads miss, both compute, and both return the one value
-        // the memo kept, whichever inserted first.
-        let memo: Memo<u8, Arc<u32>> = Memo::new(8);
-        let barrier = Barrier::new(2);
-        let got: Vec<Arc<u32>> = std::thread::scope(|scope| {
-            let racers: Vec<_> = (0..2u32)
-                .map(|i| {
-                    let (memo, barrier) = (&memo, &barrier);
+    fn racing_threads_compute_once_and_all_get_the_kept_value() {
+        // The threads ask together; whichever computes holds the key
+        // long enough for the others to ask meanwhile, and they wait.
+        let memo: Memo<u8, Arc<usize>> = Memo::new(8);
+        let (barrier, computed) = (Barrier::new(4), AtomicUsize::new(0));
+        let got: Vec<Arc<usize>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (memo, barrier, computed) = (&memo, &barrier, &computed);
                     scope.spawn(move || {
+                        barrier.wait();
                         memo.get_or_try_insert_with(&0, || {
-                            barrier.wait();
-                            Ok::<_, ()>(Arc::new(i))
+                            std::thread::sleep(Duration::from_millis(20));
+                            Ok::<_, ()>(Arc::new(computed.fetch_add(1, Ordering::Relaxed)))
                         })
                         .unwrap()
                     })
@@ -134,7 +159,8 @@ mod tests {
                 .collect();
             racers.into_iter().map(|r| r.join().unwrap()).collect()
         });
-        assert!(Arc::ptr_eq(&got[0], &got[1]));
+        assert_eq!(computed.into_inner(), 1, "one computation for one key");
+        assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
         assert_eq!(memo.len(), 1);
     }
 }

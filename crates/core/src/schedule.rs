@@ -428,17 +428,14 @@ struct Memo {
 }
 
 impl Memo {
-    fn get(&self, chip: &ChipSpec, link: &[u64]) -> Option<&Walked> {
-        self.classes.get(link)?.iter().find(|(c, _)| c == chip).map(|(_, walked)| walked)
-    }
-
     fn len(&self) -> usize {
         self.classes.values().map(Vec::len).sum()
     }
 
     /// The class's walk, added unwalked if the memo holds none.
     fn class(&mut self, chip: ChipSpec, link: Vec<u64>) -> Walked {
-        if let Some(kept) = self.get(&chip, &link) {
+        let mut chips = self.classes.get(&link).into_iter().flatten();
+        if let Some((_, kept)) = chips.find(|(c, _)| *c == chip) {
             return Arc::clone(kept);
         }
         if self.len() == MAX_TIMING_CLASSES {
@@ -576,24 +573,20 @@ impl CompiledSchedule {
     /// [`mtp_sim::SimError::FormPricingMismatch`] when `chip` prices
     /// kernels or DMA unlike the compile chip, under every link regime.
     pub fn steady_state(&self, chip: &ChipSpec) -> Result<Option<Arc<SymbolicMakespan>>> {
-        let machine = || Machine::homogeneous(*chip, self.n_chips());
+        let machine = Machine::homogeneous(*chip, self.n_chips());
+        machine.check_form(&self.lowered)?;
         if !chip.link_regime.contention_free() {
-            machine().check_form(&self.lowered)?;
             return Ok(None);
         }
         let (rest, link) = timing_class(chip, &self.send_sizes);
-        if let Some(model) = self.memo().get(&rest, &link).and_then(|walked| walked.get()) {
-            return Ok(model.clone());
-        }
         // Walk outside the memo's lock, once per class: a thread asking
         // for a class another one is walking waits for that walk.
-        let machine = machine();
-        machine.check_form(&self.lowered)?;
         let walked = self.memo().class(rest, link);
         let model = walked.get_or_init(|| {
             self.memo().walks += 1;
-            // The pricing check above is the walk's only error.
-            SymbolicMakespan::derive_lowered(&machine, &self.lowered).ok().flatten().map(Arc::new)
+            SymbolicMakespan::derive_lowered(&machine, &self.lowered)
+                .expect("the form's pricing was checked above")
+                .map(Arc::new)
         });
         Ok(model.clone())
     }

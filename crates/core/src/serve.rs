@@ -1207,6 +1207,7 @@ mod tests {
         assert_eq!(memo_len(&sys), (1, 0));
         let form = || sys.slot_form(InferenceMode::Prompt, p).unwrap();
         let baseline = form();
+        assert_eq!(memo_len(&sys), (1, 0), "the baseline's lookup compiled a slot of its own");
         let policy = BatchPolicy::Continuous { max_slots: 2 };
         sys.simulate_serve(&saturated(3, p, 2), policy, Billing::PerRequest).unwrap();
         assert!(Arc::ptr_eq(&baseline, &form()), "the serve compiled its prefill slot again");

@@ -1278,8 +1278,10 @@ impl StreamSummary {
     }
 }
 
-/// Compiled schedules one engine keeps, far above any grid's distinct
-/// structures; past it the store starts afresh.
+/// Compiled schedules one engine keeps: over three times the 324 keys of
+/// every named CLI value crossed (counted by a test below). Only grids of
+/// many `hierN` group sizes reach it; past it the store starts afresh and
+/// later keys compile again, with the same results.
 const MAX_SCHEDULES: usize = 1024;
 
 /// The parallel, caching sweep runner.
@@ -1940,8 +1942,8 @@ mod tests {
         // Two stream chunks of the deep grid: the second re-simulates
         // evicted rows from the memos, which walk once per timing class
         // (one chip sends nothing, so its two bandwidths are one class).
-        // On many threads, workers racing to compile one key must all
-        // simulate on the schedule the store kept, or a class walks twice.
+        // On many threads, workers meeting one key must all simulate on
+        // the schedule the store kept, or a class walks twice.
         let grid = SweepGrid::deep_default().scenarios();
         let scenarios: Vec<Scenario> =
             grid.iter().cycle().take(STREAM_CHUNK + grid.len()).cloned().collect();
@@ -1962,6 +1964,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_named_cli_value_crossed_stays_under_the_schedule_bound() {
+        // The largest grid of named CLI values: depth reaches a key only
+        // through the residency regime, and depths past 64 add no key
+        // (nor do chip counts past 64: no preset has more heads).
+        use ModelPreset::{MobileBert, MobileBertDeep, TinyLlama, TinyLlamaDeep};
+        let mut presets = vec![TinyLlama, ModelPreset::TinyLlamaScaled64h, MobileBert];
+        presets.extend([1, 2, 4, 8].map(ModelPreset::TinyLlamaGqa));
+        presets.extend((1..=64).flat_map(|n| [TinyLlamaDeep(n), MobileBertDeep(n)]));
+        let mut keys = std::collections::HashSet::new();
+        for (preset, mode) in presets.into_iter().flat_map(|p| {
+            [InferenceMode::Autoregressive, InferenceMode::Prompt].map(move |m| (p, m))
+        }) {
+            let cfg = preset.config(mode);
+            for chips in 1..=64 {
+                for topology in [TopologySpec::PaperDefault, TopologySpec::Flat] {
+                    for placement in [PlacementPolicy::Auto, PlacementPolicy::ForceStreamed] {
+                        for cost in [CostSourceKind::Analytic, CostSourceKind::Calibrated] {
+                            let key = Scenario::new(cfg.clone(), mode, chips)
+                                .with_topology(topology)
+                                .with_placement(placement)
+                                .with_cost_source(cost)
+                                .schedule_key();
+                            keys.extend(key.ok());
+                        }
+                    }
+                }
+            }
+        }
+        // The count `MAX_SCHEDULES` cites.
+        assert_eq!(keys.len(), 324);
+        assert!(3 * keys.len() < MAX_SCHEDULES);
     }
 
     #[test]
